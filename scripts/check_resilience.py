@@ -215,12 +215,12 @@ def main() -> int:
 
         # --- fault class 2: hung kernels (wedged workers) ----------------
         injector.arm(FaultSpec(KERNEL_HANG, hang_s=0.6, max_fires=2))
-        restarts_before = service.metrics.shard_restarts
+        restarts_before = service.metrics_snapshot().shard_restarts
         ok, failed, _ = drive_wave(
             service, wave_signatures(args.seed, "kernel-hang"), "kernel-hang"
         )
         injector.disarm(KERNEL_HANG)
-        wedge_restarts = service.metrics.shard_restarts - restarts_before
+        wedge_restarts = service.metrics_snapshot().shard_restarts - restarts_before
         if injector.fired(KERNEL_HANG) == 0:
             raise AssertionError("kernel_hang never fired; the phase proved nothing")
         if wedge_restarts == 0:
@@ -233,12 +233,12 @@ def main() -> int:
 
         # --- fault class 3: dying shard workers --------------------------
         injector.arm(FaultSpec(SHARD_DEATH, max_fires=2))
-        restarts_before = service.metrics.shard_restarts
+        restarts_before = service.metrics_snapshot().shard_restarts
         ok, failed, _ = drive_wave(
             service, wave_signatures(args.seed, "shard-death"), "shard-death"
         )
         injector.disarm(SHARD_DEATH)
-        death_restarts = service.metrics.shard_restarts - restarts_before
+        death_restarts = service.metrics_snapshot().shard_restarts - restarts_before
         if injector.fired(SHARD_DEATH) != 2:
             raise AssertionError(
                 f"expected 2 worker deaths, injected {injector.fired(SHARD_DEATH)}"
@@ -274,14 +274,14 @@ def main() -> int:
 
         # --- fault class 5: corrupt cache entries ------------------------
         injector.arm(FaultSpec(CACHE_CODEC, probability=0.5, max_fires=20))
-        cache_errors_before = service.metrics.cache_errors
+        cache_errors_before = service.metrics_snapshot().cache_errors
         ok, failed, _ = drive_wave(
             service,
             wave_signatures(args.seed, "cache-codec", WAVE // 4),
             "cache-codec",
         )
         injector.disarm(CACHE_CODEC)
-        cache_errors = service.metrics.cache_errors - cache_errors_before
+        cache_errors = service.metrics_snapshot().cache_errors - cache_errors_before
         if failed:
             raise AssertionError(
                 f"{failed} request(s) failed on cache faults; they must degrade to misses"

@@ -2,9 +2,11 @@
 # CI gate for the repro library.
 #
 # Runs the tier-1 suite exactly as ROADMAP.md specifies (tests/ and
-# benchmarks/ are both collected from the repo root), then a fast smoke of
-# the streaming-service demo so the serve layer is exercised end to end --
-# threads, shards, cache and telemetry included -- on every change.
+# benchmarks/ are both collected from the repo root), the parity, lifecycle,
+# observability, resilience, rollout and load gates, a fast smoke of the
+# streaming-service demo so the serve layer is exercised end to end --
+# threads, shards, cache and telemetry included -- and short traced runs of
+# the repository benchmark, on every change.
 #
 # Usage: scripts/ci_check.sh [extra pytest args...]
 
@@ -91,6 +93,18 @@ python scripts/check_serve.py
 echo
 echo "=== smoke: streaming service demo (4 cameras, 40 frames each) ==="
 python examples/streaming_service.py --streams 4 --frames 40
+
+echo
+echo "=== benchmark hooks: perfbench self-test + 4-second traced runs ==="
+# The traced run wraps program calls by name (resolve_requests and
+# packed_signature_words in repro.serve.service, the service's cache.get,
+# registry.submit and swap_model, SomClassifier.predict_batch_packed) and
+# exits non-zero when any answer or accounting check fails, so a rename
+# that would quietly break the benchmark fails here instead.
+python3 perfbench/selftest.py
+for workload in camera serve_churn; do
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 4 --trace 1
+done
 
 echo
 echo "ci_check: OK"

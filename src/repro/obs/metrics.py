@@ -1,9 +1,10 @@
 """The metric registry: named counters, gauges and fixed-bucket histograms.
 
 One process-wide vocabulary for everything the system measures.  The serve
-layer (:class:`repro.serve.metrics.ServiceMetrics`) and the vision pipeline
-(:class:`repro.pipeline.metrics.PipelineMetrics`) are both thin facades
-over instances of this registry, so a single exporter pass
+layer increments its counters in an instance of this registry directly
+(:class:`repro.serve.metrics.MetricsSnapshot` reads them back), and the
+vision pipeline (:class:`repro.pipeline.metrics.PipelineMetrics`) is a thin
+facade over one, so a single exporter pass
 (:mod:`repro.obs.export`) sees every signal under one consistent naming
 scheme -- ``<subsystem>_<quantity>_<unit>`` with durations always in
 *seconds* (exporters and snapshot dataclasses convert to milliseconds at

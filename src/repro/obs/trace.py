@@ -94,7 +94,7 @@ class Trace:
     Spans are tracked by name while open (each stage name occurs at most
     once per trace), so the layer that *ends* a stage never needs the
     object the layer that *started* it held -- the request hand-off across
-    scheduler, shard thread and completion callback stays a single object
+    scheduler, shard thread and settle step stays a single object
     reference.
     """
 

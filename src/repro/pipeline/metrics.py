@@ -9,7 +9,7 @@ frame total, so operators can see exactly where a camera's frame budget
 goes and the throughput benchmark can attribute its speedups
 (``BENCH_vision.json`` commits a per-stage breakdown).
 
-Like :class:`repro.serve.metrics.ServiceMetrics`, this is a facade over a
+Like the serve layer's telemetry, this lives in a
 :class:`repro.obs.MetricRegistry`: stage timings are registry counters
 labelled by stage, in *seconds* (milliseconds appear only in the rendered
 :class:`PipelineMetricsSnapshot`), so the JSONL and Prometheus exporters

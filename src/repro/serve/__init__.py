@@ -17,11 +17,12 @@ moving parts, front to back:
   (:class:`~repro.core.snapshot.ModelSnapshot` or fitted classifiers),
   each behind its own shard group, with zero-drop hot-reload
   (:meth:`ModelRegistry.swap`) and fail-fast eviction,
-* :mod:`repro.serve.metrics` -- latency percentiles, batch fill, cache
-  hit-rate, dedup fan-out, swap and queue-depth telemetry, registered in
-  the service's :class:`repro.obs.MetricRegistry` so the exporters in
-  :mod:`repro.obs.export` scrape it (per-request traces and lifecycle
-  events live in :mod:`repro.obs` too),
+* :mod:`repro.serve.metrics` -- the ``serve_*`` metric vocabulary and
+  :class:`MetricsSnapshot`, read straight from the service's
+  :class:`repro.obs.MetricRegistry` (latency percentiles, batch fill,
+  cache hit-rate, dedup fan-out, swap and queue-depth telemetry) -- the
+  exporters in :mod:`repro.obs.export` scrape the same registry
+  (per-request traces and lifecycle events live in :mod:`repro.obs` too),
 * :mod:`repro.serve.service` -- the front-end wiring it all together with
   backpressure and cross-request deduplication of identical in-flight
   signatures,
@@ -61,7 +62,7 @@ from repro.errors import (
 )
 from repro.serve.batching import MicroBatch, MicroBatchScheduler
 from repro.serve.cache import CachedOutcome, SignatureLruCache
-from repro.serve.metrics import MetricsSnapshot, ServiceMetrics
+from repro.serve.metrics import MetricsSnapshot
 from repro.serve.registry import ModelRegistry, ModelSource, TrafficRoute
 from repro.serve.request import (
     ClassificationRequest,
@@ -105,7 +106,6 @@ __all__ = [
     "CachedOutcome",
     "SignatureLruCache",
     "MetricsSnapshot",
-    "ServiceMetrics",
     "ModelRegistry",
     "ModelSource",
     "TrafficRoute",

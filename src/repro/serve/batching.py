@@ -44,7 +44,9 @@ class MicroBatch:
         The scheduler's ``batch_size`` when the batch was cut; with
         :attr:`fill_fraction` this is the batch-fill telemetry signal.
     flushed_by:
-        ``"size"``, ``"deadline"`` or ``"drain"`` -- why the batch was cut.
+        ``"size"``, ``"deadline"`` or ``"drain"`` -- why the batch was cut;
+        ``"submit"`` for the one-request batch of a request the service
+        settles at submit (a cache answer or a refusal).
     cut_at:
         Scheduler clock value at the moment the batch was cut; request
         traces use it as the queue-wait / batch-wait span boundary.

@@ -11,14 +11,14 @@ FPGA.  This module keeps the software service honest the same way:
 * cache hit rate, mirrored from the signature LRU cache, and
 * per-shard queue depth plus a count of backpressure rejections.
 
-Since the unified observability layer landed, :class:`ServiceMetrics` is a
-facade over a :class:`repro.obs.MetricRegistry`: every counter and the
-latency histogram live in the registry under stable ``serve_*`` names (in
-seconds -- milliseconds appear only in rendered snapshots), so the JSONL
-and Prometheus exporters in :mod:`repro.obs.export` see the service's
-telemetry without any serve-specific glue.  The legacy surface --
-attribute reads like ``metrics.responses_total`` and the frozen
-:class:`MetricsSnapshot` -- is unchanged.
+Every counter and the latency histogram live in the service's
+:class:`repro.obs.MetricRegistry` under stable ``serve_*`` names (in
+seconds -- milliseconds appear only in rendered snapshots): the service
+registers them once and increments them directly, and
+:meth:`MetricsSnapshot.read` reads them back through
+:meth:`~repro.obs.MetricRegistry.get`.  The JSONL and Prometheus
+exporters in :mod:`repro.obs.export` therefore see the service's telemetry
+without any serve-specific glue.
 
 Registry metric names (the vocabulary ``BENCH_serve.json`` will commit):
 
@@ -29,7 +29,7 @@ Registry metric names (the vocabulary ``BENCH_serve.json`` will commit):
 ``serve_cache_misses_total``                counter    signature-cache misses
 ``serve_dedup_hits_total``                  counter    in-flight coalesces
 ``serve_model_swaps_total``                 counter    zero-drop hot-swaps
-``serve_backpressure_rejections_total``     counter    refused requests
+``serve_backpressure_rejections_total``     counter    requests shed by load
 ``serve_batches_total``                     counter    micro-batches cut
 ``serve_batch_fill_fraction_sum``           counter    summed fill fractions
 ``serve_batch_size_sum``                    counter    summed batch sizes
@@ -62,9 +62,7 @@ registry so exporters see them alongside the counters above.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricRegistry, read_consistent
 
 
@@ -88,7 +86,8 @@ class MetricsSnapshot:
     model_swaps:
         Hot-swaps (:meth:`StreamingInferenceService.swap_model`) performed.
     backpressure_rejections:
-        Requests refused because queues were saturated.
+        Requests shed by load: refused at the pending budget, or failed
+        because every shard queue was full or every circuit open.
     batches_total:
         Micro-batches dispatched to shards.
     mean_batch_fill:
@@ -140,259 +139,57 @@ class MetricsSnapshot:
     shard_leaks: int = 0
     queue_depths: dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def read(
+        cls, registry: MetricRegistry, queue_depths: dict[str, int]
+    ) -> "MetricsSnapshot":
+        """Read a service's ``serve_*`` metrics from ``registry``.
 
-class ServiceMetrics:
-    """Thread-safe accumulator behind :class:`MetricsSnapshot`.
-
-    Parameters
-    ----------
-    registry:
-        The :class:`~repro.obs.MetricRegistry` to register the ``serve_*``
-        metrics in; a service passes its observability registry so one
-        exporter pass sees everything.  A private registry is built when
-        omitted (standalone use and tests).
-    """
-
-    def __init__(self, registry: Optional[MetricRegistry] = None):
-        self.registry = registry if registry is not None else MetricRegistry()
-        reg = self.registry
-        self._requests = reg.counter(
-            "serve_requests_total", help="Requests accepted (cache hits included)"
-        )
-        self._responses = reg.counter(
-            "serve_responses_total", help="Requests resolved with a classification"
-        )
-        self._cache_hits = reg.counter(
-            "serve_cache_hits_total", help="Signature-cache hits"
-        )
-        self._cache_misses = reg.counter(
-            "serve_cache_misses_total", help="Signature-cache misses"
-        )
-        self._dedup = reg.counter(
-            "serve_dedup_hits_total", help="Requests coalesced onto in-flight twins"
-        )
-        self._swaps = reg.counter(
-            "serve_model_swaps_total", help="Zero-drop model hot-swaps"
-        )
-        self._backpressure = reg.counter(
-            "serve_backpressure_rejections_total",
-            help="Requests refused under saturation",
-        )
-        self._batches = reg.counter(
-            "serve_batches_total", help="Micro-batches dispatched to shards"
-        )
-        self._fill_sum = reg.counter(
-            "serve_batch_fill_fraction_sum",
-            help="Summed fill fractions of dispatched batches",
-        )
-        self._size_sum = reg.counter(
-            "serve_batch_size_sum", help="Summed sizes of dispatched batches"
-        )
-        self._latency = reg.histogram(
-            "serve_request_latency_seconds",
-            help="Submit-to-resolve request latency in seconds",
-        )
-        self._retries = reg.counter(
-            "serve_retries_total", help="Submit retries under the backoff policy"
-        )
-        self._deadline_exceeded = reg.counter(
-            "serve_deadline_exceeded_total",
-            help="Requests shed because their deadline expired",
-        )
-        self._stale_hits = reg.counter(
-            "serve_stale_hits_total",
-            help="Requests answered from the stale cache tier (breaker open)",
-        )
-        self._shard_restarts = reg.counter(
-            "serve_shard_restarts_total",
-            help="Dead/wedged workers replaced by the supervisor",
-        )
-        self._cache_errors = reg.counter(
-            "serve_cache_errors_total",
-            help="Signature-cache faults degraded to misses",
-        )
-        self._shard_leaks = reg.counter(
-            "serve_shard_leaks_total",
-            help="Worker threads that failed to join at stop",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Recording (hot path)
-    # ------------------------------------------------------------------ #
-    def record_request(self) -> None:
-        self._requests.inc()
-
-    def record_response(self, latency_s: float) -> None:
-        self._responses.inc()
-        self._latency.observe(float(latency_s))
-
-    def record_cache(self, hit: bool) -> None:
-        if hit:
-            self._cache_hits.inc()
-        else:
-            self._cache_misses.inc()
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Live cache-hit-ratio gauge: hits / lookups so far (0.0 unused).
-
-        The same quantity as :attr:`MetricsSnapshot.cache_hit_rate`, but
-        readable without freezing a full snapshot -- dashboards and the
-        benchmark harness poll it per tick.  Hits and misses are read in
-        one critical section (:func:`~repro.obs.metrics.read_consistent`
-        holds both counters' locks), so a recorder slipping between two
-        separate reads can never skew the ratio.
+        ``queue_depths`` (batches queued per shard, sampled by the caller)
+        is also published as the ``serve_shard_queue_depth`` gauges.
         """
-        hits, misses = read_consistent(self._cache_hits, self._cache_misses)
-        lookups = hits + misses
-        return hits / lookups if lookups else 0.0
-
-    def record_dedup(self, count: int = 1) -> None:
-        """Count requests coalesced onto an identical in-flight signature."""
-        self._dedup.inc(int(count))
-
-    def record_swap(self) -> None:
-        """Count one zero-drop model hot-swap."""
-        self._swaps.inc()
-
-    def record_backpressure(self, count: int = 1) -> None:
-        """Count refused requests (a shed batch refuses all its members)."""
-        self._backpressure.inc(int(count))
-
-    def record_batch(self, size: int, fill_fraction: float) -> None:
-        self._batches.inc()
-        self._fill_sum.inc(float(fill_fraction))
-        self._size_sum.inc(int(size))
-
-    def record_retry(self, count: int = 1) -> None:
-        """Count a submit re-attempt under the retry/backoff policy."""
-        self._retries.inc(int(count))
-
-    def record_deadline_exceeded(self, count: int = 1) -> None:
-        """Count requests shed because their deadline expired."""
-        self._deadline_exceeded.inc(int(count))
-
-    def record_stale_hit(self, count: int = 1) -> None:
-        """Count stale-cache answers served while a breaker was open."""
-        self._stale_hits.inc(int(count))
-
-    def record_shard_restart(self, count: int = 1) -> None:
-        """Count supervisor restarts of dead/wedged workers."""
-        self._shard_restarts.inc(int(count))
-
-    def record_cache_error(self, count: int = 1) -> None:
-        """Count cache get/put faults degraded to misses."""
-        self._cache_errors.inc(int(count))
-
-    def record_shard_leak(self, count: int = 1) -> None:
-        """Count worker threads that failed to join at stop."""
-        self._shard_leaks.inc(int(count))
-
-    # ------------------------------------------------------------------ #
-    # Legacy attribute surface (reads the registry counters)
-    # ------------------------------------------------------------------ #
-    @property
-    def requests_total(self) -> int:
-        return int(self._requests.value)
-
-    @property
-    def responses_total(self) -> int:
-        return int(self._responses.value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_misses.value)
-
-    @property
-    def dedup_hits(self) -> int:
-        return int(self._dedup.value)
-
-    @property
-    def model_swaps(self) -> int:
-        return int(self._swaps.value)
-
-    @property
-    def backpressure_rejections(self) -> int:
-        return int(self._backpressure.value)
-
-    @property
-    def batches_total(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def retries(self) -> int:
-        return int(self._retries.value)
-
-    @property
-    def deadline_exceeded(self) -> int:
-        return int(self._deadline_exceeded.value)
-
-    @property
-    def stale_hits(self) -> int:
-        return int(self._stale_hits.value)
-
-    @property
-    def shard_restarts(self) -> int:
-        return int(self._shard_restarts.value)
-
-    @property
-    def cache_errors(self) -> int:
-        return int(self._cache_errors.value)
-
-    @property
-    def shard_leaks(self) -> int:
-        return int(self._shard_leaks.value)
-
-    # ------------------------------------------------------------------ #
-    # Reading
-    # ------------------------------------------------------------------ #
-    def latency_percentile_ms(self, percentile: float) -> float:
-        """Latency percentile estimate in milliseconds (stored in seconds)."""
-        if not 0.0 <= percentile <= 100.0:
-            raise ConfigurationError(
-                f"percentile must lie in [0, 100], got {percentile}"
-            )
-        return self._latency.quantile(percentile / 100.0) * 1e3
-
-    def snapshot(self, queue_depths: dict[str, int] | None = None) -> MetricsSnapshot:
-        """Freeze the counters (and optional shard queue depths) for reporting."""
-        depths = dict(queue_depths or {})
-        for shard, depth in depths.items():
-            self.registry.gauge(
+        for shard, depth in queue_depths.items():
+            registry.gauge(
                 "serve_shard_queue_depth",
                 labels={"shard": shard},
                 help="Micro-batches queued per worker shard",
             ).set(depth)
+
+        def count(name: str) -> int:
+            return int(registry.get(name).value)
+
         hits, misses = (
-            int(v) for v in read_consistent(self._cache_hits, self._cache_misses)
+            int(value)
+            for value in read_consistent(
+                registry.get("serve_cache_hits_total"),
+                registry.get("serve_cache_misses_total"),
+            )
         )
-        lookups = hits + misses
-        batches = int(self._batches.value)
-        return MetricsSnapshot(
-            requests_total=int(self._requests.value),
-            responses_total=int(self._responses.value),
+        batches = count("serve_batches_total")
+        fill_sum = registry.get("serve_batch_fill_fraction_sum").value
+        size_sum = registry.get("serve_batch_size_sum").value
+        latency = registry.get("serve_request_latency_seconds")
+        return cls(
+            requests_total=count("serve_requests_total"),
+            responses_total=count("serve_responses_total"),
             cache_hits=hits,
             cache_misses=misses,
-            cache_hit_rate=hits / lookups if lookups else 0.0,
-            dedup_hits=int(self._dedup.value),
-            model_swaps=int(self._swaps.value),
-            backpressure_rejections=int(self._backpressure.value),
+            cache_hit_rate=hits / (hits + misses) if hits + misses else 0.0,
+            dedup_hits=count("serve_dedup_hits_total"),
+            model_swaps=count("serve_model_swaps_total"),
+            backpressure_rejections=count("serve_backpressure_rejections_total"),
             batches_total=batches,
-            mean_batch_fill=self._fill_sum.value / batches if batches else 0.0,
-            mean_batch_size=self._size_sum.value / batches if batches else 0.0,
-            latency_p50_ms=self._latency.quantile(0.50) * 1e3,
-            latency_p95_ms=self._latency.quantile(0.95) * 1e3,
-            latency_p99_ms=self._latency.quantile(0.99) * 1e3,
-            latency_p999_ms=self._latency.quantile(0.999) * 1e3,
-            retries=int(self._retries.value),
-            deadline_exceeded=int(self._deadline_exceeded.value),
-            stale_hits=int(self._stale_hits.value),
-            shard_restarts=int(self._shard_restarts.value),
-            cache_errors=int(self._cache_errors.value),
-            shard_leaks=int(self._shard_leaks.value),
-            queue_depths=depths,
+            mean_batch_fill=fill_sum / batches if batches else 0.0,
+            mean_batch_size=size_sum / batches if batches else 0.0,
+            latency_p50_ms=latency.quantile(0.50) * 1e3,
+            latency_p95_ms=latency.quantile(0.95) * 1e3,
+            latency_p99_ms=latency.quantile(0.99) * 1e3,
+            latency_p999_ms=latency.quantile(0.999) * 1e3,
+            retries=count("serve_retries_total"),
+            deadline_exceeded=count("serve_deadline_exceeded_total"),
+            stale_hits=count("serve_stale_hits_total"),
+            shard_restarts=count("serve_shard_restarts_total"),
+            cache_errors=count("serve_cache_errors_total"),
+            shard_leaks=count("serve_shard_leaks_total"),
+            queue_depths=dict(queue_depths),
         )

@@ -19,9 +19,11 @@ Two lifecycle operations keep futures honest:
   batches with :class:`~repro.errors.ModelEvictedError` instead of leaving
   their futures to hang.
 
-The registry works standalone (futures are resolved directly by a default
-completion path) or bound to a :class:`~repro.serve.service.StreamingInferenceService`,
-which replaces the completion callback to add caching and telemetry.
+The registry works standalone (every finished batch is settled by
+:func:`~repro.serve.request.resolve_requests` on the registry's clock) or
+bound to a :class:`~repro.serve.service.StreamingInferenceService`, whose
+settle step replaces that completion callback to add caching, telemetry
+and the pending-budget accounting.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import threading
 import time
 from typing import Callable, Mapping, Optional, Union
 
-from repro.core.classifier import BatchPrediction, SomClassifier
+from repro.core.classifier import SomClassifier
 from repro.core.serialization import PathLike, load_model
 from repro.core.snapshot import ModelSnapshot
 from repro.errors import (
@@ -42,9 +44,9 @@ from repro.errors import (
 )
 from repro.obs.events import EventLog
 from repro.serve.batching import MicroBatch
-from repro.serve.request import resolve_requests
+from repro.serve.request import Outcome, resolve_requests
 from repro.serve.resilience import SWAP_FAILURE, FaultInjector
-from repro.serve.shard import BreakerGate, ShardGroup, WorkerShard
+from repro.serve.shard import BreakerGate, CompletionCallback, ShardGroup, WorkerShard
 
 #: What the registration/swap entry points accept as a model.
 ModelSource = Union[SomClassifier, ModelSnapshot]
@@ -110,7 +112,8 @@ class ModelRegistry:
         model was built with.
     clock:
         Monotonic time source forwarded to the shards for trace
-        timestamps; a binding service passes its own clock.
+        timestamps, and the latency clock of a standalone registry's
+        responses; a binding service passes its own clock.
     fault_injector:
         Optional :class:`~repro.serve.resilience.FaultInjector`; forwarded
         to every shard (kernel/death sites) and consulted by :meth:`swap`
@@ -142,33 +145,27 @@ class ModelRegistry:
         self._classifiers: dict[str, SomClassifier] = {}
         self._routes: dict[str, TrafficRoute] = {}
         self._started = False
-        self._completion: Callable[[WorkerShard, MicroBatch, BatchPrediction], None] = (
-            self._default_completion
-        )
-        self._failure: Optional[
-            Callable[[WorkerShard, MicroBatch, BaseException], None]
-        ] = None
+        self._completion: CompletionCallback = self._default_completion
         self._retired: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------ #
     # Completion binding
     # ------------------------------------------------------------------ #
-    @staticmethod
     def _default_completion(
-        shard: WorkerShard, batch: MicroBatch, prediction: BatchPrediction
+        self, shard: WorkerShard, batch: MicroBatch, outcome: Outcome
     ) -> None:
-        resolve_requests(batch.requests, prediction, clock=time.monotonic)
+        resolve_requests(batch.requests, outcome, clock=self._clock)
 
     def bind_completion(
         self,
-        completion: Callable[[WorkerShard, MicroBatch, BatchPrediction], None],
-        failure: Optional[
-            Callable[[WorkerShard, MicroBatch, BaseException], None]
-        ] = None,
+        completion: CompletionCallback,
         retired: Optional[Callable[[str], None]] = None,
     ) -> None:
-        """Replace the completion/failure/retired paths (the service adds
-        cache, metrics and pending-budget accounting).
+        """Replace the completion and retired paths (the service's settle
+        step adds cache, metrics and pending-budget accounting).
+
+        ``completion(shard, batch, outcome)`` receives every batch a shard
+        finishes with, ``outcome`` being its prediction or its error.
 
         ``retired(name)`` fires after :meth:`swap` or :meth:`evict` has
         displaced a model's classifier, so a bound service can invalidate
@@ -176,7 +173,6 @@ class ModelRegistry:
         the registry rather than through the service's own entry points.
         """
         self._completion = completion
-        self._failure = failure
         self._retired = retired
 
     def bind_breakers(self, gate: BreakerGate) -> None:
@@ -212,19 +208,11 @@ class ModelRegistry:
             self._retired(name)
 
     def _dispatch_completion(
-        self, shard: WorkerShard, batch: MicroBatch, prediction: BatchPrediction
+        self, shard: WorkerShard, batch: MicroBatch, outcome: Outcome
     ) -> None:
         # Late-bound indirection so shards created before bind_completion()
         # still route through the service once it attaches.
-        self._completion(shard, batch, prediction)
-
-    def _dispatch_failure(
-        self, shard: WorkerShard, batch: MicroBatch, error: BaseException
-    ) -> None:
-        # The shard has already delivered the error to the batch's futures;
-        # this hook exists for service-side accounting.
-        if self._failure is not None:
-            self._failure(shard, batch, error)
+        self._completion(shard, batch, outcome)
 
     # ------------------------------------------------------------------ #
     # Registration and loading
@@ -276,12 +264,9 @@ class ModelRegistry:
                 name,
                 classifier,
                 self._dispatch_completion,
-                failure=self._dispatch_failure,
                 n_shards=self.n_shards,
                 policy=self.policy,
                 queue_capacity=self.queue_capacity,
-                # Backend selection and operand warm-up already applied above.
-                backend=None,
                 clock=self._clock,
                 fault_injector=self._injector,
             )

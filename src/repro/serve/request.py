@@ -1,24 +1,40 @@
 """Request/response value objects for the streaming inference service.
 
 A camera stream submits one :class:`ClassificationRequest` per silhouette
-signature and receives a :class:`PendingResult` -- a small future that the
-worker shard resolves with a :class:`ClassificationResponse` once the
-request's micro-batch has been classified (or immediately, on a cache hit).
+signature and receives a :class:`PendingResult` -- a small future that is
+settled with a :class:`ClassificationResponse` once the request's
+micro-batch has been classified (or immediately, on a cache hit).
 
-The objects are deliberately dumb: all scheduling, caching and routing
-policy lives in :mod:`repro.serve.service` and friends.
+In the serve layer, :func:`resolve_requests` is the one place futures are
+settled: it finishes each request's trace and sets its future, and its
+dedup followers', exactly once -- a second settle of a
+:class:`PendingResult` raises.  All scheduling, caching and routing policy
+lives in :mod:`repro.serve.service` and friends.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ResultTimeoutError
+from repro.core.classifier import BatchPrediction
+from repro.errors import ResultTimeoutError, ServiceError
 from repro.obs.trace import Trace
+from repro.serve.cache import CachedOutcome
+
+#: What settles a batch: kernel rows, one memoised outcome for every
+#: request, or an error delivered to every future.
+Outcome = Union[BatchPrediction, CachedOutcome, BaseException]
+
+# Makes the settled check and the settle one step, so two threads racing
+# to settle one future cannot both succeed.
+_settle_lock = threading.Lock()
+
+# Trace attributes of a dedup follower's answer.
+_FOLLOWER = {"deduplicated": True}
 
 
 @dataclass(frozen=True)
@@ -86,7 +102,9 @@ class PendingResult:
 
     ``concurrent.futures.Future`` would work, but this variant is a few
     lines, cannot be cancelled half-way through a shard's resolve loop, and
-    keeps the serving layer dependency-free.
+    keeps the serving layer dependency-free.  It settles exactly once: a
+    second ``set_result``/``set_exception`` raises
+    :class:`~repro.errors.ServiceError` instead of overwriting the answer.
     """
 
     __slots__ = ("_event", "_response", "_error")
@@ -101,12 +119,20 @@ class PendingResult:
         return self._event.is_set()
 
     def set_result(self, response: ClassificationResponse) -> None:
-        self._response = response
-        self._event.set()
+        self._settle(response, None)
 
     def set_exception(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
+        self._settle(None, error)
+
+    def _settle(
+        self, response: Optional[ClassificationResponse], error: Optional[BaseException]
+    ) -> None:
+        with _settle_lock:
+            if self._event.is_set():
+                raise ServiceError("request already settled; a future settles once")
+            self._response = response
+            self._error = error
+            self._event.set()
 
     def result(self, timeout: Optional[float] = None) -> ClassificationResponse:
         """Block until the response arrives; re-raise shard-side errors."""
@@ -130,14 +156,14 @@ class ClassificationRequest:
     is retained for models without a packed query path.
 
     ``generation`` stamps the model generation current at submit time (the
-    service bumps it on every hot-swap/evict) so the completion path never
+    service bumps it on every hot-swap/evict) so the settle step never
     memoises a prediction that might predate a swap.  ``followers`` holds
     deduplicated requests with an identical in-flight packed signature:
     they never reach a shard; the one kernel execution of this (primary)
     request resolves them all.
 
     ``trace`` rides along when the request was sampled: the scheduler, the
-    worker shard and the completion path each stamp their stage spans onto
+    worker shard and the settle step each stamp their stage spans onto
     it, so a single object reference carries the whole queue -> batch ->
     kernel -> resolve attribution across threads.
 
@@ -170,57 +196,94 @@ class ClassificationRequest:
         return self.trace.trace_id if self.trace is not None else None
 
 
-def resolve_requests(requests, prediction, *, clock) -> list[ClassificationResponse]:
-    """Resolve each request's future from one row of a batch prediction.
+def resolve_requests(
+    requests: Sequence[ClassificationRequest],
+    outcome: Outcome,
+    *,
+    clock: Callable[[], float],
+    stale: bool = False,
+    shed: Optional[str] = None,
+) -> list[ClassificationResponse]:
+    """Settle every request of a batch, and its dedup followers, once.
 
-    Shared by the service's completion path and by a registry used without
-    a service: ``prediction`` is the :class:`repro.core.BatchPrediction`
-    for the stacked signatures of ``requests``, in the same order.
+    ``outcome`` is a :class:`~repro.core.classifier.BatchPrediction` whose
+    rows answer ``requests`` in order, a
+    :class:`~repro.serve.cache.CachedOutcome` answering every request (a
+    cache hit; ``stale`` marks the stale tier), or an error delivered to
+    every future -- its traces then finish ``"shed"`` with ``reason=shed``
+    when ``shed`` names one, else ``"error"``.  Followers share their
+    primary's answer, marked ``deduplicated``, or its error.
+
+    Every response is built before the first future is set, so a fault
+    while building leaves the batch unsettled for the caller to fail; the
+    traces are finished before the futures are set, so a caller woken by
+    ``result()`` can retrieve its complete trace.  Returns the responses
+    built: the primaries in request order, then the followers.
     """
-    responses: list[ClassificationResponse] = []
     now = clock()
-    for row, request in enumerate(requests):
-        response = ClassificationResponse(
-            label=int(prediction.labels[row]),
-            neuron=int(prediction.neurons[row]),
-            distance=float(prediction.distances[row]),
-            rejected=bool(prediction.rejected[row]),
-            confidence=float(prediction.confidences[row]),
-            model=request.model,
-            stream_id=request.stream_id,
-            request_id=request.request_id,
-            cached=False,
-            latency_s=max(0.0, now - request.enqueued_at),
-            trace_id=request.trace_id,
-        )
+    if isinstance(outcome, BaseException):
+        status = "error" if shed is None else "shed"
+        attrs = {"error": type(outcome).__name__}
+        if shed is not None:
+            attrs["reason"] = shed
+        for request in requests:
+            for each in (request, *request.followers):
+                if each.trace is not None:
+                    each.trace.finish(status, **attrs)
+                each.pending.set_exception(outcome)
+        return []
+    cached = not isinstance(outcome, BatchPrediction)
+    if cached:
+        rows = [(outcome.label, outcome.neuron, outcome.distance, outcome.rejected,
+                 outcome.confidence)] * len(requests)
+        attrs = {"cached": True, "stale": True} if stale else {"cached": True}
+    else:
+        rows = list(zip(outcome.labels.tolist(), outcome.neurons.tolist(),
+                        outcome.distances.tolist(), outcome.rejected.tolist(),
+                        outcome.confidences.tolist()))
+        attrs = {}
+    settled = [
+        (request, attrs, _response(request, row, now, cached=cached, stale=stale))
+        for request, row in zip(requests, rows)
+    ]
+    settled += [
+        (follower, _FOLLOWER, _response(follower, row, now, deduplicated=True))
+        for request, row in zip(requests, rows)
+        for follower in request.followers
+    ]
+    for request, attrs, response in settled:
+        if request.trace is not None:
+            if cached:
+                request.trace.span("cache", start=request.enqueued_at, end=now, hit=True,
+                                   **({"stale": True} if stale else {}))
+            request.trace.finish("ok", label=response.label, **attrs)
+    for request, _, response in settled:
         request.pending.set_result(response)
-        responses.append(response)
-    return responses
+    return [response for *_, response in settled]
 
 
-def resolve_follower(
-    follower: ClassificationRequest, response: ClassificationResponse, *, clock
+def _response(
+    request: ClassificationRequest,
+    row: tuple,
+    now: float,
+    *,
+    cached: bool = False,
+    stale: bool = False,
+    deduplicated: bool = False,
 ) -> ClassificationResponse:
-    """Fan one resolved (primary) response out to a deduplicated follower.
-
-    The classification fields are shared -- one kernel execution answered
-    the whole group -- but identity and latency are per-request, and the
-    response is marked ``deduplicated`` so telemetry and tests can see the
-    fan-out.
-    """
-    fanned = ClassificationResponse(
-        label=response.label,
-        neuron=response.neuron,
-        distance=response.distance,
-        rejected=response.rejected,
-        confidence=response.confidence,
-        model=follower.model,
-        stream_id=follower.stream_id,
-        request_id=follower.request_id,
-        cached=False,
-        latency_s=max(0.0, clock() - follower.enqueued_at),
-        deduplicated=True,
-        trace_id=follower.trace_id,
+    label, neuron, distance, rejected, confidence = row
+    return ClassificationResponse(
+        label=int(label),
+        neuron=int(neuron),
+        distance=float(distance),
+        rejected=bool(rejected),
+        confidence=float(confidence),
+        model=request.model,
+        stream_id=request.stream_id,
+        request_id=request.request_id,
+        cached=cached,
+        latency_s=max(0.0, now - request.enqueued_at),
+        deduplicated=deduplicated,
+        stale=stale,
+        trace_id=request.trace_id,
     )
-    follower.pending.set_result(fanned)
-    return fanned

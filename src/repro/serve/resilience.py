@@ -593,9 +593,11 @@ class ShardSupervisor:
                     self._on_disabled(model, shard.name, reason)
                 continue
             shard.abandon_current(error)
+            # Report the restart before the replacement can answer anything,
+            # so no answer from the new worker precedes its record.
+            if self._on_restart is not None:
+                self._on_restart(model, shard.name, reason)
             shard.restart()
             restarted += 1
             self.restarts_performed += 1
-            if self._on_restart is not None:
-                self._on_restart(model, shard.name, reason)
         return restarted

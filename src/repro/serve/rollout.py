@@ -783,7 +783,7 @@ class RolloutManager:
         """Breaker-board hook: roll a freshly promoted model back.
 
         Armed once per promotion (``rollback_on_breaker``); the swap runs
-        on a short-lived thread so the breaker's completion path is never
+        on a short-lived thread so the settle step that fed the breaker is never
         blocked behind a model transition.
         """
         with self._lock:

@@ -14,15 +14,24 @@ talks to.  Per request it:
 4. hands it to the micro-batching scheduler, which cuts size- or
    deadline-bounded batches per model, and
 5. routes each batch through the sharded model registry to a worker
-   thread, whose completion path resolves the futures (followers
-   included), fills the cache and records the telemetry.
+   thread, which hands the scored batch back to the service's settle
+   step.
+
+The settle step (:meth:`StreamingInferenceService._settle`) is the one
+code path that ends a request, whatever the outcome: an answer from the
+kernel, the cache, the stale tier or a dedup fan-out, an error, or a
+shed.  It retires the batch's dedup entries, releases its pending budget,
+counts the metrics (straight into the :class:`~repro.obs.MetricRegistry`),
+emits ``shed`` events with the reason the error's type stands for, fills
+the cache, feeds the breakers and rollout mirroring, and settles every
+future through :func:`~repro.serve.request.resolve_requests`.
 
 Model lifecycle: :meth:`register_model` / :meth:`swap_model` /
 :meth:`evict_model` accept fitted classifiers or
 :class:`~repro.core.snapshot.ModelSnapshot` objects.  ``swap_model`` is the
 zero-drop hot-reload -- shards flip to the new model at a micro-batch
 boundary while queued requests ride through untouched -- and every swap or
-eviction bumps the model's *generation* so the completion path never
+eviction bumps the model's *generation* so the settle step never
 memoises a prediction computed by a superseded map.
 
 A background dispatcher thread enforces the deadline flushes so a lone
@@ -39,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.classifier import BatchPrediction, SomClassifier
+from repro.core.classifier import SomClassifier
 from repro.core.serialization import PathLike
 from repro.errors import (
     CircuitOpenError,
@@ -53,7 +62,7 @@ from repro.errors import (
 from repro.obs import Observability
 from repro.serve.batching import MicroBatch, MicroBatchScheduler
 from repro.serve.cache import CachedOutcome, SignatureLruCache
-from repro.serve.metrics import MetricsSnapshot, ServiceMetrics
+from repro.serve.metrics import MetricsSnapshot
 from repro.serve.registry import ModelRegistry, ModelSource
 from repro.serve.resilience import (
     BreakerBoard,
@@ -66,13 +75,18 @@ from repro.serve.resilience import (
 from repro.serve.request import (
     ClassificationRequest,
     ClassificationResponse,
+    Outcome,
     PendingResult,
-    resolve_follower,
     resolve_requests,
 )
 from repro.serve.rollout import RolloutConfig, RolloutManager
 from repro.serve.shard import WorkerShard
 from repro.signatures.packing import packed_signature_words
+
+#: Errors that end a shard's batch without saying anything about the
+#: shard's health: evictions and deadline sheds, and shard deaths, which
+#: the supervisor's restart hook records against the breaker itself.
+_NOT_SHARD_FAULTS = (ModelEvictedError, DeadlineExceededError, ShardFailedError)
 
 
 @dataclass(frozen=True)
@@ -180,7 +194,7 @@ class StreamingInferenceService:
     registry:
         A :class:`ModelRegistry` to serve from; built from ``config`` when
         omitted.  The service binds the registry's completion path to its
-        own cache/metrics pipeline.
+        settle step.
     config:
         Service configuration (defaults are sensible for tests/demos).
     clock:
@@ -212,9 +226,7 @@ class StreamingInferenceService:
             clock=clock,
             fault_injector=self.config.fault_injector,
         )
-        self.registry.bind_completion(
-            self._on_batch_done, self._on_batch_failed, self._on_model_retired
-        )
+        self.registry.bind_completion(self._settle, self._on_model_retired)
         self.registry.bind_events(self.obs.events)
         self._clock = clock
         self.scheduler = MicroBatchScheduler(
@@ -225,7 +237,67 @@ class StreamingInferenceService:
         self.cache = SignatureLruCache(
             self.config.cache_capacity, fault_injector=self.config.fault_injector
         )
-        self.metrics = ServiceMetrics(registry=self.obs.registry)
+        registry = self.obs.registry
+        self._requests = registry.counter(
+            "serve_requests_total", help="Requests accepted (cache hits included)"
+        )
+        self._responses = registry.counter(
+            "serve_responses_total", help="Requests resolved with a classification"
+        )
+        self._cache_hits = registry.counter(
+            "serve_cache_hits_total", help="Signature-cache hits"
+        )
+        self._cache_misses = registry.counter(
+            "serve_cache_misses_total", help="Signature-cache misses"
+        )
+        self._dedup_hits = registry.counter(
+            "serve_dedup_hits_total", help="Requests coalesced onto in-flight twins"
+        )
+        self._swaps = registry.counter(
+            "serve_model_swaps_total", help="Zero-drop model hot-swaps"
+        )
+        self._backpressure = registry.counter(
+            "serve_backpressure_rejections_total",
+            help="Requests shed under saturation (pending budget, shard queues, "
+            "open circuits)",
+        )
+        self._batches = registry.counter(
+            "serve_batches_total", help="Micro-batches dispatched to shards"
+        )
+        self._fill_sum = registry.counter(
+            "serve_batch_fill_fraction_sum",
+            help="Summed fill fractions of dispatched batches",
+        )
+        self._size_sum = registry.counter(
+            "serve_batch_size_sum", help="Summed sizes of dispatched batches"
+        )
+        self._latency = registry.histogram(
+            "serve_request_latency_seconds",
+            help="Submit-to-resolve request latency in seconds",
+        )
+        self._retries = registry.counter(
+            "serve_retries_total", help="Submit retries under the backoff policy"
+        )
+        self._deadline_exceeded = registry.counter(
+            "serve_deadline_exceeded_total",
+            help="Requests shed because their deadline expired",
+        )
+        self._stale_hits = registry.counter(
+            "serve_stale_hits_total",
+            help="Requests answered from the stale cache tier (breaker open)",
+        )
+        self._shard_restarts = registry.counter(
+            "serve_shard_restarts_total",
+            help="Dead/wedged workers replaced by the supervisor",
+        )
+        self._cache_errors = registry.counter(
+            "serve_cache_errors_total",
+            help="Signature-cache faults degraded to misses",
+        )
+        self._shard_leaks = registry.counter(
+            "serve_shard_leaks_total",
+            help="Worker threads that failed to join at stop",
+        )
         self._board: Optional[BreakerBoard] = None
         if self.config.breaker is not None:
             self._board = BreakerBoard(
@@ -314,7 +386,7 @@ class StreamingInferenceService:
             self._dispatch(batch)
         leaked = self.registry.stop(timeout)
         if leaked:
-            self.metrics.record_shard_leak(len(leaked))
+            self._shard_leaks.inc(len(leaked))
 
     def __enter__(self) -> "StreamingInferenceService":
         return self.start()
@@ -350,7 +422,7 @@ class StreamingInferenceService:
         FPGA between patterns.
         """
         previous = self.registry.swap(name, model)  # raises UnknownModelError
-        self.metrics.record_swap()
+        self._swaps.inc()
         return previous
 
     def evict_model(self, name: str) -> SomClassifier:
@@ -365,9 +437,7 @@ class StreamingInferenceService:
         classifier = self.registry.evict(name)  # fires _on_model_retired
         lane = self.scheduler.cut_lane(name)
         if lane is not None:
-            self._fail_batch(
-                lane, ModelEvictedError(name, self.registry.names()), shed=False
-            )
+            self._settle(None, lane, ModelEvictedError(name, self.registry.names()))
         return classifier
 
     def enable_rollouts(
@@ -402,17 +472,10 @@ class StreamingInferenceService:
         generation first blocks further cache fills from pre-swap requests;
         the invalidation then clears anything already memoised.
         """
-        self._bump_generation(name)
-        dropped = self.cache.invalidate_model(name)
-        self.obs.events.emit("cache_invalidate", model=name, dropped_entries=dropped)
-
-    def _bump_generation(self, name: str) -> None:
         with self._gen_lock:
             self._generations[name] = self._generations.get(name, 0) + 1
-
-    def _generation_of(self, name: str) -> int:
-        with self._gen_lock:
-            return self._generations.get(name, 0)
+        dropped = self.cache.invalidate_model(name)
+        self.obs.events.emit("cache_invalidate", model=name, dropped_entries=dropped)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -473,7 +536,7 @@ class StreamingInferenceService:
                 delay = policy.delay_s(attempt)
                 if deadline_at is not None and self._clock() + delay >= deadline_at:
                     raise  # the backoff would outlive the deadline
-                self.metrics.record_retry()
+                self._retries.inc()
                 time.sleep(delay)
 
     def _submit_once(
@@ -507,8 +570,18 @@ class StreamingInferenceService:
         with self._id_lock:
             request_id = self._next_request_id
             self._next_request_id += 1
-        trace = self.obs.tracer.start(
-            t=now, model=model, stream_id=stream_id, request_id=request_id
+        request = ClassificationRequest(
+            signature=signature.astype(np.uint8, copy=True),
+            model=model,
+            stream_id=stream_id,
+            request_id=request_id,
+            cache_key=key,
+            enqueued_at=now,
+            packed=packed,
+            trace=self.obs.tracer.start(
+                t=now, model=model, stream_id=stream_id, request_id=request_id
+            ),
+            deadline_at=deadline_at,
         )
 
         try:
@@ -517,32 +590,13 @@ class StreamingInferenceService:
             # A corrupt entry / codec bug in the cache must degrade to a
             # miss, not fail the request: the SOM can always re-derive the
             # answer.  Counted so an elevated error rate is visible.
-            self.metrics.record_cache_error()
+            self._cache_errors.inc()
             outcome = None
         if outcome is not None:
-            self.metrics.record_request()
-            self.metrics.record_cache(hit=True)
-            pending = PendingResult()
-            response = ClassificationResponse(
-                label=outcome.label,
-                neuron=outcome.neuron,
-                distance=outcome.distance,
-                rejected=outcome.rejected,
-                confidence=outcome.confidence,
-                model=model,
-                stream_id=stream_id,
-                request_id=request_id,
-                cached=True,
-                latency_s=max(0.0, self._clock() - now),
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-            if trace is not None:
-                done = now + response.latency_s
-                trace.span("cache", start=now, end=done, hit=True)
-                trace.finish("ok", t=done, cached=True, label=response.label)
-            pending.set_result(response)
-            self.metrics.record_response(response.latency_s)
-            return pending
+            self._requests.inc()
+            self._cache_hits.inc()
+            self._settle(None, _alone(request), outcome, admitted=False)
+            return request.pending
 
         # Cross-request dedup: an identical packed signature already in
         # flight for this model answers us too.  The follower consumes no
@@ -551,22 +605,11 @@ class StreamingInferenceService:
         with self._inflight_lock:
             primary = self._inflight.get((model, key))
             if primary is not None:
-                follower = ClassificationRequest(
-                    signature=signature.astype(np.uint8, copy=True),
-                    model=model,
-                    stream_id=stream_id,
-                    request_id=request_id,
-                    cache_key=key,
-                    enqueued_at=now,
-                    packed=packed,
-                    generation=primary.generation,
-                    trace=trace,
-                )
-                if trace is not None:
+                if request.trace is not None:
                     # The follower never queues or reaches a shard; its one
                     # span records the coalesce and links to the primary's
                     # kernel span, which does the actual work.
-                    span = trace.span(
+                    span = request.trace.span(
                         "dedup",
                         start=now,
                         end=self._clock(),
@@ -576,19 +619,20 @@ class StreamingInferenceService:
                         span.add_link(
                             trace_id=primary.trace.trace_id, span="kernel"
                         )
-                # Append last: once the follower is visible to the
-                # completion path its trace/span state must be final.
-                primary.followers.append(follower)
-                self.metrics.record_request()
-                self.metrics.record_dedup()
+                # Append last: once the follower is visible to the settle
+                # step its trace/span state must be final.
+                primary.followers.append(request)
+                self._requests.inc()
+                self._dedup_hits.inc()
                 self.obs.events.emit(
                     "dedup",
                     model=model,
                     request_id=request_id,
                     primary_request_id=primary.request_id,
                 )
-                return follower.pending
+                return request.pending
 
+        refusal: Optional[ServiceOverloadedError] = None
         if self._board is not None:
             shard_names = self.registry.shard_names(model)
             if not self._board.would_allow_any(model, shard_names):
@@ -598,105 +642,61 @@ class StreamingInferenceService:
                 # backs off until a half-open probe closes a breaker.
                 stale = self.cache.get_stale(model, key)
                 if stale is not None:
-                    self.metrics.record_request()
-                    self.metrics.record_stale_hit()
+                    self._requests.inc()
+                    self._stale_hits.inc()
                     self.obs.events.emit(
                         "stale_hit", model=model, request_id=request_id
                     )
-                    pending = PendingResult()
-                    response = ClassificationResponse(
-                        label=stale.label,
-                        neuron=stale.neuron,
-                        distance=stale.distance,
-                        rejected=stale.rejected,
-                        confidence=stale.confidence,
-                        model=model,
-                        stream_id=stream_id,
-                        request_id=request_id,
-                        cached=True,
-                        latency_s=max(0.0, self._clock() - now),
-                        stale=True,
-                        trace_id=trace.trace_id if trace is not None else None,
-                    )
-                    if trace is not None:
-                        done = now + response.latency_s
-                        trace.span("cache", start=now, end=done, hit=True, stale=True)
-                        trace.finish("ok", t=done, cached=True, stale=True)
-                    pending.set_result(response)
-                    self.metrics.record_response(response.latency_s)
-                    return pending
-                self.metrics.record_backpressure()
-                self.obs.events.emit(
-                    "shed", model=model, reason="circuit_open", count=1
-                )
-                if trace is not None:
-                    trace.finish("shed", reason="circuit_open")
-                raise CircuitOpenError(
+                    self._settle(None, _alone(request), stale, admitted=False, stale=True)
+                    return request.pending
+                refusal = CircuitOpenError(
                     model,
                     open_shards=len(shard_names),
                     total_shards=len(shard_names),
                 )
+        if refusal is None:
+            with self._pending_lock:
+                if self._pending < self.config.max_pending:
+                    self._pending += 1
+                else:
+                    refusal = ServiceOverloadedError(
+                        "service pending budget",
+                        pending=self._pending,
+                        capacity=self.config.max_pending,
+                    )
+        if refusal is not None:
+            # A refused attempt is backpressure only -- neither a request
+            # nor a cache miss -- so requests_total keeps the documented
+            # meaning of "requests accepted".
+            self._settle(None, _alone(request), refusal, admitted=False)
+            raise refusal
 
-        with self._pending_lock:
-            if self._pending >= self.config.max_pending:
-                # Refused attempts count as backpressure only -- neither a
-                # request nor a cache miss -- so requests_total keeps the
-                # documented meaning of "requests accepted".
-                self.metrics.record_backpressure()
-                self.obs.events.emit(
-                    "shed", model=model, reason="pending_budget", count=1
-                )
-                if trace is not None:
-                    trace.finish("shed", reason="pending_budget")
-                raise ServiceOverloadedError(
-                    "service pending budget",
-                    pending=self._pending,
-                    capacity=self.config.max_pending,
-                )
-            self._pending += 1
-        self.metrics.record_request()
-        self.metrics.record_cache(hit=False)
-
-        request = ClassificationRequest(
-            signature=signature.astype(np.uint8, copy=True),
-            model=model,
-            stream_id=stream_id,
-            request_id=request_id,
-            cache_key=key,
-            enqueued_at=now,
-            packed=packed,
-            generation=self._generation_of(model),
-            trace=trace,
-            deadline_at=deadline_at,
-        )
-        if trace is not None:
-            trace.begin("queue", t=now)
+        with self._gen_lock:
+            request.generation = self._generations.get(model, 0)
+        if request.trace is not None:
+            request.trace.begin("queue", t=now)
         with self._inflight_lock:
             # First-in becomes the primary; later identical signatures
             # coalesce onto it until its batch completes.
             self._inflight.setdefault((model, key), request)
         with self._state_lock:
-            if not self._running:
-                # stop() won the race after the entry check: fail fast
-                # instead of stranding the request in a drained lane.
-                with self._pending_lock:
-                    self._pending -= 1
-                # Retire the dedup entry first: the follower list is frozen
-                # after this, so the fan-out below cannot miss a follower
-                # that attached between setdefault and the running check.
-                self._drop_inflight(request)
-                error = ServiceError(
-                    "the service is not running; call start() first"
-                )
-                self._finish_failed_traces(request, "error", error)
-                for follower in request.followers:
-                    follower.pending.set_exception(error)
-                raise error
-            full_batch = self.scheduler.submit(request)
-            if full_batch is not None:
-                # Dispatch inside the lock so stop() cannot slip its shard
-                # shutdown sentinel in front of this batch.
-                self._dispatch(full_batch)
+            admitted = self._running
+            if admitted:
+                # Counted only once admitted: a request that loses the race
+                # with stop() below is refused, not accepted.
+                self._requests.inc()
+                self._cache_misses.inc()
+                full_batch = self.scheduler.submit(request)
+                if full_batch is not None:
+                    # Dispatch inside the lock so stop() cannot slip its
+                    # shard shutdown sentinel in front of this batch.
+                    self._dispatch(full_batch)
+        if not admitted:
+            # stop() won the race after the entry check: fail fast instead
+            # of stranding the request in a drained lane.
+            error = ServiceError("the service is not running; call start() first")
+            self._settle(None, _alone(request), error)
+            raise error
         if full_batch is None:
             self._wake.set()
         return request.pending
@@ -777,86 +777,19 @@ class StreamingInferenceService:
     # ------------------------------------------------------------------ #
     # Dispatch and completion
     # ------------------------------------------------------------------ #
-    def _drop_inflight(self, request: ClassificationRequest) -> None:
-        """Retire one request from the dedup table (identity-checked).
-
-        After this, no further submit can coalesce onto it, so its
-        ``followers`` list is frozen and safe to iterate without the lock.
-        """
-        key = (request.model, request.cache_key)
-        with self._inflight_lock:
-            if self._inflight.get(key) is request:
-                del self._inflight[key]
-
-    def _finish_failed_traces(
-        self, request: ClassificationRequest, status: str, error: BaseException
-    ) -> None:
-        """Terminal spans for a failed request and its dedup followers.
-
-        Every error path ends sampled traces with a status (``"error"`` or
-        ``"shed"``) and the error type, so an evicted model's requests
-        still leave a complete, retrievable trace.
-        """
-        name = type(error).__name__
-        if request.trace is not None:
-            request.trace.finish(status, error=name)
-        for follower in request.followers:
-            if follower.trace is not None:
-                follower.trace.finish(status, error=name)
-
-    def _fail_batch(self, batch: MicroBatch, error: BaseException, *, shed: bool) -> None:
-        """Deliver ``error`` to a batch's futures (followers included).
-
-        Releases the batch's pending-budget slots; ``shed=True``
-        additionally counts the refusals as backpressure rejections.
-        """
-        if shed:
-            self.metrics.record_backpressure(len(batch))
-            self.obs.events.emit(
-                "shed", model=batch.model, reason="shard_queues", count=len(batch)
-            )
-        with self._pending_lock:
-            self._pending -= len(batch)
-        status = "shed" if shed else "error"
-        for request in batch.requests:
-            self._drop_inflight(request)
-            self._finish_failed_traces(request, status, error)
-            request.pending.set_exception(error)
-            for follower in request.followers:
-                follower.pending.set_exception(error)
-
-    def _shed_expired(self, batch: MicroBatch) -> None:
-        """Fail an expired sub-batch terminally (``deadline_exceeded``).
-
-        Releases the pending budget and retires dedup entries exactly like
-        the other failure paths, so a shed request can never wedge the
-        admission accounting.
-        """
-        error = DeadlineExceededError(batch.model)
-        self.metrics.record_deadline_exceeded(len(batch))
-        self.obs.events.emit(
-            "shed", model=batch.model, reason="deadline_exceeded", count=len(batch)
-        )
-        with self._pending_lock:
-            self._pending -= len(batch)
-        for request in batch.requests:
-            self._drop_inflight(request)
-            self._finish_failed_traces(request, "shed", error)
-            request.pending.set_exception(error)
-            for follower in request.followers:
-                follower.pending.set_exception(error)
-
     def _dispatch(self, batch: MicroBatch) -> None:
         # First deadline shed: requests that expired while waiting for
         # their batch to be cut never reach a shard queue.  (The shard
         # sheds once more just before kernel launch.)
         live, expired = batch.partition_expired(self._clock())
         if expired is not None:
-            self._shed_expired(expired)
+            self._settle(None, expired, DeadlineExceededError(batch.model))
         if live is None:
             return
         batch = live
-        self.metrics.record_batch(len(batch), batch.fill_fraction)
+        self._batches.inc()
+        self._fill_sum.inc(batch.fill_fraction)
+        self._size_sum.inc(len(batch))
         for request in batch.requests:
             if request.trace is not None:
                 # The batch-cut timestamp is the queue/batch boundary: the
@@ -866,40 +799,76 @@ class StreamingInferenceService:
                 request.trace.begin("batch", t=batch.cut_at)
         try:
             self.registry.submit(batch)
-        except ServiceOverloadedError as error:
-            # Shard queues saturated: shed the whole batch back to callers,
-            # counting one rejection per refused request.
-            self._fail_batch(batch, error, shed=True)
-        except BaseException as error:
-            self._fail_batch(batch, error, shed=False)
+        except Exception as error:
+            # Full shard queues, every circuit open, or the model gone:
+            # the settle step sheds or fails the batch by the error's type.
+            self._settle(None, batch, error)
 
-    def _on_batch_done(
-        self, shard: WorkerShard, batch: MicroBatch, prediction: BatchPrediction
+    def _settle(
+        self,
+        shard: Optional[WorkerShard],
+        batch: MicroBatch,
+        outcome: Outcome,
+        *,
+        admitted: bool = True,
+        stale: bool = False,
     ) -> None:
-        # Retire the dedup entries first: once an entry is gone no new
-        # follower can attach, so each request's follower list is final by
-        # the time it is resolved below.
-        for request in batch.requests:
-            self._drop_inflight(request)
-        # Finish sampled traces *before* resolving futures: a caller woken
-        # by result() can immediately retrieve its complete trace by id.
-        for row, request in enumerate(batch.requests):
-            label = int(prediction.labels[row])
-            if request.trace is not None:
-                request.trace.finish("ok", label=label)
-            for follower in request.followers:
-                if follower.trace is not None:
-                    follower.trace.finish("ok", label=label, deduplicated=True)
-        responses = resolve_requests(batch.requests, prediction, clock=self._clock)
-        if self._board is not None:
-            self._board.record(batch.model, shard.name, ok=True)
-        with self._pending_lock:
-            self._pending -= len(batch)
-        for request, response in zip(batch.requests, responses):
-            self.metrics.record_response(response.latency_s)
-            for follower in request.followers:
-                fanned = resolve_follower(follower, response, clock=self._clock)
-                self.metrics.record_response(fanned.latency_s)
+        """End every request of ``batch``: the one path that does so.
+
+        ``outcome`` is the shard's prediction, a cached outcome (cache or
+        stale-tier hit), or the error that ended the batch.  ``shard`` is
+        the shard that finished the batch, ``None`` when the service ends
+        it itself.  ``admitted`` batches hold pending-budget slots and
+        dedup entries; requests answered or refused at submit hold
+        neither.  A fault while answering fails the batch with that fault
+        rather than stranding it.
+        """
+        if admitted:
+            # Retire the dedup entries first (identity-checked: a racing
+            # twin may own the key): once an entry is gone no new follower
+            # can attach, so each request's follower list is final by the
+            # time it is settled below.
+            with self._inflight_lock:
+                for request in batch.requests:
+                    key = (request.model, request.cache_key)
+                    if self._inflight.get(key) is request:
+                        del self._inflight[key]
+            with self._pending_lock:
+                self._pending -= len(batch)
+        if (
+            shard is not None
+            and self._board is not None
+            and not isinstance(outcome, _NOT_SHARD_FAULTS)
+        ):
+            self._board.record(
+                batch.model, shard.name, ok=not isinstance(outcome, BaseException)
+            )
+        if not isinstance(outcome, BaseException):
+            try:
+                responses = resolve_requests(
+                    batch.requests, outcome, clock=self._clock, stale=stale
+                )
+            except Exception as error:
+                outcome = error
+        if isinstance(outcome, BaseException):
+            reason = _shed_reason(outcome, admitted)
+            if reason is not None:
+                shed = (
+                    self._deadline_exceeded
+                    if reason == "deadline_exceeded"
+                    else self._backpressure
+                )
+                shed.inc(len(batch))
+                self.obs.events.emit(
+                    "shed", model=batch.model, reason=reason, count=len(batch)
+                )
+            resolve_requests(batch.requests, outcome, clock=self._clock, shed=reason)
+            return
+        self._responses.inc(len(responses))
+        for response in responses:
+            self._latency.observe(response.latency_s)
+        if shard is None:
+            return  # a cache or stale-tier answer: nothing to memoise or mirror
         # Memoise under the generation lock: a request stamped with the
         # model's current generation was classified by the current map (a
         # swap bumps the generation only after the shards have flipped), so
@@ -925,55 +894,19 @@ class StreamingInferenceService:
                 except Exception:
                     # A cache write fault loses a memoisation, nothing
                     # else: the response was already delivered above.
-                    self.metrics.record_cache_error()
+                    self._cache_errors.inc()
         if self._rollout is not None:
             # Shadow mirroring runs dead last: every caller already has its
             # answer, so a slow (or crashing) candidate cannot touch the
             # primary path.  The hook itself only enqueues.
             try:
-                self._rollout.mirror_batch(batch, responses)
+                self._rollout.mirror_batch(batch, responses[: len(batch)])
             except Exception:  # pragma: no cover - mirroring must not fail
                 pass
 
-    def _on_batch_failed(
-        self, shard: WorkerShard, batch: MicroBatch, error: BaseException
-    ) -> None:
-        # The shard already delivered `error` to every primary future;
-        # release the pending-budget slots so a failing model cannot
-        # permanently exhaust max_pending, and fan the error out to any
-        # deduplicated followers.
-        deadline = isinstance(error, DeadlineExceededError)
-        if deadline:
-            # The shard's pre-kernel shed: account it as a deadline shed,
-            # not a model failure.
-            self.metrics.record_deadline_exceeded(len(batch))
-            self.obs.events.emit(
-                "shed",
-                model=batch.model,
-                reason="deadline_exceeded",
-                count=len(batch),
-            )
-        with self._pending_lock:
-            self._pending -= len(batch)
-        status = "shed" if deadline else "error"
-        for request in batch.requests:
-            self._drop_inflight(request)
-            self._finish_failed_traces(request, status, error)
-            for follower in request.followers:
-                if not follower.pending.done():
-                    follower.pending.set_exception(error)
-        if self._board is not None and not isinstance(
-            error, (ModelEvictedError, DeadlineExceededError, ShardFailedError)
-        ):
-            # Kernel failures feed the breaker; evictions and deadline
-            # sheds say nothing about shard health, and shard deaths are
-            # recorded by the supervisor's restart hook (the failure
-            # callback may fire against a replacement-owned queue).
-            self._board.record(batch.model, shard.name, ok=False)
-
     def _on_shard_restart(self, model: str, shard_name: str, reason: str) -> None:
         """Supervisor hook: a dead/wedged worker was replaced."""
-        self.metrics.record_shard_restart()
+        self._shard_restarts.inc()
         self.obs.events.emit(
             "shard_restart", model=model, shard=shard_name, reason=reason
         )
@@ -1013,5 +946,27 @@ class StreamingInferenceService:
             return self._pending
 
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """Current counters plus a live per-shard queue-depth sample."""
-        return self.metrics.snapshot(self.registry.queue_depths())
+        """Current counters, read from ``obs.registry``, plus a live
+        per-shard queue-depth sample."""
+        return MetricsSnapshot.read(self.obs.registry, self.registry.queue_depths())
+
+
+def _alone(request: ClassificationRequest) -> MicroBatch:
+    """A one-request batch, for a request settled at submit."""
+    return MicroBatch(request.model, (request,), capacity=1, flushed_by="submit")
+
+
+def _shed_reason(error: BaseException, admitted: bool) -> Optional[str]:
+    """The ``shed`` reason ``error`` stands for; ``None`` for a failure.
+
+    A plain :class:`ServiceOverloadedError` refuses a request at the
+    pending budget before admission, or an admitted batch at full shard
+    queues.
+    """
+    if isinstance(error, DeadlineExceededError):
+        return "deadline_exceeded"
+    if isinstance(error, CircuitOpenError):
+        return "circuit_open"
+    if isinstance(error, ServiceOverloadedError):
+        return "shard_queues" if admitted else "pending_budget"
+    return None

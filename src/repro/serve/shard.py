@@ -17,10 +17,15 @@ the registry) the router additionally skips shards whose circuit breaker
 is open, and raises :class:`~repro.errors.CircuitOpenError` when *every*
 shard of the model is gated off.
 
-Shards deliberately do not resolve request futures themselves: they hand
-``(batch, BatchPrediction)`` to a completion callback supplied by the
-service, which owns the cache and the metrics.  That keeps the shard loop
-model-only and lets tests drive a shard without a full service around it.
+Shards never settle request futures themselves: every batch a shard
+finishes with -- scored, failed by the kernel, shed past its deadline,
+cancelled by an eviction, or abandoned by the supervisor -- is handed as
+``(shard, batch, outcome)`` to one completion callback, where ``outcome``
+is the :class:`~repro.core.classifier.BatchPrediction` or the error.  The
+service's settle step owns the futures, the cache and the metrics; a bare
+registry settles through :func:`repro.serve.request.resolve_requests`.
+That keeps the shard loop model-only and lets tests drive a shard without
+a full service around it.
 
 Supervision protocol
 --------------------
@@ -30,9 +35,9 @@ its futures terminally, bumps the shard's **epoch**, and starts a
 replacement thread on the same queue.  Two rules keep that race-free:
 
 * the worker **claims** its batch (:meth:`WorkerShard._claim`, under the
-  shard lock) before delivering results -- an abandoned worker's claim
-  fails because the supervisor already took the batch, so a late kernel
-  result is discarded instead of double-delivered, and
+  shard lock) before handing it on -- an abandoned worker's claim fails
+  because the supervisor already took the batch, so a late kernel result
+  is discarded instead of double-delivered, and
 * every busy-state mutation is guarded by the epoch captured at thread
   start, so a stale worker can never clobber its replacement's state; on
   its next queue read it hands the item back and exits.
@@ -44,7 +49,7 @@ import logging
 import queue
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.core.classifier import BatchPrediction, SomClassifier
 from repro.errors import (
@@ -52,6 +57,7 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     ServiceOverloadedError,
+    ShardFailedError,
 )
 from repro.serve.batching import MicroBatch
 from repro.serve.resilience import (
@@ -65,11 +71,11 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-#: Signature of the completion callback shards invoke after each batch.
-CompletionCallback = Callable[["WorkerShard", MicroBatch, BatchPrediction], None]
-
-#: Signature of the failure callback invoked when classification raises.
-FailureCallback = Callable[["WorkerShard", MicroBatch, BaseException], None]
+#: Signature of the completion callback every finished batch is handed to,
+#: with its prediction or the error that ended it.
+CompletionCallback = Callable[
+    ["WorkerShard", MicroBatch, Union[BatchPrediction, BaseException]], None
+]
 
 #: Signature of the breaker gate the router consults per (model, shard).
 BreakerGate = Callable[[str, str], bool]
@@ -88,13 +94,10 @@ class WorkerShard:
     classifier:
         The fitted classifier replica this shard scores batches with.
     completion:
-        Called with ``(shard, batch, prediction)`` after each batch; errors
-        during classification are delivered to the batch's futures instead.
-    failure:
-        Called with ``(shard, batch, error)`` after classification raises
-        (the futures have already received the error); the service uses it
-        to release the batch's pending-budget slots so a failing model
-        cannot permanently exhaust ``max_pending``.
+        Called with ``(shard, batch, outcome)`` for every batch the shard
+        finishes with; ``outcome`` is the prediction, or the error that
+        ended the batch (kernel failure, deadline shed, cancellation,
+        abandonment).
     queue_capacity:
         Maximum queued batches before :meth:`try_submit` refuses.
     clock:
@@ -112,7 +115,6 @@ class WorkerShard:
         classifier: SomClassifier,
         completion: CompletionCallback,
         *,
-        failure: Optional[FailureCallback] = None,
         queue_capacity: int = 8,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: Optional[FaultInjector] = None,
@@ -124,7 +126,6 @@ class WorkerShard:
         self.name = name
         self.classifier = classifier
         self._completion = completion
-        self._failure = failure
         self._clock = clock
         self._injector = fault_injector
         self._queue: "queue.Queue[Optional[MicroBatch]]" = queue.Queue(
@@ -165,7 +166,11 @@ class WorkerShard:
         starved by a saturated machine -- is *reported*, not silently
         forgotten: the shard is flagged ``leaked``, a warning is logged,
         and ``False`` is returned so the registry can count the leak.  The
-        daemon thread cannot block interpreter exit either way.
+        daemon thread cannot block interpreter exit either way.  A worker
+        that had died instead leaves its claimed batch and the batches
+        queued behind the sentinel unserved; no supervisor watches a
+        stopped shard, so they are failed here with
+        :class:`~repro.errors.ShardFailedError`.
         """
         if self._thread is None:
             return True
@@ -183,6 +188,9 @@ class WorkerShard:
                 thread.name,
             )
             return False
+        error = ShardFailedError(self.name, "died")
+        self.abandon_current(error)
+        self.cancel_queued(error)
         return True
 
     def restart(self) -> None:
@@ -212,11 +220,10 @@ class WorkerShard:
     def abandon_current(self, error: BaseException) -> int:
         """Fail the in-flight batch and invalidate the current worker.
 
-        The supervisor calls this for a dead or wedged worker: the batch's
-        futures become terminal with ``error``, the failure callback runs
-        (releasing the service's pending budget), and the epoch bump makes
-        any late delivery attempt by the old worker a no-op.  Returns the
-        number of requests failed.
+        The supervisor calls this for a dead or wedged worker: the batch is
+        handed to the completion callback with ``error``, and the epoch bump
+        makes any late delivery attempt by the old worker a no-op.  Returns
+        the number of requests failed.
         """
         with self._lock:
             batch = self._current_batch
@@ -226,10 +233,7 @@ class WorkerShard:
             self._epoch += 1
         if batch is None:
             return 0
-        for request in batch.requests:
-            request.pending.set_exception(error)
-        if self._failure is not None:
-            self._failure(self, batch, error)
+        self._deliver(batch, error)
         return len(batch)
 
     def disable(self, error: BaseException) -> None:
@@ -308,10 +312,7 @@ class WorkerShard:
             if batch is None:
                 self._queue.put(None)
                 continue
-            for request in batch.requests:
-                request.pending.set_exception(error)
-            if self._failure is not None:
-                self._failure(self, batch, error)
+            self._deliver(batch, error)
             cancelled += len(batch)
         return cancelled
 
@@ -383,11 +384,7 @@ class WorkerShard:
                     if epoch != self._epoch:
                         return False
                     self._current_batch = live
-                error = DeadlineExceededError(batch.model)
-                for request in expired.requests:
-                    request.pending.set_exception(error)
-                if self._failure is not None:
-                    self._failure(self, expired, error)
+                self._deliver(expired, DeadlineExceededError(batch.model))
                 if live is None:
                     with self._lock:
                         if epoch == self._epoch:
@@ -395,33 +392,28 @@ class WorkerShard:
                             self._in_flight = 0
                     return True
         try:
-            prediction = self._classify(live)
+            outcome = self._classify(live)
+            self.processed_batches += 1
+            self.processed_requests += len(live)
         except BaseException as error:  # deliver, never kill the worker
-            if not self._claim(live, epoch):
-                return False
-            for request in live.requests:
-                request.pending.set_exception(error)
-            if self._failure is not None:
-                self._failure(self, live, error)
-            return True
-        self.processed_batches += 1
-        self.processed_requests += len(live)
+            outcome = error
         if not self._claim(live, epoch):
             return False
-        try:
-            self._completion(self, live, prediction)
-        except BaseException as error:
-            # A buggy completion callback must not kill the worker
-            # and strand every queued batch; deliver the error to
-            # whatever futures the callback left unresolved
-            # (deduplicated followers included).
-            for request in live.requests:
-                if not request.pending.done():
-                    request.pending.set_exception(error)
-                for follower in request.followers:
-                    if not follower.pending.done():
-                        follower.pending.set_exception(error)
+        self._deliver(live, outcome)
         return True
+
+    def _deliver(
+        self, batch: MicroBatch, outcome: Union[BatchPrediction, BaseException]
+    ) -> None:
+        """Hand a finished batch to the completion callback.
+
+        A raising callback is logged, never propagated: it must not kill
+        the worker and strand every queued batch behind it.
+        """
+        try:
+            self._completion(self, batch, outcome)
+        except Exception:
+            logger.exception("completion callback of shard %r raised", self.name)
 
     def _classify(self, batch: MicroBatch) -> BatchPrediction:
         """Score one micro-batch, preferring the zero-copy packed path.
@@ -488,7 +480,7 @@ class ShardGroup:
     classifier:
         Fitted classifier shared by all shards.  ``predict_batch`` is
         read-only over the weights, so replicas can share the object.
-    completion, failure:
+    completion:
         Forwarded to every shard.
     n_shards:
         Number of worker threads.
@@ -496,13 +488,6 @@ class ShardGroup:
         ``"round_robin"`` or ``"least_loaded"``.
     queue_capacity:
         Per-shard queue bound.
-    backend:
-        Distance-backend selection applied to the classifier's SOM when it
-        supports pluggable backends (name or
-        :class:`~repro.core.backends.DistanceBackend`); ``None`` keeps the
-        SOM's current backend.  Applied once here -- the shards share the
-        classifier, so they automatically share the SOM's cached prepared
-        operands as well.
     clock:
         Monotonic time source forwarded to every shard (trace timestamps).
     fault_injector:
@@ -515,18 +500,14 @@ class ShardGroup:
         classifier: SomClassifier,
         completion: CompletionCallback,
         *,
-        failure: Optional[FailureCallback] = None,
         n_shards: int = 2,
         policy: str = "round_robin",
         queue_capacity: int = 8,
-        backend=None,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: Optional[FaultInjector] = None,
     ):
         if n_shards <= 0:
             raise ConfigurationError(f"n_shards must be positive, got {n_shards}")
-        if backend is not None and hasattr(classifier.som, "set_backend"):
-            classifier.som.set_backend(backend)
         if policy not in _ROUTING_POLICIES:
             raise ConfigurationError(
                 f"policy must be one of {_ROUTING_POLICIES}, got {policy!r}"
@@ -544,7 +525,6 @@ class ShardGroup:
                 f"{model}/{index}",
                 classifier,
                 completion,
-                failure=failure,
                 queue_capacity=queue_capacity,
                 clock=clock,
                 fault_injector=fault_injector,

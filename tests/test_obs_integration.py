@@ -198,7 +198,9 @@ class TestLifecycleTraces:
 class TestRingAndExport:
     def test_completed_ring_bounded_under_load(self, trained_bsom_classifier):
         obs = Observability(sample_every=1, trace_capacity=8)
-        config = ServiceConfig(batch_size=16, max_delay_ms=2.0)
+        # One shard and no deadline cuts: batches finish in submission
+        # order, so the newest completed traces are the last responses.
+        config = ServiceConfig(batch_size=16, max_delay_ms=60_000.0, n_shards=1)
         service = StreamingInferenceService(config=config, obs=obs)
         service.register_model("m", trained_bsom_classifier)
         with service:
@@ -219,9 +221,10 @@ class TestRingAndExport:
 
     def test_service_registry_renders_prometheus_with_p999(self, traced_service, cluster_data):
         X, _ = cluster_data
-        for index in range(20):
-            traced_service.submit(X[index], model="m")
+        futures = [traced_service.submit(X[index], model="m") for index in range(20)]
         traced_service.flush()
+        for future in futures:  # the snapshot must see answered requests
+            future.result(5.0)
         snapshot = traced_service.metrics_snapshot()
         assert snapshot.responses_total >= 1
         assert (

@@ -220,9 +220,9 @@ class TestRetryPolicy:
             labels = set(int(v) for v in y)
             assert blocker.result(10.0).label in labels
             assert second.result(10.0).label in labels
-            assert service.metrics.retries >= 1
+            assert service.metrics_snapshot().retries >= 1
             snapshot = service.metrics_snapshot()
-            assert snapshot.retries == service.metrics.retries
+            assert snapshot.retries == service.obs.registry.get("serve_retries_total").value
         finally:
             service.stop()
 
@@ -239,7 +239,7 @@ class TestRetryPolicy:
             service.submit(X[0], model="m")  # saturates the budget for good
             with pytest.raises(ServiceOverloadedError):
                 service.submit(X[1], model="m")
-            assert service.metrics.retries == 1  # attempt 2 of 2 not retried
+            assert service.metrics_snapshot().retries == 1  # attempt 2 of 2 not retried
         finally:
             service.stop()
 
@@ -417,7 +417,7 @@ class TestBreakerIntegration:
             degraded = service.submit(X[0], model="m").result(10.0)
             assert degraded.stale and degraded.cached
             assert degraded.label == fresh.label
-            assert service.metrics.stale_hits == 1
+            assert service.metrics_snapshot().stale_hits == 1
             # A signature with no stale entry still sheds.
             with pytest.raises(CircuitOpenError):
                 service.submit(X[2], model="m")
@@ -441,7 +441,7 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceededError):
                 doomed.result(10.0)
             assert alive.result(10.0).label in set(int(v) for v in y)
-            assert service.metrics.deadline_exceeded == 1
+            assert service.metrics_snapshot().deadline_exceeded == 1
             assert service.pending_requests == 0  # budget fully released
         finally:
             service.stop()
@@ -476,7 +476,7 @@ class TestDeadlines:
             assert hung.result(10.0).label in set(int(v) for v in y)
             with pytest.raises(DeadlineExceededError):
                 doomed.result(10.0)
-            assert service.metrics.deadline_exceeded == 1
+            assert service.metrics_snapshot().deadline_exceeded == 1
             assert service.pending_requests == 0
         finally:
             service.stop()
@@ -488,7 +488,7 @@ class TestDeadlines:
         try:
             primary = service.submit(X[0], model="m", deadline_s=0.005)
             follower = service.submit(X[0], model="m")  # dedups onto primary
-            assert service.metrics.dedup_hits == 1
+            assert service.metrics_snapshot().dedup_hits == 1
             time.sleep(0.03)
             service.flush()
             with pytest.raises(DeadlineExceededError):
@@ -512,7 +512,7 @@ class TestCacheResilience:
             future = service.submit(X[0], model="m")
             service.flush()
             assert future.result(10.0).label in set(int(v) for v in y)
-            assert service.metrics.cache_errors >= 1
+            assert service.metrics_snapshot().cache_errors >= 1
         finally:
             service.stop()
 
@@ -590,7 +590,7 @@ class TestShardSupervision:
             survivor = service.submit(X[1], model="m")
             service.flush()
             assert survivor.result(10.0).label in set(int(v) for v in y)
-            assert service.metrics.shard_restarts == 1
+            assert service.metrics_snapshot().shard_restarts == 1
             restarts = service.obs.events.events(kind="shard_restart")
             assert len(restarts) == 1 and restarts[0].fields["reason"] == "died"
             assert service.pending_requests == 0
@@ -622,7 +622,7 @@ class TestShardSupervision:
             survivor = service.submit(X[1], model="m")
             service.flush()
             assert survivor.result(10.0).label in set(int(v) for v in y)
-            assert service.metrics.shard_restarts == 1
+            assert service.metrics_snapshot().shard_restarts == 1
             assert service.pending_requests == 0
         finally:
             service.stop()
@@ -653,7 +653,7 @@ class TestShardSupervision:
                 with pytest.raises((ShardFailedError, ServiceOverloadedError)):
                     future.result(10.0)
             assert shard.disabled, "shard was never disabled"
-            assert service.metrics.shard_restarts == 2
+            assert service.metrics_snapshot().shard_restarts == 2
             assert len(service.obs.events.events(kind="shard_disabled")) == 1
             assert service.pending_requests == 0
         finally:

@@ -300,7 +300,7 @@ class TestBackpressure:
             ]
             with pytest.raises(ServiceOverloadedError):
                 service.submit(X[4], model="m", stream_id="cam")
-            assert service.metrics.backpressure_rejections == 1
+            assert service.metrics_snapshot().backpressure_rejections == 1
             # Shedding load and flushing recovers the budget.
             service.flush()
             responses = [future.result(10.0) for future in futures]
@@ -393,8 +393,11 @@ class TestServiceEndToEnd:
         X, y = cluster_data
         # Pre-warm the cache with the whole pool so the stream traffic hits
         # it deterministically (an in-flight repeat would otherwise race the
-        # completion of its first occurrence).
-        service.classify("m", X)
+        # completion of its first occurrence).  Chunks of 64 rows stay within
+        # what the two 8-deep shard queues buffer, so the warm-up itself is
+        # never shed.
+        for start in range(0, len(X), 64):
+            service.classify("m", X[start : start + 64])
         warm_hits = service.cache.hits
         streams = [
             SimulatedCameraStream(
@@ -472,7 +475,7 @@ class TestPipelineAttachment:
             served_obs = served.process_sequence(frames)
         assert [o.label for o in served_obs] == [o.label for o in local_obs]
         assert [o.track_id for o in served_obs] == [o.track_id for o in local_obs]
-        assert service.metrics.responses_total == len(served_obs)
+        assert service.metrics_snapshot().responses_total == len(served_obs)
         served.detach_service()
         assert not served.service_attached
 
