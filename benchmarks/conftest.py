@@ -23,7 +23,10 @@ from pathlib import Path
 # repo-configured mode; prepend did it implicitly), then pull in the shared
 # constants.  Importing bench_constants also pins the BLAS/OpenMP thread
 # pools to 1 -- it must happen here, before numpy spins them up, or the
-# BENCH numbers scale with the host's core count.
+# BENCH numbers scale with the host's core count.  tests/ goes on the path
+# too: the seed oracles the benchmarks compare against live in
+# tests/oracles/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_constants import (  # noqa: E402,F401  (re-exported for fixtures)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distance import batch_masked_hamming
+from repro.core.backends import NaiveBackend
 from repro.hw import FpgaBsomConfig, FpgaBsomDesign
 from repro.hw.blocks import HammingDistanceUnit, WinnerTakeAllUnit
 
@@ -62,7 +62,8 @@ def test_figure4_hamming_unit_matches_equation3(benchmark):
 
     distances = benchmark(unit.compute, pattern, value, care)
     weights = np.where(care == 1, value, 2).astype(np.int8)
-    assert np.array_equal(distances, batch_masked_hamming(weights, pattern))
+    oracle = NaiveBackend()
+    assert np.array_equal(distances, oracle.batch_one(oracle.prepare(weights), pattern))
 
 
 def test_figure5_cycle_count_scales_logarithmically():

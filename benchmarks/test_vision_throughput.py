@@ -4,10 +4,11 @@ End-to-end ``RecognitionSystem.process_frame`` frames/sec on a 320x240
 synthetic entrance scene with five actors, comparing the vectorized
 front-end (run-based CCL, separable morphology, single-pass blob
 extraction, float32 in-place background, batched histograms) against the
-retained seed implementation (``RecognitionSystemConfig(vectorized=False)``:
-per-pixel two-pass CCL, full-kernel morphology, per-label full-frame blob
-rescans, uint8-round-trip background differencing, per-blob histograms).
-Before timing, the first frames are segmented through *both* paths and the
+seed implementation, assembled from the oracles in
+``tests/oracles/vision.py`` as ``SeedRecognitionSystem`` (per-pixel
+two-pass CCL, full-kernel morphology, per-label full-frame blob rescans,
+uint8-round-trip background differencing, per-blob histograms).  Before
+timing, the first frames are segmented through *both* systems and the
 resulting blobs asserted bit-exact (mask, bounding box, centroid, area), so
 the speedup is measured between interchangeable implementations.
 
@@ -36,7 +37,14 @@ import numpy as np
 from repro.core import BinarySom, SomClassifier
 from repro.pipeline import RecognitionSystem, RecognitionSystemConfig
 from repro.signatures import extract_signature
-from repro.vision import ActorSpec, SceneConfig, SyntheticSurveillanceScene
+from repro.vision import (
+    ActorSpec,
+    BackgroundSubtractor,
+    SceneConfig,
+    SyntheticSurveillanceScene,
+)
+
+from oracles.vision import SeedRecognitionSystem
 
 #: The paper-scale camera resolution the acceptance criterion names.
 SCENE_HEIGHT, SCENE_WIDTH = 240, 320
@@ -113,11 +121,16 @@ def train_bench_classifier() -> SomClassifier:
     )
 
 
-def build_system(classifier: SomClassifier, vectorized: bool) -> RecognitionSystem:
-    """A fresh recognition system primed with the live scene's clean plate."""
-    system = RecognitionSystem(
-        classifier,
-        RecognitionSystemConfig(min_blob_area=MIN_BLOB_AREA, vectorized=vectorized),
+def build_system(
+    classifier: SomClassifier, system_class: type = RecognitionSystem
+) -> RecognitionSystem:
+    """A fresh recognition system primed with the live scene's clean plate.
+
+    ``system_class`` is :class:`RecognitionSystem` or the seed
+    :class:`SeedRecognitionSystem`.
+    """
+    system = system_class(
+        classifier, RecognitionSystemConfig(min_blob_area=MIN_BLOB_AREA)
     )
     system.initialise_background(bench_scene(LIVE_SCENE_SEED).background)
     return system
@@ -128,7 +141,10 @@ def live_frames(n_frames: int):
     return list(bench_scene(LIVE_SCENE_SEED).frames(n_frames))
 
 
-def time_pipeline(classifier, frames, vectorized: bool, repeats: int = TIMED_REPEATS):
+def time_pipeline(
+    classifier, frames, system_class: type = RecognitionSystem,
+    repeats: int = TIMED_REPEATS,
+):
     """Best-of-``repeats`` frames/sec plus the last run's metrics snapshot.
 
     Each repeat processes the sequence through a fresh system (background
@@ -138,7 +154,7 @@ def time_pipeline(classifier, frames, vectorized: bool, repeats: int = TIMED_REP
     best = float("inf")
     snapshot = None
     for _ in range(repeats):
-        system = build_system(classifier, vectorized)
+        system = build_system(classifier, system_class)
         start = time.perf_counter()
         for frame in frames:
             system.process_frame(frame)
@@ -149,20 +165,18 @@ def time_pipeline(classifier, frames, vectorized: bool, repeats: int = TIMED_REP
 
 
 def assert_segmentation_parity(classifier, frames) -> int:
-    """Both paths must produce bit-identical blobs; returns blobs compared.
+    """Both systems must produce bit-identical blobs; returns blobs compared.
 
-    The background border/quantisation fix intentionally changes which
-    near-threshold pixels segment as foreground, so the oracle system is
-    given a vectorized subtractor here: the bit-exactness claim is for the
-    morphology/CCL/blob stages on identical foreground masks.  (The timing
-    runs below keep the seed subtractor in the seed path.)
+    The float background differencing intentionally changes which
+    near-threshold pixels segment as foreground, so the seed system is
+    given the production subtractor here: the bit-exactness claim is for
+    the morphology/CCL/blob stages on identical foreground masks.  (The
+    timing runs below keep the seed subtractor in the seed system.)
     """
-    from repro.vision import BackgroundSubtractor
-
-    fast = build_system(classifier, vectorized=True)
-    oracle = build_system(classifier, vectorized=False)
+    fast = build_system(classifier)
+    oracle = build_system(classifier, SeedRecognitionSystem)
     oracle.subtractor = BackgroundSubtractor(
-        threshold=oracle.config.difference_threshold, vectorized=True
+        threshold=oracle.config.difference_threshold
     )
     oracle.subtractor.initialise(bench_scene(LIVE_SCENE_SEED).background)
     compared = 0
@@ -188,10 +202,10 @@ def test_vision_throughput_and_emit_bench():
     assert blobs_compared > 0, "parity frames segmented no blobs; scene misconfigured"
 
     vectorized_fps, vectorized_snap = time_pipeline(
-        classifier, frames, vectorized=True, repeats=TIMED_REPEATS
+        classifier, frames, repeats=TIMED_REPEATS
     )
     oracle_fps, oracle_snap = time_pipeline(
-        classifier, frames[:ORACLE_FRAMES], vectorized=False,
+        classifier, frames[:ORACLE_FRAMES], SeedRecognitionSystem,
         repeats=ORACLE_REPEATS,
     )
     speedup = vectorized_fps / oracle_fps

@@ -5,8 +5,9 @@ Run by ``scripts/ci_check.sh`` after the test suite:
 
 1. *Parity smoke* -- randomized masks and frames across both
    connectivities; the vectorized CCL, separable morphology, single-pass
-   blob extraction and batched histogram must agree bit-exactly with their
-   retained scalar oracles.
+   blob extraction and batched histogram must agree bit-exactly with the
+   seed oracles kept in ``tests/oracles/vision.py`` and with per-blob
+   ``rgb_histogram``.
 2. *Frame-rate regression guard* -- re-times the vectorized
    ``RecognitionSystem`` on the benchmark's 320x240 synthetic scene and
    fails if it is more than 2x slower than the baseline recorded in the
@@ -41,20 +42,24 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
+from oracles.vision import (  # noqa: E402
+    binary_close_oracle,
+    binary_dilate_oracle,
+    binary_erode_oracle,
+    binary_open_oracle,
+    extract_blobs_oracle,
+    label_components_oracle,
+)
 from repro.signatures import rgb_histogram, rgb_histogram_batch  # noqa: E402
 from repro.vision import (  # noqa: E402
     binary_close,
-    binary_close_oracle,
     binary_dilate,
-    binary_dilate_oracle,
     binary_erode,
-    binary_erode_oracle,
     binary_open,
-    binary_open_oracle,
     extract_blobs,
-    extract_blobs_oracle,
     label_components,
 )
 
@@ -77,7 +82,7 @@ def parity_smoke() -> None:
         mask = rng.random((height, width)) < rng.random()
         for connectivity in (4, 8):
             fast, n_fast = label_components(mask, connectivity)
-            oracle, n_oracle = label_components(mask, connectivity, vectorized=False)
+            oracle, n_oracle = label_components_oracle(mask, connectivity)
             if n_fast != n_oracle or not np.array_equal(fast, oracle):
                 raise SystemExit(
                     f"parity FAILED: vectorized CCL disagrees with the two-pass "
@@ -134,9 +139,7 @@ def frame_rate_guard() -> None:
 
     classifier = bench.train_bench_classifier()
     frames = bench.live_frames(n_frames)
-    fps, _ = bench.time_pipeline(
-        classifier, frames, vectorized=True, repeats=GUARD_REPEATS
-    )
+    fps, _ = bench.time_pipeline(classifier, frames, repeats=GUARD_REPEATS)
     slowdown = baseline_fps / fps
     print(
         f"vectorized pipeline {bench.SCENE_WIDTH}x{bench.SCENE_HEIGHT}: "

@@ -39,9 +39,9 @@ python scripts/check_backends.py
 echo
 echo "=== vision parity smoke + frame-rate regression guard ==="
 # Bit-exact agreement of the vectorized CCL / morphology / blob / batched
-# histogram paths with their retained scalar oracles, then the vectorized
-# RecognitionSystem re-timed on the 320x240 benchmark scene against the
-# baseline committed in BENCH_vision.json (fail if >2x slower).
+# histogram paths with the seed oracles in tests/oracles/vision.py, then the
+# vectorized RecognitionSystem re-timed on the 320x240 benchmark scene
+# against the baseline committed in BENCH_vision.json (fail if >2x slower).
 python scripts/check_vision.py
 
 echo

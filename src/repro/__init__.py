@@ -44,8 +44,6 @@ The convenience names ``train``/``snapshot``/``save``/``load``/``swap`` and
 under :mod:`repro.api` because ``repro.serve`` names the serving package.
 """
 
-import warnings
-
 from repro.errors import (
     ConfigurationError,
     DataError,
@@ -99,12 +97,6 @@ _LAZY_EXPORTS = {
     "swap": ("repro.api", "swap"),
 }
 
-# Pre-facade entry points kept importable with a pointer to their successor.
-_DEPRECATED_EXPORTS = {
-    "save_model": ("repro.core.serialization", "save_model", "repro.api.save"),
-    "load_model": ("repro.core.serialization", "load_model", "repro.api.load"),
-}
-
 
 def __getattr__(name):
     import importlib
@@ -115,17 +107,8 @@ def __getattr__(name):
         value = module if attribute is None else getattr(module, attribute)
         globals()[name] = value
         return value
-    if name in _DEPRECATED_EXPORTS:
-        module_name, attribute, successor = _DEPRECATED_EXPORTS[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use {successor} (which speaks "
-            f"ModelSnapshot, the lifecycle currency) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), attribute)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(__all__) | set(globals()) | set(_DEPRECATED_EXPORTS))
+    return sorted(set(__all__) | set(globals()))

@@ -31,12 +31,7 @@ from repro.core.tristate import (
     random_tristate,
     tristate_from_binary,
 )
-from repro.core.distance import (
-    hamming_distance,
-    masked_hamming_distance,
-    batch_masked_hamming,
-    batch_binary_hamming,
-)
+from repro.core.distance import hamming_distance, masked_hamming_distance
 from repro.core.backends import (
     DistanceBackend,
     GemmBackend,
@@ -89,8 +84,6 @@ __all__ = [
     "tristate_from_binary",
     "hamming_distance",
     "masked_hamming_distance",
-    "batch_masked_hamming",
-    "batch_binary_hamming",
     "DistanceBackend",
     "GemmBackend",
     "HybridBackend",

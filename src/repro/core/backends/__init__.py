@@ -20,10 +20,10 @@ interchangeable kernels behind one interface
     measured winner for its shape (packed for single queries and small
     batches on large maps, GEMM for large batches).
 
-Selection (:func:`resolve_backend`) is by explicit name, by the
-``REPRO_DISTANCE_BACKEND`` environment variable, or ``"auto"``, which
-resolves to the hybrid router; its thresholds come from the measured
-crossover points recorded in ``BENCH_distance.json`` (see the benchmark
+Selection (:func:`resolve_backend`) is by explicit name or instance, or
+``"auto"`` (also what ``None`` means), which resolves to the hybrid
+router; its thresholds come from the measured crossover points recorded
+in ``BENCH_distance.json`` (see the benchmark
 ``benchmarks/test_distance_backends.py``).  :func:`calibrate_backend` is
 the opt-in empirical variant: it times the candidates on synthetic data of
 the actual map shape and picks the winner.
@@ -36,9 +36,8 @@ invalidate exactly when training touches the weights.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -59,9 +58,6 @@ from repro.core.backends.packed import (
 # re-exported API: callers import it from repro.errors directly.
 # repro: allow[export-surface]
 from repro.errors import ConfigurationError
-
-#: Environment variable consulted when no backend is specified explicitly.
-BACKEND_ENV_VAR = "REPRO_DISTANCE_BACKEND"
 
 #: Registered backend factories by name.
 BACKEND_NAMES = ("gemm", "packed", "naive", "hybrid")
@@ -85,25 +81,17 @@ def make_backend(name: str) -> DistanceBackend:
     )
 
 
-def resolve_backend(
-    spec: BackendSpec = None,
-    *,
-    n_neurons: Optional[int] = None,
-    n_bits: Optional[int] = None,
-) -> DistanceBackend:
-    """Resolve a backend from a name, an instance, the environment, or auto.
+def resolve_backend(spec: BackendSpec = None) -> DistanceBackend:
+    """Resolve a backend from a name or an instance.
 
-    Resolution order: an explicit :class:`DistanceBackend` instance or name
-    wins; ``None`` falls back to ``$REPRO_DISTANCE_BACKEND``; an unset
-    environment defaults to ``"auto"``, the hybrid router that picks the
-    measured-fastest kernel per call (``n_neurons``/``n_bits`` are accepted
-    for signature stability; the hybrid routes on the shapes it sees at
-    call time).
+    A :class:`DistanceBackend` instance is returned as is; a name is
+    instantiated; ``None`` means ``"auto"``, the hybrid router that picks
+    the measured-fastest kernel per call from the shapes it sees.
     """
     if isinstance(spec, DistanceBackend):
         return spec
     if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR, "") or "auto"
+        spec = "auto"
     if not isinstance(spec, str):
         raise ConfigurationError(
             f"backend must be a name or DistanceBackend, got {type(spec).__name__}"
@@ -215,7 +203,6 @@ class PreparedOperandCache:
 
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "BackendSpec",
     "DistanceBackend",

@@ -1,11 +1,12 @@
-"""The naive comparison backend -- retained as the correctness oracle.
+"""The naive comparison backend -- kept as the correctness oracle.
 
 This is equation 3 written the obvious way: broadcast the input against
 every tri-state weight row, mask the don't-care components, count
-mismatches.  It is what :func:`repro.core.distance.batch_masked_hamming`
-has always computed and what the cycle-accurate hardware model is tested
-against; the GEMM and packed backends must agree with it bit for bit
-(asserted by the parity tests and the benchmark suite).
+mismatches.  The property tests check it against the scalar
+:func:`repro.core.distance.masked_hamming_distance`, and the
+cycle-accurate hardware model is tested against it; the GEMM and packed
+backends must agree with it bit for bit (asserted by the parity tests and
+the benchmark suite).
 
 Preparation is zero-copy: the "operands" are the weight matrix itself, so
 the prepared object stays valid even while training mutates the weights in

@@ -167,9 +167,9 @@ class BinarySom(SelfOrganisingMap):
     backend:
         Distance backend: a name (``"gemm"``, ``"packed"``, ``"naive"``,
         ``"auto"``), a :class:`~repro.core.backends.DistanceBackend`
-        instance, or ``None`` to consult ``$REPRO_DISTANCE_BACKEND`` and
-        fall back to the ``"auto"`` map-size heuristic.  All backends are
-        bit-exact, so the choice affects speed only.
+        instance, or ``None`` for ``"auto"``, the hybrid router that picks
+        a kernel per call by batch shape.  All backends are bit-exact, so
+        the choice affects speed only.
 
     Examples
     --------
@@ -215,7 +215,7 @@ class BinarySom(SelfOrganisingMap):
         # weight initialisation).
         self._update_rng = as_generator(rng.integers(0, 2**63 - 1))
         self._neighbourhood_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._backend = resolve_backend(backend, n_neurons=n_neurons, n_bits=n_bits)
+        self._backend = resolve_backend(backend)
         # Fallback packed kernel for pre-packed (uint64 word) queries from
         # the serving layer when the main backend cannot take them
         # directly; created lazily, shares the version-keyed operand cache.
@@ -258,9 +258,7 @@ class BinarySom(SelfOrganisingMap):
         version-keyed, so switching back reuses them as long as the weights
         have not changed.
         """
-        self._backend = resolve_backend(
-            backend, n_neurons=self.n_neurons, n_bits=self.n_bits
-        )
+        self._backend = resolve_backend(backend)
 
     def _operands(self, backend: DistanceBackend | None = None):
         """Version-checked prepared operands of ``backend`` (default: current)."""

@@ -61,8 +61,8 @@ class BatchPrediction:
     The column-oriented counterpart of :class:`PredictionResult`: every
     attribute is an array with one entry per input row.  The serving layer
     (:mod:`repro.serve`) works exclusively in this representation so that a
-    micro-batch of requests costs one ``pairwise_masked_hamming`` call
-    instead of one SOM query per request.
+    micro-batch of requests costs one distance-kernel call instead of one
+    SOM query per request.
 
     Attributes
     ----------

@@ -6,20 +6,18 @@ the ``#`` (don't care) state are skipped.  A neuron whose weight vector is
 all ``#`` therefore has distance zero to every input -- a property the paper
 calls out explicitly, and one the node-labelling stage has to cope with.
 
-All functions here operate on plain numpy arrays so they can be shared by
-the software bSOM, the classifier and the cycle-accurate hardware model
-(which recomputes the same quantity bit-serially and is tested against
-these reference implementations).
+The functions here score one input against one weight vector on plain
+numpy arrays: the scalar statement of equation 3, which the property tests
+check the naive batch backend against.
 
 Backend selection
 -----------------
-The batch functions in this module are *reference* kernels.  The bSOM's
-query path routes through the pluggable backends in
-:mod:`repro.core.backends`, which add a packed-``uint64`` popcount kernel
-and cached, version-invalidated operands on top of the same arithmetic.
-All backends are bit-exact; the choice only affects speed.  Measured on
-the benchmark grid (768-bit signatures, single-threaded BLAS; see
-``BENCH_distance.json``, regenerated by
+Batches are scored by the pluggable backends in :mod:`repro.core.backends`:
+a packed-``uint64`` popcount kernel, a float32 GEMM, their shape-routed
+hybrid, and the naive broadcast-and-count oracle, each with cached,
+version-invalidated operands.  All backends are bit-exact; the choice only
+affects speed.  Measured on the benchmark grid (768-bit signatures,
+single-threaded BLAS; see ``BENCH_distance.json``, regenerated by
 ``benchmarks/test_distance_backends.py``):
 
 ========================  =======================================================
@@ -40,19 +38,15 @@ backend                   when it wins
                           2.1x packed win at 256 x 8 is a non-monotonic BLAS
                           island the rule deliberately leaves to GEMM; see
                           ``repro.core.backends.hybrid``).  The default.
-``naive`` (oracle)        never on speed -- retained as the correctness oracle
+``naive`` (oracle)        never on speed -- kept as the correctness oracle
                           the others are asserted bit-exact against.
 ========================  =======================================================
 
-Re-measure with :func:`repro.core.backends.calibrate_backend` on hosts
-whose BLAS/popcount balance differs (e.g. a multi-threaded wide-SIMD
-BLAS shifts the crossover toward ``gemm``).
-
-Validation of the zeros-and-ones invariant costs an O(n log n)
-``np.unique`` scan per call, so every batch function takes
-``validate=False`` for trusted internal callers (``predict_batch``, the
-serve shard) that validated at the API boundary; external entry points
-keep the default.
+A map's backend is chosen in one place: the model's own ``backend=``
+argument or :meth:`~repro.core.bsom.BinarySom.set_backend`, else
+``"auto"``.  Re-measure with :func:`repro.core.backends.calibrate_backend`
+on hosts whose BLAS/popcount balance differs (e.g. a multi-threaded
+wide-SIMD BLAS shifts the crossover toward ``gemm``).
 """
 
 from __future__ import annotations
@@ -63,15 +57,13 @@ from repro.core.tristate import DONT_CARE
 from repro.errors import DataError, DimensionMismatchError
 
 
-def _as_binary_vector(
-    x: np.ndarray, name: str = "input", *, validate: bool = True
-) -> np.ndarray:
+def _as_binary_vector(x: np.ndarray, name: str = "input") -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise DataError(f"{name} must be a one-dimensional vector, got shape {x.shape}")
     if x.size == 0:
         raise DataError(f"{name} must not be empty")
-    if validate and not np.all(np.isin(np.unique(x), (0, 1))):
+    if not np.all(np.isin(np.unique(x), (0, 1))):
         raise DataError(f"{name} must contain only zeros and ones")
     return x.astype(np.int8)
 
@@ -100,103 +92,3 @@ def masked_hamming_distance(weights: np.ndarray, x: np.ndarray) -> int:
         raise DimensionMismatchError(weights.size, x.size, "input vector")
     care = weights != DONT_CARE
     return int(np.count_nonzero(care & (weights != x)))
-
-
-def batch_masked_hamming(
-    weights: np.ndarray, x: np.ndarray, *, validate: bool = True
-) -> np.ndarray:
-    """Masked Hamming distance from every tri-state neuron to one input.
-
-    This is the software equivalent of the FPGA's parallel Hamming-distance
-    computation unit: all neurons are evaluated "at once".
-
-    Parameters
-    ----------
-    weights:
-        ``(n_neurons, n_bits)`` tri-state matrix over ``{0, 1, DONT_CARE}``.
-    x:
-        Binary input vector of length ``n_bits``.
-    validate:
-        Skip the zeros-and-ones scan of ``x`` when ``False`` (trusted
-        callers only).
-
-    Returns
-    -------
-    numpy.ndarray
-        Integer distances of shape ``(n_neurons,)``.
-    """
-    weights = np.asarray(weights)
-    x = _as_binary_vector(x, validate=validate)
-    if weights.ndim != 2:
-        raise DataError(
-            f"weights must be a 2-D (n_neurons, n_bits) matrix, got shape {weights.shape}"
-        )
-    if weights.shape[1] != x.size:
-        raise DimensionMismatchError(weights.shape[1], x.size, "input vector")
-    mismatch = (weights != DONT_CARE) & (weights != x[np.newaxis, :])
-    return np.count_nonzero(mismatch, axis=1).astype(np.int64)
-
-
-def batch_binary_hamming(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hamming distance from every *binary* neuron row to one binary input."""
-    weights = np.asarray(weights)
-    x = _as_binary_vector(x)
-    if weights.ndim != 2:
-        raise DataError(
-            f"weights must be a 2-D (n_neurons, n_bits) matrix, got shape {weights.shape}"
-        )
-    if weights.shape[1] != x.size:
-        raise DimensionMismatchError(weights.shape[1], x.size, "input vector")
-    if weights.size and not np.all(np.isin(np.unique(weights), (0, 1))):
-        raise DataError("binary weights must contain only zeros and ones")
-    return np.count_nonzero(weights != x[np.newaxis, :], axis=1).astype(np.int64)
-
-
-def pairwise_masked_hamming(
-    weights: np.ndarray, inputs: np.ndarray, *, validate: bool = True
-) -> np.ndarray:
-    """Masked Hamming distances between every neuron and every input.
-
-    Parameters
-    ----------
-    weights:
-        ``(n_neurons, n_bits)`` tri-state matrix.
-    inputs:
-        ``(n_samples, n_bits)`` binary matrix.
-    validate:
-        Skip the zeros-and-ones scan of ``inputs`` when ``False`` (trusted
-        callers that validated at the API boundary).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_samples, n_neurons)`` matrix of distances.  Used by the node
-        labeller, by evaluation code and by the serving layer's
-        micro-batched ``predict_batch`` to score whole batches at once.
-
-    Notes
-    -----
-    For a binary input ``x`` the masked mismatch of one bit is
-    ``(w == 1) & (x == 0)  |  (w == 0) & (x == 1)``, so the whole distance
-    matrix decomposes into one matrix product::
-
-        D = rowsum(W1) + X @ (W0 - W1)^T,   W1 = (W == 1), W0 = (W == 0)
-
-    which runs as a single BLAS GEMM instead of materialising the
-    ``(n_samples, n_neurons, n_bits)`` comparison tensor.  ``float32`` is
-    exact here: every product is 0 or 1 and every sum is bounded by
-    ``n_bits``, far inside the 24-bit integer range of ``float32``.
-    """
-    weights = np.asarray(weights, dtype=np.int8)
-    inputs = np.asarray(inputs)
-    if weights.ndim != 2 or inputs.ndim != 2:
-        raise DataError("weights and inputs must both be 2-D matrices")
-    if weights.shape[1] != inputs.shape[1]:
-        raise DimensionMismatchError(weights.shape[1], inputs.shape[1], "input matrix")
-    if validate and inputs.size and not np.all(np.isin(np.unique(inputs), (0, 1))):
-        raise DataError("inputs must contain only zeros and ones")
-    ones = (weights == 1).astype(np.float32)
-    zeros = (weights == 0).astype(np.float32)
-    distances = inputs.astype(np.float32) @ (zeros - ones).T
-    distances += ones.sum(axis=1)[np.newaxis, :]
-    return np.rint(distances).astype(np.int64)

@@ -43,24 +43,13 @@ from repro.errors import (
 )
 from repro.pipeline.metrics import PipelineMetrics
 from repro.signatures.binarize import MeanThreshold, ThresholdStrategy
-from repro.signatures.histogram import rgb_histogram, rgb_histogram_batch
-from repro.signatures.binarize import binarize_histogram
+from repro.signatures.histogram import rgb_histogram_batch
 from repro.signatures.signature import BinarySignature
 from repro.vision.background import BackgroundSubtractor
-from repro.vision.blobs import (
-    Blob,
-    extract_blobs,
-    extract_blobs_oracle,
-    filter_blobs_by_area,
-)
+from repro.vision.blobs import Blob, extract_blobs, filter_blobs_by_area
 from repro.vision.connected_components import ConnectedComponentLabeller
 from repro.vision.frame import Frame
-from repro.vision.morphology import (
-    binary_close,
-    binary_close_oracle,
-    binary_open,
-    binary_open_oracle,
-)
+from repro.vision.morphology import binary_close, binary_open
 from repro.vision.tracker import ObjectTracker
 
 
@@ -82,17 +71,6 @@ class RecognitionSystemConfig:
     vote_window:
         Number of recent per-frame identity votes kept per track for the
         majority decision.
-    distance_backend:
-        Distance-backend selection applied to the classifier's SOM when it
-        supports pluggable backends (``"gemm"``, ``"packed"``, ``"naive"``,
-        ``"auto"``); ``None`` keeps the SOM's current backend.
-    vectorized:
-        ``True`` (default) runs the array-level vision front-end (run-based
-        CCL, separable morphology, single-pass blob extraction, batched
-        histograms).  ``False`` runs the retained scalar oracles -- the
-        seed implementation -- which produce identical outputs orders of
-        magnitude slower; the throughput benchmark and the parity tests
-        flip this switch.
     """
 
     difference_threshold: float = 28.0
@@ -100,8 +78,6 @@ class RecognitionSystemConfig:
     min_blob_area: int = 150
     bins_per_channel: int = 256
     vote_window: int = 15
-    distance_backend: Optional[str] = None
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.min_blob_area < 0:
@@ -182,18 +158,11 @@ class RecognitionSystem:
             )
         self.classifier = classifier
         self.config = config or RecognitionSystemConfig()
-        if self.config.distance_backend is not None and hasattr(
-            classifier.som, "set_backend"
-        ):
-            classifier.som.set_backend(self.config.distance_backend)
         self.strategy = strategy or MeanThreshold()
         self.subtractor = BackgroundSubtractor(
-            threshold=self.config.difference_threshold,
-            vectorized=self.config.vectorized,
+            threshold=self.config.difference_threshold
         )
-        self.labeller = ConnectedComponentLabeller(
-            connectivity=8, vectorized=self.config.vectorized
-        )
+        self.labeller = ConnectedComponentLabeller(connectivity=8)
         self.tracker = ObjectTracker()
         self.metrics = PipelineMetrics()
         self._identities: dict[int, TrackIdentity] = defaultdict(
@@ -299,44 +268,27 @@ class RecognitionSystem:
         tick = perf_counter()
         self.metrics.record_stage("background", tick - start)
         if self.config.morphology_radius > 0:
-            if self.config.vectorized:
-                foreground = binary_close(
-                    binary_open(foreground, self.config.morphology_radius),
-                    self.config.morphology_radius,
-                )
-            else:
-                foreground = binary_close_oracle(
-                    binary_open_oracle(foreground, self.config.morphology_radius),
-                    self.config.morphology_radius,
-                )
+            foreground = binary_close(
+                binary_open(foreground, self.config.morphology_radius),
+                self.config.morphology_radius,
+            )
         tock = perf_counter()
         self.metrics.record_stage("morphology", tock - tick)
         labels, count = self.labeller.label(foreground)
         tick = perf_counter()
         self.metrics.record_stage("label", tick - tock)
-        if self.config.vectorized:
-            blobs = extract_blobs(labels, count)
-        else:
-            blobs = extract_blobs_oracle(labels, count)
-        blobs = filter_blobs_by_area(blobs, self.config.min_blob_area)
+        blobs = filter_blobs_by_area(
+            extract_blobs(labels, count), self.config.min_blob_area
+        )
         self.metrics.record_stage("blobs", perf_counter() - tick)
         return blobs
-
-    def extract_signature(self, image: np.ndarray, blob: Blob) -> BinarySignature:
-        """Colour histogram + mean-threshold binarisation for one blob."""
-        histogram = rgb_histogram(image, blob.mask, self.config.bins_per_channel)
-        bits = binarize_histogram(histogram, self.strategy)
-        return BinarySignature(bits=bits)
 
     def _frame_signatures(self, image: np.ndarray, blobs: list[Blob]) -> list[BinarySignature]:
         """Signatures for all of a frame's blobs.
 
-        The vectorized path histograms every silhouette in one
-        offset-``bincount`` call over the blobs' cropped masks; the oracle
-        path recomputes each blob's full-frame histogram separately.
+        Every silhouette is histogrammed in one offset-``bincount`` call
+        over the blobs' cropped masks, then binarised as one batch.
         """
-        if not self.config.vectorized:
-            return [self.extract_signature(image, blob) for blob in blobs]
         histograms = rgb_histogram_batch(
             image,
             [(blob.bounding_box, blob.crop_mask()) for blob in blobs],

@@ -2,7 +2,7 @@
 
 The FPGA earns its throughput by scoring one signature against all neurons
 in parallel; the software batch path earns its own by scoring *many
-signatures* against all neurons in one ``pairwise_masked_hamming`` call.
+signatures* against all neurons in one distance-kernel call.
 The scheduler's job is to manufacture those batches from a trickle of
 single-signature requests arriving from many camera streams:
 

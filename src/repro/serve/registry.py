@@ -106,10 +106,6 @@ class ModelRegistry:
         Shard routing policy: ``"round_robin"`` or ``"least_loaded"``.
     queue_capacity:
         Per-shard bounded queue size (the backpressure knob).
-    backend:
-        Distance-backend selection applied to each registered model's SOM
-        (when it supports pluggable backends); ``None`` keeps whatever the
-        model was built with.
     clock:
         Monotonic time source forwarded to the shards for trace
         timestamps, and the latency clock of a standalone registry's
@@ -126,7 +122,6 @@ class ModelRegistry:
         n_shards: int = 2,
         policy: str = "round_robin",
         queue_capacity: int = 8,
-        backend=None,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: Optional[FaultInjector] = None,
     ):
@@ -135,7 +130,6 @@ class ModelRegistry:
         self.n_shards = int(n_shards)
         self.policy = policy
         self.queue_capacity = int(queue_capacity)
-        self.backend = backend
         self._clock = clock
         self._injector = fault_injector
         self._breaker_gate: Optional[BreakerGate] = None
@@ -234,15 +228,13 @@ class ModelRegistry:
         return model
 
     def _prepare_for_serving(self, classifier: SomClassifier) -> SomClassifier:
-        """Apply the registry's backend choice and pre-warm the operands.
+        """Pre-warm the operands of the model's own distance backend.
 
         Shared by :meth:`register` and :meth:`swap` so neither path pays
         the operand-preparation cost inside a worker's critical path: the
         first micro-batch of a fresh registration and the first post-swap
         batch both score against already-prepared kernels.
         """
-        if self.backend is not None and hasattr(classifier.som, "set_backend"):
-            classifier.som.set_backend(self.backend)
         if hasattr(classifier.som, "warm_operands"):
             classifier.som.warm_operands()
         return classifier

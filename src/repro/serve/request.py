@@ -203,6 +203,7 @@ def resolve_requests(
     clock: Callable[[], float],
     stale: bool = False,
     shed: Optional[str] = None,
+    record: Optional[Callable[[list[ClassificationResponse]], None]] = None,
 ) -> list[ClassificationResponse]:
     """Settle every request of a batch, and its dedup followers, once.
 
@@ -215,10 +216,12 @@ def resolve_requests(
     primary's answer, marked ``deduplicated``, or its error.
 
     Every response is built before the first future is set, so a fault
-    while building leaves the batch unsettled for the caller to fail; the
-    traces are finished before the futures are set, so a caller woken by
-    ``result()`` can retrieve its complete trace.  Returns the responses
-    built: the primaries in request order, then the followers.
+    while building leaves the batch unsettled for the caller to fail.  The
+    traces are finished, and ``record`` (when given) is called with the
+    responses, before the futures are set, so a caller woken by
+    ``result()`` can retrieve its complete trace and finds its answer
+    counted.  Returns the responses built: the primaries in request
+    order, then the followers.
     """
     now = clock()
     if isinstance(outcome, BaseException):
@@ -257,9 +260,12 @@ def resolve_requests(
                 request.trace.span("cache", start=request.enqueued_at, end=now, hit=True,
                                    **({"stale": True} if stale else {}))
             request.trace.finish("ok", label=response.label, **attrs)
+    responses = [response for *_, response in settled]
+    if record is not None:
+        record(responses)
     for request, _, response in settled:
         request.pending.set_result(response)
-    return [response for *_, response in settled]
+    return responses
 
 
 def _response(

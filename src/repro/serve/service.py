@@ -111,11 +111,6 @@ class ServiceConfig:
     max_pending:
         Service-wide cap on admitted-but-unresolved requests; submissions
         beyond it are refused with :class:`ServiceOverloadedError`.
-    distance_backend:
-        Distance-backend selection applied to every registered model's SOM
-        (``"gemm"``, ``"packed"``, ``"naive"``, ``"auto"``, or a backend
-        instance); ``None`` keeps each model's own choice.  Only used when
-        the service builds its own registry.
     trace_sample_every:
         Trace every Nth request (``1`` = all, ``0`` = tracing off).  Only
         used when the service builds its own :class:`~repro.obs.Observability`;
@@ -153,7 +148,6 @@ class ServiceConfig:
     routing_policy: str = "round_robin"
     shard_queue_capacity: int = 8
     max_pending: int = 1024
-    distance_backend: Optional[str] = None
     trace_sample_every: int = 16
     default_deadline_s: Optional[float] = None
     retry: Optional[RetryPolicy] = None
@@ -222,7 +216,6 @@ class StreamingInferenceService:
             n_shards=self.config.n_shards,
             policy=self.config.routing_policy,
             queue_capacity=self.config.shard_queue_capacity,
-            backend=self.config.distance_backend,
             clock=clock,
             fault_injector=self.config.fault_injector,
         )
@@ -846,7 +839,11 @@ class StreamingInferenceService:
         if not isinstance(outcome, BaseException):
             try:
                 responses = resolve_requests(
-                    batch.requests, outcome, clock=self._clock, stale=stale
+                    batch.requests,
+                    outcome,
+                    clock=self._clock,
+                    stale=stale,
+                    record=self._count_responses,
                 )
             except Exception as error:
                 outcome = error
@@ -864,9 +861,6 @@ class StreamingInferenceService:
                 )
             resolve_requests(batch.requests, outcome, clock=self._clock, shed=reason)
             return
-        self._responses.inc(len(responses))
-        for response in responses:
-            self._latency.observe(response.latency_s)
         if shard is None:
             return  # a cache or stale-tier answer: nothing to memoise or mirror
         # Memoise under the generation lock: a request stamped with the
@@ -903,6 +897,12 @@ class StreamingInferenceService:
                 self._rollout.mirror_batch(batch, responses[: len(batch)])
             except Exception:  # pragma: no cover - mirroring must not fail
                 pass
+
+    def _count_responses(self, responses: list[ClassificationResponse]) -> None:
+        """Count answers and their latencies before their futures are set."""
+        self._responses.inc(len(responses))
+        for response in responses:
+            self._latency.observe(response.latency_s)
 
     def _on_shard_restart(self, model: str, shard_name: str, reason: str) -> None:
         """Supervisor hook: a dead/wedged worker was replaced."""

@@ -170,7 +170,8 @@ class WorkerShard:
         that had died instead leaves its claimed batch and the batches
         queued behind the sentinel unserved; no supervisor watches a
         stopped shard, so they are failed here with
-        :class:`~repro.errors.ShardFailedError`.
+        :class:`~repro.errors.ShardFailedError`, and the unread sentinel
+        is dropped so a later :meth:`start` gets a worker that serves.
         """
         if self._thread is None:
             return True
@@ -297,9 +298,11 @@ class WorkerShard:
 
         Used by model eviction: queued futures get a prompt, catchable
         error instead of hanging until their timeout.  Batches the worker
-        already pulled are unaffected (they complete normally); stop
-        sentinels found in the queue are preserved.  Returns the number of
-        requests failed.
+        already pulled are unaffected (they complete normally).  Stop
+        sentinels found in the queue are preserved while a worker is alive
+        to read them, and dropped otherwise, so a worker started later
+        does not exit on a sentinel meant for a dead one.  Returns the
+        number of requests failed.
         """
         drained: list[Optional[MicroBatch]] = []
         while True:
@@ -310,7 +313,8 @@ class WorkerShard:
         cancelled = 0
         for batch in drained:
             if batch is None:
-                self._queue.put(None)
+                if self.running:
+                    self._queue.put(None)
                 continue
             self._deliver(batch, error)
             cancelled += len(batch)

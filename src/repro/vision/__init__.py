@@ -12,15 +12,17 @@ implements that substrate from scratch:
 * :mod:`repro.vision.background` -- running-average background model
   (float32, updated in place) and frame differencing,
 * :mod:`repro.vision.morphology` -- separable binary erosion / dilation /
-  opening / closing used to clean the foreground mask (full-kernel
-  oracles retained as ``*_oracle``),
-* :mod:`repro.vision.connected_components` -- vectorized run-based
-  connected-components labelling, with the two-pass scalar union-find
-  labeller retained as its bit-exact oracle,
+  opening / closing used to clean the foreground mask,
+* :mod:`repro.vision.connected_components` -- run-based
+  connected-components labelling in array operations,
 * :mod:`repro.vision.blobs` -- single-pass blob extraction (silhouettes,
   bounding boxes, centroids) and the paper's minimum-size noise filter,
 * :mod:`repro.vision.tracker` -- a nearest-neighbour frame-to-frame tracker
   that maintains persistent object identities.
+
+Each stage has one implementation.  The seed implementations of the
+background, morphology, labelling and blob stages are kept as parity
+oracles in ``tests/oracles/vision.py``, outside the package.
 """
 
 from repro.vision.frame import Frame, VideoSequence
@@ -36,13 +38,9 @@ from repro.vision.morphology import (
     binary_erode,
     binary_open,
     binary_close,
-    binary_dilate_oracle,
-    binary_erode_oracle,
-    binary_open_oracle,
-    binary_close_oracle,
 )
 from repro.vision.connected_components import ConnectedComponentLabeller, label_components
-from repro.vision.blobs import Blob, extract_blobs, extract_blobs_oracle, filter_blobs_by_area
+from repro.vision.blobs import Blob, extract_blobs, filter_blobs_by_area
 from repro.vision.tracker import ObjectTracker, Track, TrackState
 
 __all__ = [
@@ -58,15 +56,10 @@ __all__ = [
     "binary_erode",
     "binary_open",
     "binary_close",
-    "binary_dilate_oracle",
-    "binary_erode_oracle",
-    "binary_open_oracle",
-    "binary_close_oracle",
     "ConnectedComponentLabeller",
     "label_components",
     "Blob",
     "extract_blobs",
-    "extract_blobs_oracle",
     "filter_blobs_by_area",
     "ObjectTracker",
     "Track",

@@ -12,16 +12,16 @@ with a per-pixel difference threshold:
 * a pixel is foreground when the maximum absolute difference over the RGB
   channels exceeds ``threshold``.
 
-In the default (``vectorized=True``) configuration the estimate is a
-float32 image updated **in place** through one preallocated scratch buffer,
-the differencing path reads the raw float estimate directly through
-:attr:`BackgroundModel.estimate_float`, and the per-pixel channel maximum
-is taken with two pairwise ``np.maximum`` calls (a reduction over the tiny
-contiguous channel axis is ~75x slower in numpy).  ``vectorized=False``
-retains the seed implementation -- float64 out-of-place EMA and a
+The estimate is a float32 image updated **in place** through one
+preallocated scratch buffer, the differencing path reads the raw float
+estimate directly through :attr:`BackgroundModel.estimate_float`, and the
+per-pixel channel maximum is taken with two pairwise ``np.maximum`` calls
+(a reduction over the tiny contiguous channel axis is ~75x slower in
+numpy).  The seed implementation -- a float64 out-of-place EMA and a
 differencing path that round-trips the estimate through a clipped uint8
-copy and back to int16 every frame -- as the reference the throughput
-benchmark measures the seed front-end with.
+copy and back to int16 every frame -- is kept in
+``tests/oracles/vision.py`` as the reference the update-semantics tests
+and the throughput benchmark's seed front-end use.
 """
 
 from __future__ import annotations
@@ -42,24 +42,15 @@ class BackgroundModel:
     selective:
         When ``True`` (default) only pixels classified as background are
         updated, so stationary foreground objects do not get absorbed.
-    vectorized:
-        ``True`` (default) keeps a float32 estimate updated in place;
-        ``False`` retains the seed's float64 out-of-place update.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 0.02,
-        selective: bool = True,
-        vectorized: bool = True,
-    ):
+    def __init__(self, learning_rate: float = 0.02, selective: bool = True):
         if not 0.0 < learning_rate <= 1.0:
             raise ConfigurationError(
                 f"learning_rate must lie in (0, 1], got {learning_rate}"
             )
         self.learning_rate = float(learning_rate)
         self.selective = bool(selective)
-        self.vectorized = bool(vectorized)
         self._estimate: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
@@ -90,10 +81,8 @@ class BackgroundModel:
 
     def initialise(self, image: np.ndarray) -> None:
         """Set the background estimate directly from a clean plate."""
-        image = self._validate(image)
-        dtype = np.float32 if self.vectorized else np.float64
-        self._estimate = image.astype(dtype)
-        self._scratch = np.empty_like(self._estimate) if self.vectorized else None
+        self._estimate = self._validate(image).astype(np.float32)
+        self._scratch = np.empty_like(self._estimate)
 
     def update(self, image: np.ndarray, foreground: np.ndarray | None = None) -> None:
         """Blend ``image`` into the estimate.
@@ -111,22 +100,13 @@ class BackgroundModel:
             self.initialise(image)
             return
         foreground = self._validate_foreground(foreground, image)
-        if self.vectorized:
-            # estimate += alpha * (image - estimate), masked, in place.
-            scratch = self._scratch
-            np.subtract(image, self._estimate, out=scratch, casting="unsafe")
-            np.multiply(scratch, np.float32(self.learning_rate), out=scratch)
-            if foreground is not None:
-                scratch[foreground] = 0.0
-            np.add(self._estimate, scratch, out=self._estimate)
-        else:
-            alpha = self.learning_rate
-            if foreground is not None:
-                blend = np.where(foreground[..., np.newaxis], 0.0, alpha)
-            else:
-                blend = alpha
-            image = image.astype(np.float64)
-            self._estimate = (1.0 - blend) * self._estimate + blend * image
+        # estimate += alpha * (image - estimate), masked, in place.
+        scratch = self._scratch
+        np.subtract(image, self._estimate, out=scratch, casting="unsafe")
+        np.multiply(scratch, np.float32(self.learning_rate), out=scratch)
+        if foreground is not None:
+            scratch[foreground] = 0.0
+        np.add(self._estimate, scratch, out=self._estimate)
 
     def _validate_foreground(
         self, foreground: np.ndarray | None, image: np.ndarray
@@ -159,10 +139,6 @@ class BackgroundSubtractor:
         declared foreground.
     learning_rate, selective:
         Forwarded to the underlying :class:`BackgroundModel`.
-    vectorized:
-        ``True`` (default) differences against the raw float estimate into
-        preallocated scratch; ``False`` retains the seed's uint8/int16
-        round trip (see the module docstring).
     """
 
     def __init__(
@@ -171,15 +147,11 @@ class BackgroundSubtractor:
         *,
         learning_rate: float = 0.02,
         selective: bool = True,
-        vectorized: bool = True,
     ):
         if threshold <= 0:
             raise ConfigurationError(f"threshold must be positive, got {threshold}")
         self.threshold = float(threshold)
-        self.vectorized = bool(vectorized)
-        self.model = BackgroundModel(
-            learning_rate=learning_rate, selective=selective, vectorized=vectorized
-        )
+        self.model = BackgroundModel(learning_rate=learning_rate, selective=selective)
         self._diff: np.ndarray | None = None
         self._channel_max: np.ndarray | None = None
 
@@ -197,13 +169,6 @@ class BackgroundSubtractor:
         if not self.model.initialised:
             self.model.initialise(image)
             return np.zeros(image.shape[:2], dtype=bool)
-        if not self.vectorized:
-            difference = np.abs(
-                image.astype(np.int16) - self.model.estimate.astype(np.int16)
-            ).max(axis=2)
-            foreground = difference > self.threshold
-            self.model.update(image, foreground)
-            return foreground
         estimate = self.model.estimate_float
         if self._diff is None or self._diff.shape != image.shape:
             self._diff = np.empty(image.shape, dtype=np.float32)

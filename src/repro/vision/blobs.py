@@ -11,9 +11,9 @@ of at least one.
 label image: areas come from ``np.bincount``, bounding boxes and centroids
 from segment reductions over the raster-sorted foreground coordinates
 (``np.minimum/maximum/add.reduceat``), instead of the seed's full-frame
-rescan per label (retained as :func:`extract_blobs_oracle`).  Blobs store
-only their *cropped* silhouette; the full-frame :attr:`Blob.mask` view is
-materialised lazily on first access and cached.
+rescan per label (kept as a parity oracle in ``tests/oracles/vision.py``).
+Blobs store only their *cropped* silhouette; the full-frame
+:attr:`Blob.mask` view is materialised lazily on first access and cached.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def extract_blobs(labels: np.ndarray, count: int | None = None) -> list[Blob]:
         :func:`repro.vision.connected_components.label_components`.
     count:
         Number of components; inferred from ``labels.max()`` when omitted.
-        Labels greater than ``count`` are ignored, matching the oracle.
+        Labels greater than ``count`` are ignored.
     """
     labels, count = _validate_labels(labels, count)
     if count == 0:
@@ -169,31 +169,6 @@ def extract_blobs(labels: np.ndarray, count: int | None = None) -> list[Blob]:
                 ),
                 frame_shape=frame_shape,
                 cropped=cropped,
-            )
-        )
-    return blobs
-
-
-def extract_blobs_oracle(labels: np.ndarray, count: int | None = None) -> list[Blob]:
-    """The seed's per-label full-frame rescan (parity oracle)."""
-    labels, count = _validate_labels(labels, count)
-    blobs: list[Blob] = []
-    for label in range(1, count + 1):
-        mask = labels == label
-        area = int(mask.sum())
-        if area == 0:
-            continue
-        rows, cols = np.nonzero(mask)
-        top, left = int(rows.min()), int(cols.min())
-        bottom, right = int(rows.max()) + 1, int(cols.max()) + 1
-        blobs.append(
-            Blob(
-                label=label,
-                area=area,
-                bounding_box=(top, left, bottom, right),
-                centroid=(float(rows.mean()), float(cols.mean())),
-                frame_shape=(int(labels.shape[0]), int(labels.shape[1])),
-                cropped=mask[top:bottom, left:right],
             )
         )
     return blobs

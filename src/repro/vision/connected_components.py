@@ -1,22 +1,20 @@
-"""Connected-components labelling: vectorized run-based CCL + two-pass oracle.
+"""Connected-components labelling: run-based CCL in array operations.
 
 Connected components analysis is the second stage of the paper's upstream
-pipeline (and the subject of the authors' companion FPGA paper [2]).  Two
-implementations live here:
+pipeline (and the subject of the authors' companion FPGA paper [2]).  Row
+runs are derived with shifted-array comparisons, inter-row run adjacencies
+become edges of an equivalence graph, the graph is resolved with an array
+union-find (min-label propagation with pointer jumping), and the final
+label image is produced by one ``np.take`` through the run-id image.
+Everything is O(pixels) numpy work with no per-pixel Python, which is what
+makes the 320x240 many-camera serving path feasible (see
+``BENCH_vision.json``).
 
-* the **vectorized run-based labeller** (the default): row runs are derived
-  with shifted-array comparisons, inter-row run adjacencies become edges of
-  an equivalence graph, the graph is resolved with an array union-find
-  (min-label propagation with pointer jumping), and the final label image
-  is produced by one ``np.take`` through the run-id image.  Everything is
-  O(pixels) numpy work with no per-pixel Python, which is what makes the
-  320x240 many-camera serving path feasible (see ``BENCH_vision.json``);
-* the classic **two-pass oracle** with a scalar union-find, retained
-  verbatim from the seed implementation.  It is bit-exact with the
-  vectorized path (identical label images, not merely equal up to
-  renumbering -- both number components by the raster position of their
-  first pixel) and is what the property tests and ``scripts/check_vision.py``
-  verify against.
+Components are numbered by the raster position of their first pixel.  The
+seed's two-pass per-pixel labeller with a scalar union-find is kept in
+``tests/oracles/vision.py``; the parity tests and
+``scripts/check_vision.py`` assert that it produces the identical label
+image.
 
 Both 4- and 8-connectivity are supported; the default is 8-connectivity,
 which is what silhouette extraction wants (diagonal limb pixels stay part
@@ -28,45 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by rank."""
-
-    def __init__(self) -> None:
-        self._parent: list[int] = []
-        self._rank: list[int] = []
-
-    def make_set(self) -> int:
-        """Create a new singleton set and return its element id."""
-        element = len(self._parent)
-        self._parent.append(element)
-        self._rank.append(0)
-        return element
-
-    def find(self, element: int) -> int:
-        """Return the representative of ``element``'s set (with compression)."""
-        root = element
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[element] != root:
-            self._parent[element], element = root, self._parent[element]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets containing ``a`` and ``b``; return the new root."""
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return root_a
-        if self._rank[root_a] < self._rank[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        if self._rank[root_a] == self._rank[root_b]:
-            self._rank[root_a] += 1
-        return root_a
-
-    def __len__(self) -> int:
-        return len(self._parent)
 
 
 def _validate_mask(mask: np.ndarray) -> np.ndarray:
@@ -106,7 +65,7 @@ def _resolve_equivalences(
             return labels
 
 
-def _label_vectorized(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
     """Run-based two-pass CCL in pure array operations."""
     height, width = mask.shape
     # A False separator column keeps runs from spanning row boundaries when
@@ -164,7 +123,7 @@ def _label_vectorized(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, 
 
     # Compact representatives to 1..count.  Run ids increase in raster
     # order and each component's root is its minimum run id, so ascending
-    # roots reproduce the oracle's first-pixel-in-raster-order numbering.
+    # roots number components by the raster order of their first pixels.
     component_roots = np.unique(roots[1:])
     remap = np.zeros(n_runs + 1, dtype=np.int64)
     remap[component_roots] = np.arange(1, component_roots.size + 1)
@@ -179,19 +138,14 @@ class ConnectedComponentLabeller:
     ----------
     connectivity:
         4 or 8 (default 8).
-    vectorized:
-        ``True`` (default) runs the run-based array implementation;
-        ``False`` runs the retained two-pass scalar oracle.  Both produce
-        identical label images.
     """
 
-    def __init__(self, connectivity: int = 8, vectorized: bool = True):
+    def __init__(self, connectivity: int = 8):
         if connectivity not in (4, 8):
             raise ConfigurationError(
                 f"connectivity must be 4 or 8, got {connectivity}"
             )
         self.connectivity = connectivity
-        self.vectorized = bool(vectorized)
 
     def label(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
         """Label ``mask``; returns ``(labels, count)``.
@@ -199,59 +153,9 @@ class ConnectedComponentLabeller:
         ``labels`` has the same shape as ``mask`` with background pixels 0
         and each connected foreground region numbered ``1..count``.
         """
-        mask = _validate_mask(mask)
-        if self.vectorized:
-            return _label_vectorized(mask, self.connectivity)
-        return self.label_oracle(mask)
-
-    def label_oracle(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
-        """The seed's per-pixel two-pass labeller (parity oracle)."""
-        mask = _validate_mask(mask)
-        height, width = mask.shape
-        provisional = np.zeros((height, width), dtype=np.int64)
-        uf = UnionFind()
-        uf.make_set()  # element 0 is the background label
-
-        if self.connectivity == 4:
-            neighbour_offsets = ((-1, 0), (0, -1))
-        else:
-            neighbour_offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
-
-        for row in range(height):
-            for col in range(width):
-                if not mask[row, col]:
-                    continue
-                neighbour_labels = []
-                for dy, dx in neighbour_offsets:
-                    nr, nc = row + dy, col + dx
-                    if 0 <= nr < height and 0 <= nc < width and provisional[nr, nc]:
-                        neighbour_labels.append(provisional[nr, nc])
-                if not neighbour_labels:
-                    provisional[row, col] = uf.make_set()
-                else:
-                    smallest = min(neighbour_labels)
-                    provisional[row, col] = smallest
-                    for other in neighbour_labels:
-                        uf.union(smallest, other)
-
-        # Second pass: map provisional labels to compact 1..n representatives.
-        representative_of: dict[int, int] = {}
-        labels = np.zeros((height, width), dtype=np.int64)
-        next_label = 0
-        rows, cols = np.nonzero(provisional)
-        for row, col in zip(rows, cols):
-            root = uf.find(int(provisional[row, col]))
-            label = representative_of.get(root)
-            if label is None:
-                next_label += 1
-                label = next_label
-                representative_of[root] = label
-            labels[row, col] = label
-        return labels, next_label
+        return _label_runs(_validate_mask(mask), self.connectivity)
 
 
-def label_components(
-    mask: np.ndarray, connectivity: int = 8, *, vectorized: bool = True
-) -> tuple[np.ndarray, int]:
+def label_components(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
     """Convenience wrapper: label ``mask`` and return ``(labels, count)``."""
-    return ConnectedComponentLabeller(connectivity, vectorized=vectorized).label(mask)
+    return ConnectedComponentLabeller(connectivity).label(mask)

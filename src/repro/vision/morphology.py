@@ -5,14 +5,14 @@ upstream pipeline (and essentially every surveillance system) cleans the
 mask with a morphological opening followed by a closing before connected
 components analysis.
 
-The production implementations are **separable**: a ``(2r+1)`` square
-structuring element is the Minkowski composition of a horizontal and a
-vertical ``(2r+1)`` segment, so dilation/erosion run as a row pass followed
-by a column pass -- ``O(r)`` shifted in-place OR/AND slice operations
-instead of the ``O(r^2)`` full-kernel sweep.  The seed's full-kernel
-implementations are retained as ``binary_dilate_oracle`` /
-``binary_erode_oracle``; the two agree bit-exactly on every mask and
-radius, which the property tests and ``scripts/check_vision.py`` enforce.
+The implementations are **separable**: a ``(2r+1)`` square structuring
+element is the Minkowski composition of a horizontal and a vertical
+``(2r+1)`` segment, so dilation/erosion run as a row pass followed by a
+column pass -- ``O(r)`` shifted in-place OR/AND slice operations instead of
+the ``O(r^2)`` full-kernel sweep.  The seed's full-kernel implementations
+are kept as parity oracles in ``tests/oracles/vision.py``; the two agree
+bit-exactly on every mask and radius, which the property tests and
+``scripts/check_vision.py`` enforce.
 
 Border semantics: pixels outside the frame are treated as **background for
 dilation** and **foreground for erosion**.  (The seed treated them as
@@ -124,61 +124,3 @@ def binary_close(
     scratch = np.empty_like(mask)
     _separable(mask, radius, erode=False, out=scratch)
     return _separable(scratch, radius, erode=True, out=out)
-
-
-# --------------------------------------------------------------------- #
-# Full-kernel oracles (the seed implementation, with the erosion border
-# fixed to match the separable path: outside-the-frame is foreground).
-# --------------------------------------------------------------------- #
-def _shifted(mask: np.ndarray, dy: int, dx: int, fill: bool) -> np.ndarray:
-    """Shift ``mask`` by (dy, dx), padding with ``fill``."""
-    result = np.full_like(mask, fill)
-    h, w = mask.shape
-    if abs(dy) >= h or abs(dx) >= w:
-        return result
-    src_y = slice(max(0, -dy), min(h, h - dy))
-    src_x = slice(max(0, -dx), min(w, w - dx))
-    dst_y = slice(max(0, dy), min(h, h + dy))
-    dst_x = slice(max(0, dx), min(w, w + dx))
-    result[dst_y, dst_x] = mask[src_y, src_x]
-    return result
-
-
-def binary_dilate_oracle(mask: np.ndarray, radius: int = 1) -> np.ndarray:
-    """O(r^2) full-kernel dilation (parity oracle for :func:`binary_dilate`)."""
-    mask = _validate_mask(mask)
-    radius = _validate_radius(radius)
-    if radius == 0:
-        return mask.copy()
-    result = mask.copy()
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
-                continue
-            result |= _shifted(mask, dy, dx, fill=False)
-    return result
-
-
-def binary_erode_oracle(mask: np.ndarray, radius: int = 1) -> np.ndarray:
-    """O(r^2) full-kernel erosion (parity oracle for :func:`binary_erode`)."""
-    mask = _validate_mask(mask)
-    radius = _validate_radius(radius)
-    if radius == 0:
-        return mask.copy()
-    result = mask.copy()
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
-                continue
-            result &= _shifted(mask, dy, dx, fill=True)
-    return result
-
-
-def binary_open_oracle(mask: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Full-kernel opening (parity oracle for :func:`binary_open`)."""
-    return binary_dilate_oracle(binary_erode_oracle(mask, radius), radius)
-
-
-def binary_close_oracle(mask: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Full-kernel closing (parity oracle for :func:`binary_close`)."""
-    return binary_erode_oracle(binary_dilate_oracle(mask, radius), radius)

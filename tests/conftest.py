@@ -7,8 +7,16 @@ modules can exercise realistic data.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The reference oracles live in tests/oracles/; put this directory on the
+# path so test modules import them as `oracles.<module>` under pytest's
+# importlib import mode.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.core import BinarySom, KohonenSom, SomClassifier
 from repro.datasets import make_signature_clusters, make_surveillance_dataset

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.distance import (
-    batch_binary_hamming,
-    batch_masked_hamming,
-    hamming_distance,
-    masked_hamming_distance,
-    pairwise_masked_hamming,
-)
+from repro.core import BinarySom
+from repro.core.backends import NaiveBackend
+from repro.core.distance import hamming_distance, masked_hamming_distance
 from repro.core.tristate import DONT_CARE
 from repro.errors import DataError, DimensionMismatchError
 
@@ -64,11 +60,18 @@ class TestMaskedHammingDistance:
             masked_hamming_distance(np.zeros(4, dtype=np.int8), np.zeros(5, dtype=np.int8))
 
 
-class TestBatchMaskedHamming:
+class TestNaiveBackendOracle:
+    """The batch oracle every other kernel is compared against."""
+
+    @staticmethod
+    def _batch(weights, x):
+        backend = NaiveBackend()
+        return backend.batch_one(backend.prepare(weights), x)
+
     def test_matches_scalar_version(self, rng):
         weights = rng.integers(0, 3, size=(10, 24)).astype(np.int8)
         x = rng.integers(0, 2, 24).astype(np.int8)
-        batch = batch_masked_hamming(weights, x)
+        batch = self._batch(weights, x)
         scalar = [masked_hamming_distance(row, x) for row in weights]
         assert batch.tolist() == scalar
 
@@ -76,47 +79,38 @@ class TestBatchMaskedHamming:
         weights = rng.integers(0, 2, size=(3, 16)).astype(np.int8)
         weights[1, :] = DONT_CARE
         x = rng.integers(0, 2, 16).astype(np.int8)
-        assert batch_masked_hamming(weights, x)[1] == 0
+        assert self._batch(weights, x)[1] == 0
 
-    def test_requires_matrix(self):
-        with pytest.raises(DataError):
-            batch_masked_hamming(np.zeros(4, dtype=np.int8), np.zeros(4, dtype=np.int8))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            batch_masked_hamming(np.zeros((2, 4), dtype=np.int8), np.zeros(5, dtype=np.int8))
-
-
-class TestBatchBinaryHamming:
-    def test_matches_plain_hamming(self, rng):
+    def test_binary_weights_match_plain_hamming(self, rng):
         weights = rng.integers(0, 2, size=(6, 20)).astype(np.int8)
         x = rng.integers(0, 2, 20).astype(np.int8)
-        batch = batch_binary_hamming(weights, x)
+        batch = self._batch(weights, x)
         assert batch.tolist() == [hamming_distance(row, x) for row in weights]
 
-    def test_rejects_tristate_weights(self):
-        weights = np.full((2, 4), DONT_CARE, dtype=np.int8)
-        with pytest.raises(DataError):
-            batch_binary_hamming(weights, np.zeros(4, dtype=np.int8))
-
-
-class TestPairwiseMaskedHamming:
-    def test_matches_batch_version(self, rng):
+    def test_pairwise_matches_batch_version(self, rng):
         weights = rng.integers(0, 3, size=(7, 32)).astype(np.int8)
         inputs = rng.integers(0, 2, size=(5, 32)).astype(np.int8)
-        matrix = pairwise_masked_hamming(weights, inputs)
+        backend = NaiveBackend()
+        matrix = backend.pairwise(backend.prepare(weights), inputs)
         assert matrix.shape == (5, 7)
         for i, x in enumerate(inputs):
-            assert matrix[i].tolist() == batch_masked_hamming(weights, x).tolist()
+            assert matrix[i].tolist() == self._batch(weights, x).tolist()
 
-    def test_rejects_non_binary_inputs(self, rng):
-        weights = rng.integers(0, 3, size=(3, 8)).astype(np.int8)
-        inputs = np.full((2, 8), 5)
+
+class TestMapBoundaryValidation:
+    """Batch queries are validated once, where they enter the map."""
+
+    def test_rejects_non_binary_inputs(self):
+        som = BinarySom(3, 8, seed=0)
         with pytest.raises(DataError):
-            pairwise_masked_hamming(weights, inputs)
+            som.distance_matrix(np.full((2, 8), 5))
 
-    def test_dimension_mismatch(self, rng):
-        weights = rng.integers(0, 3, size=(3, 8)).astype(np.int8)
-        inputs = rng.integers(0, 2, size=(2, 9)).astype(np.int8)
+    def test_batch_width_mismatch(self, rng):
+        som = BinarySom(3, 8, seed=0)
         with pytest.raises(DimensionMismatchError):
-            pairwise_masked_hamming(weights, inputs)
+            som.distance_matrix(rng.integers(0, 2, size=(2, 9)).astype(np.int8))
+
+    def test_single_input_length_mismatch(self):
+        som = BinarySom(2, 4, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            som.distances(np.zeros(5, dtype=np.int8))

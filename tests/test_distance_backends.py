@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import BinarySom, KohonenSom, SomClassifier
 from repro.core.backends import (
-    BACKEND_ENV_VAR,
     HAS_BITWISE_COUNT,
     GemmBackend,
     HybridBackend,
@@ -138,16 +137,13 @@ class TestSelection:
         with pytest.raises(ConfigurationError):
             make_backend("simd")
 
-    def test_resolve_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gemm")
-        assert resolve_backend(None).name == "gemm"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+    def test_resolve_default_is_auto(self):
         assert isinstance(resolve_backend(None), HybridBackend)
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert isinstance(resolve_backend(None), HybridBackend)
+        assert isinstance(resolve_backend("auto"), HybridBackend)
+        assert resolve_backend(" GEMM ").name == "gemm"
+        assert isinstance(BinarySom(8, 32, seed=0).backend, HybridBackend)
 
-    def test_explicit_instance_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gemm")
+    def test_explicit_instance_is_kept(self):
         backend = PackedBackend()
         assert resolve_backend(backend) is backend
 
@@ -268,23 +264,20 @@ class TestClassifierPackedPath:
 
 class TestValidationFastPath:
     def test_boundary_still_rejects_garbage(self):
-        from repro.core.distance import pairwise_masked_hamming
         from repro.signatures.packing import pack_bits
 
-        weights = np.zeros((2, 8), dtype=np.int8)
+        som = BinarySom(2, 8, seed=0)
         bad = np.full((1, 8), 7)
         with pytest.raises(DataError):
-            pairwise_masked_hamming(weights, bad)
+            som.distance_matrix(bad)
         with pytest.raises(DataError):
             pack_bits(np.full(8, 9))
 
     def test_fast_path_skips_the_scan(self):
-        from repro.core.distance import pairwise_masked_hamming
-
         rng = np.random.default_rng(1)
-        weights = rng.integers(0, 3, size=(4, 16), dtype=np.int8)
+        som = BinarySom(4, 16, seed=0)
         inputs = rng.integers(0, 2, size=(6, 16), dtype=np.int8)
         assert np.array_equal(
-            pairwise_masked_hamming(weights, inputs),
-            pairwise_masked_hamming(weights, inputs, validate=False),
+            som.distance_matrix(inputs),
+            som.distance_matrix(inputs, validate=False),
         )

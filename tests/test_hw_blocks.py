@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bsom import BsomUpdateRule
-from repro.core.distance import batch_masked_hamming
+from repro.core.backends import NaiveBackend
 from repro.core.tristate import TriStateWeights, random_tristate
 from repro.errors import ConfigurationError, DimensionMismatchError, HardwareModelError
 from repro.hw import ClockDomain
@@ -106,7 +106,8 @@ class TestHammingUnit:
         unit = HammingDistanceUnit(8, 32)
         x = rng.integers(0, 2, 32).astype(np.uint8)
         distances = unit.compute(x, value, care)
-        assert np.array_equal(distances, batch_masked_hamming(weights.values, x))
+        oracle = NaiveBackend()
+        assert np.array_equal(distances, oracle.batch_one(oracle.prepare(weights.values), x))
 
     def test_bit_serial_matches_vectorised(self, planes, rng):
         _, value, care, _, _ = planes

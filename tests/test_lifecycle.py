@@ -446,19 +446,13 @@ class TestApiFacade:
         assert repro.ModelSnapshot is ModelSnapshot
         assert repro.api is api
 
-    def test_deprecated_entry_points_warn_and_forward(self, tmp_path, cluster_data):
+    def test_pre_facade_entry_points_are_gone(self):
         import repro
-        from repro.core.serialization import load_model as canonical_load
 
-        X, y = cluster_data
-        with pytest.warns(DeprecationWarning, match="repro.api.save"):
-            save_model = repro.save_model
-        with pytest.warns(DeprecationWarning, match="repro.api.load"):
-            load_model = repro.load_model
-        assert load_model is canonical_load
-        classifier = api.train(X, y, n_neurons=8, epochs=2, seed=0)
-        loaded = load_model(save_model(classifier, tmp_path / "d.npz"))
-        np.testing.assert_array_equal(loaded.predict(X[:4]), classifier.predict(X[:4]))
+        # repro.api.save/load replace them; repro.core keeps the codec pair.
+        for removed in ("save_model", "load_model"):
+            assert not hasattr(repro, removed)
+            assert removed not in dir(repro)
 
 
 # --------------------------------------------------------------------- #

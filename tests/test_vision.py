@@ -24,7 +24,8 @@ from repro.vision import (
     label_components,
 )
 from repro.vision.background import BackgroundModel
-from repro.vision.connected_components import UnionFind
+
+from oracles.vision import UnionFind
 
 
 class TestFrameAndSequence:

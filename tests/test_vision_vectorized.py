@@ -1,15 +1,15 @@
 """Parity and property tests for the vectorized vision front-end.
 
-Every fast-path implementation added by the vectorization PR is checked
-against its retained scalar oracle on randomized inputs:
+Every array-level stage of :mod:`repro.vision` is checked against the seed
+implementation kept in ``tests/oracles/vision.py``, on randomized inputs:
 
 * run-based CCL vs the two-pass union-find labeller (both connectivities),
 * separable morphology vs the full-kernel shift oracle,
 * single-pass blob extraction vs the per-label full-frame rescan,
 * the batched offset-``bincount`` histogram vs per-blob ``rgb_histogram``,
 * the float32 in-place background model vs the seed's float64 semantics,
-* the end-to-end ``RecognitionSystem`` with ``vectorized=True`` vs
-  ``vectorized=False``.
+* the end-to-end ``RecognitionSystem`` vs ``SeedRecognitionSystem``, the
+  same system assembled from the oracles.
 
 Plus the erosion border-semantics regression (edge-touching silhouettes
 survive ``binary_open``) and the per-stage pipeline telemetry.
@@ -30,16 +30,23 @@ from repro.vision import (
     BackgroundModel,
     BackgroundSubtractor,
     binary_close,
-    binary_close_oracle,
     binary_dilate,
-    binary_dilate_oracle,
     binary_erode,
-    binary_erode_oracle,
     binary_open,
-    binary_open_oracle,
     extract_blobs,
-    extract_blobs_oracle,
     label_components,
+)
+
+from oracles.vision import (
+    SeedBackgroundModel,
+    SeedBackgroundSubtractor,
+    SeedRecognitionSystem,
+    binary_close_oracle,
+    binary_dilate_oracle,
+    binary_erode_oracle,
+    binary_open_oracle,
+    extract_blobs_oracle,
+    label_components_oracle,
 )
 
 
@@ -68,9 +75,7 @@ class TestConnectedComponentsParity:
     def test_random_masks_match_oracle(self, connectivity):
         for mask in _random_masks(seed=connectivity, n=60):
             fast, n_fast = label_components(mask, connectivity)
-            oracle, n_oracle = label_components(
-                mask, connectivity, vectorized=False
-            )
+            oracle, n_oracle = label_components_oracle(mask, connectivity)
             assert n_fast == n_oracle
             # Bit-exact, not merely equal up to renumbering: both paths
             # number components by first-pixel raster order.
@@ -89,7 +94,7 @@ class TestConnectedComponentsParity:
             top += 2
             right -= 2
         fast, n_fast = label_components(mask, connectivity)
-        oracle, n_oracle = label_components(mask, connectivity, vectorized=False)
+        oracle, n_oracle = label_components_oracle(mask, connectivity)
         assert n_fast == n_oracle
         assert np.array_equal(fast, oracle)
 
@@ -98,7 +103,7 @@ class TestConnectedComponentsParity:
         for shaped in (row, row.T):
             for connectivity in (4, 8):
                 fast, n = label_components(shaped, connectivity)
-                oracle, m = label_components(shaped, connectivity, vectorized=False)
+                oracle, m = label_components_oracle(shaped, connectivity)
                 assert n == m == 3
                 assert np.array_equal(fast, oracle)
 
@@ -263,8 +268,8 @@ class TestBackgroundFloatPath:
 
     def test_vectorized_update_tracks_seed_semantics(self):
         rng = np.random.default_rng(9)
-        fast = BackgroundModel(learning_rate=0.1, vectorized=True)
-        seed = BackgroundModel(learning_rate=0.1, vectorized=False)
+        fast = BackgroundModel(learning_rate=0.1)
+        seed = SeedBackgroundModel(learning_rate=0.1)
         plate = rng.integers(0, 256, size=(12, 14, 3), dtype=np.uint8)
         fast.initialise(plate)
         seed.initialise(plate)
@@ -282,8 +287,10 @@ class TestBackgroundFloatPath:
         background = np.full((20, 24, 3), 90, dtype=np.uint8)
         frame = background.copy()
         frame[4:12, 6:14] = (220, 40, 40)
-        for vectorized in (True, False):
-            subtractor = BackgroundSubtractor(threshold=25, vectorized=vectorized)
+        for subtractor in (
+            BackgroundSubtractor(threshold=25),
+            SeedBackgroundSubtractor(threshold=25),
+        ):
             subtractor.initialise(background)
             mask = subtractor.apply(frame)
             expected = np.zeros((20, 24), dtype=bool)
@@ -332,23 +339,22 @@ class TestPipelineParityAndTelemetry:
 
         classifier, live = pipeline_setup
         frames = list(live.frames(12))
-        observations = {}
-        for vectorized in (True, False):
-            system = RecognitionSystem(
-                classifier,
-                RecognitionSystemConfig(min_blob_area=120, vectorized=vectorized),
+        observations = []
+        for system_class in (RecognitionSystem, SeedRecognitionSystem):
+            system = system_class(
+                classifier, RecognitionSystemConfig(min_blob_area=120)
             )
-            # The background satellite fix intentionally changes threshold
-            # quantisation (float difference vs the seed's uint8 round
-            # trip), so pin both systems to the same subtractor semantics:
-            # this test asserts the morphology/CCL/blob/signature stages
-            # are bit-exact given identical foreground masks.
+            # The float background differencing intentionally changes
+            # threshold quantisation (vs the seed's uint8 round trip), so
+            # pin both systems to the same subtractor semantics: this test
+            # asserts the morphology/CCL/blob/signature stages are
+            # bit-exact given identical foreground masks.
             system.subtractor = BackgroundSubtractor(
-                threshold=system.config.difference_threshold, vectorized=True
+                threshold=system.config.difference_threshold
             )
             system.initialise_background(live.background)
-            observations[vectorized] = system.process_sequence(frames)
-        fast, oracle = observations[True], observations[False]
+            observations.append(system.process_sequence(frames))
+        fast, oracle = observations
         assert len(fast) > 0
         assert len(fast) == len(oracle)
         for a, b in zip(fast, oracle):
