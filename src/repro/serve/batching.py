@@ -15,7 +15,9 @@ Each registered model gets its own accumulation lane, because batches can
 only be scored by one classifier.  The scheduler is purely passive -- it
 never starts threads and owns no clock beyond the injectable ``clock``
 callable -- which keeps flush behaviour exactly testable; the service's
-dispatcher thread drives :meth:`due` off :meth:`next_deadline`.
+dispatcher thread drives :meth:`due` off :meth:`next_deadline`, and
+:meth:`~MicroBatchScheduler.submit` reports the submits that open a lane,
+the only ones that can bring that deadline forward.
 """
 
 from __future__ import annotations
@@ -126,16 +128,26 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------ #
     # Submission and flushing
     # ------------------------------------------------------------------ #
-    def submit(self, request: ClassificationRequest) -> Optional[MicroBatch]:
-        """Queue one request; returns a batch when it filled the lane."""
+    def submit(
+        self, request: ClassificationRequest
+    ) -> tuple[Optional[MicroBatch], bool]:
+        """Queue one request; returns ``(batch, opened)``.
+
+        ``batch`` is the cut batch when the request filled its lane, else
+        ``None``.  ``opened`` is whether the request went into an empty
+        lane: only such a submit starts a new deadline (a lane's deadline
+        runs from its oldest request), so it is the only one a dispatcher
+        waiting on :meth:`next_deadline` needs to hear about.
+        """
         with self._lock:
             lane = self._lanes.setdefault(request.model, [])
-            if not lane:
+            opened = not lane
+            if opened:
                 self._oldest[request.model] = self._clock()
             lane.append(request)
             if len(lane) >= self.batch_size:
-                return self._cut(request.model, "size")
-        return None
+                return self._cut(request.model, "size"), opened
+        return None, opened
 
     def due(self) -> list[MicroBatch]:
         """Cut every lane whose oldest request has exceeded the deadline."""

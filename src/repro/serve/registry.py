@@ -138,6 +138,7 @@ class ModelRegistry:
         self._groups: dict[str, ShardGroup] = {}
         self._classifiers: dict[str, SomClassifier] = {}
         self._routes: dict[str, TrafficRoute] = {}
+        self._pins: dict[str, int] = {}  # version -> routed draws not released
         self._started = False
         self._completion: CompletionCallback = self._default_completion
         self._retired: Optional[Callable[[str], None]] = None
@@ -421,12 +422,34 @@ class ModelRegistry:
         pass-through for the common no-canary case.  The returned name is
         what batches, cache keys and responses carry -- a request, once
         resolved, sticks to its version for its whole lifetime.
+
+        A draw of a version other than ``name`` *pins* that version until
+        the caller hands it to :meth:`release`, which it does once the
+        request is where a drain can see it.  The pin is taken under the
+        same lock :meth:`clear_route` takes, so after the route is cleared
+        :meth:`pinned` counts every request already resolved to the version
+        and can only fall.
         """
         with self._lock:
             route = self._routes.get(name)
             if route is None:
                 return name
-            return route.draw()
+            version = route.draw()
+            if version != name:
+                self._pins[version] = self._pins.get(version, 0) + 1
+            return version
+
+    def release(self, version: str) -> None:
+        """Drop one pin :meth:`resolve` took on ``version``."""
+        with self._lock:
+            left = self._pins.pop(version) - 1
+            if left:
+                self._pins[version] = left
+
+    def pinned(self, version: str) -> int:
+        """Requests resolved to ``version`` whose pin is not yet released."""
+        with self._lock:
+            return self._pins.get(version, 0)
 
     # ------------------------------------------------------------------ #
     # Lookup and routing

@@ -100,23 +100,30 @@ class ClassificationResponse:
 class PendingResult:
     """A minimal thread-safe future for one in-flight request.
 
-    ``concurrent.futures.Future`` would work, but this variant is a few
-    lines, cannot be cancelled half-way through a shard's resolve loop, and
-    keeps the serving layer dependency-free.  It settles exactly once: a
-    second ``set_result``/``set_exception`` raises
-    :class:`~repro.errors.ServiceError` instead of overwriting the answer.
+    It settles exactly once: a second ``set_result``/``set_exception``
+    raises :class:`~repro.errors.ServiceError` instead of overwriting the
+    answer, and it cannot be cancelled half-way through a shard's resolve
+    loop.  Every request builds one, so it is kept to one lock (the
+    *latch*) and a settled flag, where ``concurrent.futures.Future`` or a
+    ``threading.Event`` builds a condition, its lock and a waiter list, and
+    notifies under the condition lock on every settle.  The latch is held
+    from construction until the settle releases it; a waiter on an
+    unsettled future blocks acquiring it and releases it at once for the
+    next waiter, so every waiter wakes.
     """
 
-    __slots__ = ("_event", "_response", "_error")
+    __slots__ = ("_latch", "_settled", "_response", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
+        self._settled = False
         self._response: Optional[ClassificationResponse] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
         """Whether a response (or error) has been delivered."""
-        return self._event.is_set()
+        return self._settled
 
     def set_result(self, response: ClassificationResponse) -> None:
         self._settle(response, None)
@@ -128,16 +135,26 @@ class PendingResult:
         self, response: Optional[ClassificationResponse], error: Optional[BaseException]
     ) -> None:
         with _settle_lock:
-            if self._event.is_set():
+            if self._settled:
                 raise ServiceError("request already settled; a future settles once")
             self._response = response
             self._error = error
-            self._event.set()
+            self._settled = True
+        self._latch.release()
 
     def result(self, timeout: Optional[float] = None) -> ClassificationResponse:
-        """Block until the response arrives; re-raise shard-side errors."""
-        if not self._event.wait(timeout):
-            raise ResultTimeoutError(timeout)
+        """Block until the response arrives; re-raise shard-side errors.
+
+        ``timeout`` is in seconds (``None`` waits indefinitely, ``0`` only
+        polls); :class:`~repro.errors.ResultTimeoutError` when it runs out.
+        """
+        if not self._settled:
+            if self._latch.acquire(timeout=-1 if timeout is None else max(timeout, 0)):
+                self._latch.release()
+            elif not self._settled:
+                # Re-checked: after the settle, another waiter may hold
+                # the latch for the instant it takes to pass it on.
+                raise ResultTimeoutError(timeout)
         if self._error is not None:
             raise self._error
         assert self._response is not None

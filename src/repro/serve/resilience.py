@@ -34,6 +34,7 @@ gauges (``serve_breaker_state{model,shard}``), ``serve_retries_total``,
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -593,11 +594,15 @@ class ShardSupervisor:
                     self._on_disabled(model, shard.name, reason)
                 continue
             shard.abandon_current(error)
-            # Report the restart before the replacement can answer anything,
-            # so no answer from the new worker precedes its record.
+            # Reported once the restart is decided and before the
+            # replacement can answer anything, so no answer from the new
+            # worker precedes its record.  A shard whose stop() has begun
+            # (an evict racing this scan) is neither restarted nor reported.
+            announce = None
             if self._on_restart is not None:
-                self._on_restart(model, shard.name, reason)
-            shard.restart()
+                announce = functools.partial(self._on_restart, model, shard.name, reason)
+            if not shard.restart(announce):
+                continue
             restarted += 1
             self.restarts_performed += 1
         return restarted

@@ -734,26 +734,19 @@ class RolloutManager:
         self._stage_gauge(rollout.name, stage)
 
     def _drain_version(self, version: str) -> None:
-        """Wait for the canary's queued work to finish before eviction.
+        """Wait for the canary's routed work to finish before eviction.
 
         The route is already cleared, so no new request can resolve to the
-        version; what remains is whatever sits in its scheduler lane or
-        shard queues.  The deadline dispatcher cuts the lane within
-        ``max_delay_ms``, so polling until both are empty (bounded by
-        ``drain_timeout_s``) guarantees eviction fails nothing that was
-        already admitted.
+        version; what remains is every request already resolved to it: on
+        its way from the route to the lane, in the lane, or in a shard
+        queue.  The deadline dispatcher cuts the lane within
+        ``max_delay_ms``, so polling :meth:`StreamingInferenceService.drained`
+        (bounded by ``drain_timeout_s``) guarantees eviction fails nothing
+        that was routed to the version: each such request is answered by
+        it.
         """
-        service = self.service
         deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
-            try:
-                group = service.registry.group(version)
-            except UnknownModelError:
-                return
-            if service.scheduler.pending_count(version) == 0 and all(
-                shard.load == 0 for shard in group.shards
-            ):
-                return
+        while time.monotonic() < deadline and not self.service.drained(version):
             time.sleep(0.002)
 
     # ------------------------------------------------------------------ #

@@ -35,8 +35,11 @@ eviction bumps the model's *generation* so the settle step never
 memoises a prediction computed by a superseded map.
 
 A background dispatcher thread enforces the deadline flushes so a lone
-low-rate stream still sees bounded latency.  The service is a context
-manager: ``with StreamingInferenceService(...) as service: ...``.
+low-rate stream still sees bounded latency.  It sleeps until the earliest
+lane deadline and is woken only by a submit that opens a lane -- the one
+kind of submit that starts a deadline -- so its passes scale with
+batches, not with requests.  The service is a context manager:
+``with StreamingInferenceService(...) as service: ...``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
     ShardFailedError,
+    UnknownModelError,
 )
 from repro.obs import Observability
 from repro.serve.batching import MicroBatch, MicroBatchScheduler
@@ -212,7 +216,7 @@ class StreamingInferenceService:
         self.obs = obs if obs is not None else Observability(
             sample_every=self.config.trace_sample_every, clock=clock
         )
-        self.registry = registry or ModelRegistry(
+        self.registry = registry if registry is not None else ModelRegistry(
             n_shards=self.config.n_shards,
             policy=self.config.routing_policy,
             queue_capacity=self.config.shard_queue_capacity,
@@ -333,7 +337,8 @@ class StreamingInferenceService:
         # under this lock, and submit() enqueues under it, so no request can
         # reach the scheduler after stop() has drained the lanes (a stranded
         # request would leave its future unresolved until the caller's
-        # timeout).
+        # timeout).  Every batch also leaves its lane for a shard queue
+        # under it, so drained() never sees a batch between the two.
         self._state_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._wake = threading.Event()
@@ -375,8 +380,7 @@ class StreamingInferenceService:
             self._dispatcher.join(timeout)
             self._dispatcher = None
         # Push whatever is still buffered through the shards, then drain them.
-        for batch in self.scheduler.drain():
-            self._dispatch(batch)
+        self.flush()
         leaked = self.registry.stop(timeout)
         if leaked:
             self._shard_leaks.inc(len(leaked))
@@ -545,8 +549,30 @@ class StreamingInferenceService:
         # Canary routing: a logical name under an active traffic split
         # resolves to a concrete version here, once, so lanes, cache keys,
         # dedup keys and the response all carry the version that actually
-        # serves the request.  Unrouted names pass through untouched.
-        model = self.registry.resolve(model)
+        # serves the request.  Unrouted names pass through untouched.  A
+        # draw of another version pins it until this submit is done (the
+        # request is in its lane, in a shard queue or settled), so a
+        # teardown draining the version (drained) waits for it.
+        version = self.registry.resolve(model)
+        try:
+            return self._submit_resolved(
+                signature,
+                model=version,
+                stream_id=stream_id,
+                deadline_at=deadline_at,
+            )
+        finally:
+            if version != model:
+                self.registry.release(version)
+
+    def _submit_resolved(
+        self,
+        signature: np.ndarray,
+        *,
+        model: str,
+        stream_id: str,
+        deadline_at: Optional[float],
+    ) -> PendingResult:
         classifier = self.registry.classifier(model)  # raises UnknownModelError
         signature = np.asarray(signature)
         # Validate and pack exactly once: the uint64 words are both the
@@ -679,7 +705,7 @@ class StreamingInferenceService:
                 # with stop() below is refused, not accepted.
                 self._requests.inc()
                 self._cache_misses.inc()
-                full_batch = self.scheduler.submit(request)
+                full_batch, opened = self.scheduler.submit(request)
                 if full_batch is not None:
                     # Dispatch inside the lock so stop() cannot slip its
                     # shard shutdown sentinel in front of this batch.
@@ -690,8 +716,8 @@ class StreamingInferenceService:
             error = ServiceError("the service is not running; call start() first")
             self._settle(None, _alone(request), error)
             raise error
-        if full_batch is None:
-            self._wake.set()
+        if opened and full_batch is None:
+            self._wake.set()  # only a lane's first request starts a deadline
         return request.pending
 
     def submit_many(
@@ -764,8 +790,30 @@ class StreamingInferenceService:
 
     def flush(self) -> None:
         """Force-dispatch every buffered lane (bounded-latency barrier)."""
-        for batch in self.scheduler.drain():
-            self._dispatch(batch)
+        with self._state_lock:
+            for batch in self.scheduler.drain():
+                self._dispatch(batch)
+
+    def drained(self, model: str) -> bool:
+        """Whether nothing resolved to ``model`` is still on its way to a
+        shard, or queued or in flight on one.
+
+        True when no submit pins ``model`` (a routed draw not yet in its
+        lane), its scheduler lane is empty, and no shard of it holds a
+        batch.  A canary teardown polls this after clearing the version's
+        route: no request can resolve to the version after that, so once
+        this holds, evicting the version fails nothing routed to it.  Read
+        under the state lock, under which every batch leaves its lane for
+        a shard queue, so a batch between the two is never missed.
+        """
+        with self._state_lock:
+            if self.registry.pinned(model) or self.scheduler.pending_count(model):
+                return False
+            try:
+                shards = self.registry.group(model).shards
+            except UnknownModelError:
+                return True
+            return all(shard.load == 0 for shard in shards)
 
     # ------------------------------------------------------------------ #
     # Dispatch and completion
@@ -922,6 +970,12 @@ class StreamingInferenceService:
             self._board.record(model, shard_name, ok=False)
 
     def _dispatch_loop(self) -> None:
+        # Sleeps until the earliest lane deadline.  Only a submit that
+        # opens a lane sets _wake (and stop()): a request joining a lane
+        # cannot move that lane's deadline, which runs from its oldest
+        # request.  Every clear() is followed by a fresh next_deadline()
+        # read before the next wait, so a set that lands between a wait
+        # returning and its clear() is not lost: the read sees its lane.
         max_idle_wait = max(self.config.max_delay_ms / 1e3, 0.01)
         while not self._stop_event.is_set():
             deadline = self.scheduler.next_deadline()
@@ -933,8 +987,9 @@ class StreamingInferenceService:
             if remaining > 0:
                 self._wake.wait(timeout=remaining)
                 self._wake.clear()
-            for batch in self.scheduler.due():
-                self._dispatch(batch)
+            with self._state_lock:
+                for batch in self.scheduler.due():
+                    self._dispatch(batch)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -150,8 +150,8 @@ class WorkerShard:
     def start(self) -> None:
         if self._thread is not None and self._thread.is_alive():
             return
-        self._stopped = False
         with self._lock:
+            self._stopped = False
             epoch = self._epoch
         self._thread = threading.Thread(
             target=self._run, args=(epoch,), name=f"shard-{self.name}", daemon=True
@@ -175,9 +175,11 @@ class WorkerShard:
         """
         if self._thread is None:
             return True
-        self._stopped = True
+        with self._lock:
+            # From here on restart() refuses, so this is the last worker.
+            self._stopped = True
+            thread = self._thread
         self._queue.put(None)  # sentinel; everything queued before it drains
-        thread = self._thread
         thread.join(timeout)
         self._thread = None
         if thread.is_alive():
@@ -194,29 +196,40 @@ class WorkerShard:
         self.cancel_queued(error)
         return True
 
-    def restart(self) -> None:
+    def restart(self, announce: Optional[Callable[[], None]] = None) -> bool:
         """Replace the worker thread (supervisor recovery path).
 
         Bumps the epoch so the previous worker -- dead, or wedged and
         abandoned -- can never claim a batch or clobber busy-state again,
         then starts a fresh thread on the *same* queue, so batches queued
         behind the failure are re-dispatched automatically.
+
+        Returns ``False`` and does nothing once :meth:`stop` has begun.
+        The decision is taken under the shard lock, under which ``stop()``
+        marks the shard stopped and takes the thread it joins, so a
+        replacement is either joined by that ``stop()`` or never started.
+        ``announce`` is called once the restart is decided and before the
+        replacement starts, so it precedes every answer the replacement
+        gives; it runs under the shard lock and must not take it.
         """
         with self._lock:
+            if self._stopped:
+                return False
+            if announce is not None:
+                announce()
             self._epoch += 1
-            epoch = self._epoch
             self._current_batch = None
             self._busy_since = None
             self._in_flight = 0
-        self.restarts += 1
-        self._stopped = False
-        self._thread = threading.Thread(
-            target=self._run,
-            args=(epoch,),
-            name=f"shard-{self.name}-r{self.restarts}",
-            daemon=True,
-        )
-        self._thread.start()
+            self.restarts += 1
+            self._thread = threading.Thread(
+                target=self._run,
+                args=(self._epoch,),
+                name=f"shard-{self.name}-r{self.restarts}",
+                daemon=True,
+            )
+            self._thread.start()
+        return True
 
     def abandon_current(self, error: BaseException) -> int:
         """Fail the in-flight batch and invalidate the current worker.

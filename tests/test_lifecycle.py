@@ -415,6 +415,17 @@ class TestApiFacade:
         with service:
             assert service.classify("m", X[:2])
 
+    def test_serve_keeps_a_passed_registry_that_is_still_empty(self, cluster_data):
+        # An empty registry has length 0; the service must not mistake it
+        # for "no registry" and build its own with the default shard count.
+        X, y = cluster_data
+        snapshot = api.snapshot(api.train(X, y, n_neurons=16, epochs=4, seed=0))
+        registry = ModelRegistry(n_shards=3)
+        with api.serve({"m": snapshot}, registry=registry) as service:
+            assert service.registry is registry
+            assert len(registry.shard_names("m")) == 3
+            assert service.classify("m", X[:2])
+
     def test_swap_works_on_bare_registry(self, cluster_data):
         X, y = cluster_data
         registry = ModelRegistry(n_shards=1)

@@ -326,6 +326,95 @@ class TestAutoDemotionMidLoad:
 
 
 # --------------------------------------------------------------------- #
+# Canary teardown: a request keeps the version it resolved to
+# --------------------------------------------------------------------- #
+class TestCanaryTeardown:
+    """A request resolved to the canary before its route was cleared is
+    answered by the canary, never failed by the teardown's eviction.
+
+    Each test holds one such request in a window the teardown's drain used
+    to miss, demotes the rollout, gives an unguarded teardown time to evict
+    the version, then lets the request go on.
+    """
+
+    @staticmethod
+    def _canary(service, X) -> RolloutManager:
+        manager = service.enable_rollouts(
+            RolloutConfig(
+                policy=RolloutPolicy(
+                    min_samples=8, promote_agreement=0.5, demote_agreement=0.0
+                ),
+                canary_fraction=0.5,
+                split_seed=4,  # the split's first draw is the canary
+                rollback_on_breaker=False,
+            )
+        )
+        manager.begin("hall", _identical(_snap(service, "hall")))
+        service.classify("hall", X[:8])  # one mirrored batch: shadow -> canary
+        deadline = time.monotonic() + 10.0
+        while manager.status("hall").stage != "canary":
+            assert time.monotonic() < deadline, "the candidate never reached canary"
+            time.sleep(0.005)
+        return manager
+
+    @staticmethod
+    def _demote_while_held(manager, service, resume: threading.Event) -> None:
+        demoter = threading.Thread(target=manager.demote, args=("hall",))
+        demoter.start()
+        demoter.join(0.3)  # time for an unguarded teardown to evict the version
+        resume.set()
+        demoter.join(10.0)
+        assert not demoter.is_alive()
+        assert manager.status("hall") is None
+        assert "hall@v1" not in service.registry
+
+    def test_a_submit_between_route_and_lane_is_answered_by_the_canary(
+        self, service, cluster_data
+    ):
+        X, _ = cluster_data
+        manager = self._canary(service, X)
+        resolved, resume = threading.Event(), threading.Event()
+        lookup = service.cache.get
+
+        def held_lookup(model, key):
+            if model == "hall@v1":
+                resolved.set()
+                resume.wait(5.0)
+            return lookup(model, key)
+
+        service.cache.get = held_lookup
+        futures = []
+        submitter = threading.Thread(
+            target=lambda: futures.append(service.submit(X[8], model="hall"))
+        )
+        submitter.start()
+        assert resolved.wait(5.0), "the submit did not resolve to the canary"
+        self._demote_while_held(manager, service, resume)
+        submitter.join(5.0)
+        assert futures[0].result(5.0).model == "hall@v1"
+
+    def test_a_batch_between_lane_and_shard_is_answered_by_the_canary(
+        self, service, cluster_data
+    ):
+        X, _ = cluster_data
+        manager = self._canary(service, X)
+        cut, resume = threading.Event(), threading.Event()
+        route = service.registry.submit
+
+        def held_route(batch):
+            if batch.model == "hall@v1":
+                cut.set()
+                resume.wait(5.0)
+            return route(batch)
+
+        service.registry.submit = held_route
+        future = service.submit(X[8], model="hall")
+        assert cut.wait(5.0), "the canary lane was never cut"
+        self._demote_while_held(manager, service, resume)
+        assert future.result(5.0).model == "hall@v1"
+
+
+# --------------------------------------------------------------------- #
 # Promotion, the ring, and rollback
 # --------------------------------------------------------------------- #
 class TestPromotionAndRollback:

@@ -8,6 +8,7 @@ concurrent simulated camera streams (including the pipeline attachment).
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core import BinarySom, SomClassifier, save_model
 from repro.errors import (
     ConfigurationError,
     DataError,
+    ResultTimeoutError,
     ServiceError,
     ServiceOverloadedError,
     UnknownModelError,
@@ -32,7 +34,11 @@ from repro.serve import (
     StreamReport,
     drive_streams,
 )
-from repro.serve.request import ClassificationRequest, PendingResult
+from repro.serve.request import (
+    ClassificationRequest,
+    ClassificationResponse,
+    PendingResult,
+)
 from repro.serve.shard import ShardGroup
 from repro.signatures import signature_key
 
@@ -68,9 +74,9 @@ def _request(model: str = "m", bits: int = 16, fill: int = 0) -> ClassificationR
 class TestMicroBatchScheduler:
     def test_size_triggered_flush(self):
         scheduler = MicroBatchScheduler(batch_size=3, max_delay_s=10.0, clock=FakeClock())
-        assert scheduler.submit(_request(fill=0)) is None
-        assert scheduler.submit(_request(fill=1)) is None
-        batch = scheduler.submit(_request(fill=2))
+        assert scheduler.submit(_request(fill=0))[0] is None
+        assert scheduler.submit(_request(fill=1))[0] is None
+        batch, _ = scheduler.submit(_request(fill=2))
         assert batch is not None
         assert len(batch) == 3 and batch.flushed_by == "size"
         assert batch.fill_fraction == 1.0
@@ -103,9 +109,9 @@ class TestMicroBatchScheduler:
         clock = FakeClock()
         scheduler = MicroBatchScheduler(batch_size=2, max_delay_s=1.0, clock=clock)
         scheduler.submit(_request(model="a", fill=0))
-        batch = scheduler.submit(_request(model="b", fill=1))
+        batch, _ = scheduler.submit(_request(model="b", fill=1))
         assert batch is None  # two lanes, neither full
-        full = scheduler.submit(_request(model="a", fill=2))
+        full, _ = scheduler.submit(_request(model="a", fill=2))
         assert full is not None and full.model == "a"
         assert scheduler.pending_count("b") == 1
 
@@ -489,6 +495,11 @@ class TestPipelineAttachment:
 
 
 class TestPendingResult:
+    RESPONSE = ClassificationResponse(
+        label=1, neuron=0, distance=0.0, rejected=False, confidence=1.0,
+        model="m", stream_id="cam", request_id=0, cached=False, latency_s=0.0,
+    )
+
     def test_timeout_raises_service_error(self):
         pending = PendingResult()
         with pytest.raises(ServiceError):
@@ -499,6 +510,78 @@ class TestPendingResult:
         pending.set_exception(ValueError("boom"))
         with pytest.raises(ValueError):
             pending.result(0.1)
+
+    @pytest.mark.parametrize("timeouts", [(), (0, 0.01)])
+    def test_one_settle_wakes_every_waiter(self, timeouts):
+        # Waits that timed out on the unsettled future first must not keep
+        # the settle from the waiters after them.
+        pending = PendingResult()
+        for timeout in timeouts:
+            with pytest.raises(ResultTimeoutError):
+                pending.result(timeout)
+        answers = []
+        threads = [  # result() without a timeout: a waiter left behind hangs
+            threading.Thread(target=lambda: answers.append(pending.result()), daemon=True)
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)  # let them block on the unsettled future
+        pending.set_result(self.RESPONSE)
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [self.RESPONSE] * 8
+        assert pending.result(0) is self.RESPONSE
+
+
+class _CountingEvent(threading.Event):
+    def __init__(self) -> None:
+        super().__init__()
+        self.sets = 0
+
+    def set(self) -> None:
+        self.sets += 1
+        super().set()
+
+
+class TestDispatcherWakes:
+    def test_only_a_submit_that_opens_a_lane_wakes_the_dispatcher(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        # A frozen clock: no deadline ever comes due, so only flush() cuts.
+        config = ServiceConfig(batch_size=64, max_delay_ms=5.0, cache_capacity=0)
+        service = StreamingInferenceService(config=config, clock=FakeClock())
+        service.register_model("m", trained_bsom_classifier)
+        wake = service._wake = _CountingEvent()
+        with service:
+            futures = [service.submit(X[i], model="m") for i in range(10)]
+            assert wake.sets == 1
+            service.flush()
+            assert len([future.result(10.0) for future in futures]) == 10
+            service.submit(X[10], model="m")
+            assert wake.sets == 2
+
+    def test_a_lone_request_is_still_cut_by_its_deadline(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        config = ServiceConfig(batch_size=64, max_delay_ms=20.0, cache_capacity=0)
+        service = StreamingInferenceService(config=config)
+        service.register_model("m", trained_bsom_classifier)
+        cuts = []
+        route = service.registry.submit
+
+        def recording_submit(batch):
+            cuts.append(batch.flushed_by)
+            return route(batch)
+
+        service.registry.submit = recording_submit
+        with service:
+            for index in range(2):  # the second opens the lane the first left
+                service.submit(X[index], model="m").result(5.0)
+        assert cuts == ["deadline", "deadline"]
 
 
 class TestStreamReportLatencyAndShed:

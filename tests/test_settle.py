@@ -3,7 +3,8 @@
 Regression tests for outcomes that used to end requests inconsistently
 (a leaked pending budget, a mislabelled shed, a refused submit counted as
 accepted, batches stranded behind a dead worker, a restarted service
-whose worker exited on a stale stop sentinel, answers counted only after
+whose worker exited on a stale stop sentinel, a worker restarted on a
+shard group an eviction was tearing down, answers counted only after
 their callers saw them), then a hypothesis state machine that drives the
 service through submits, dedup, deadlines, swaps, evictions, rollouts,
 faults and stops, and checks the serve invariants after every step:
@@ -108,12 +109,15 @@ def _counter(service, name: str) -> float:
 # --------------------------------------------------------------------- #
 def test_a_future_settles_exactly_once():
     pending = PendingResult()
+    assert not pending.done()
     first = ValueError("first")
     pending.set_exception(first)
+    assert pending.done()
     with pytest.raises(ServiceError):
         pending.set_exception(ValueError("second"))
     with pytest.raises(ServiceError):
         pending.set_result(None)
+    assert pending.done()
     with pytest.raises(ValueError) as excinfo:
         pending.result(0.1)
     assert excinfo.value is first
@@ -162,8 +166,10 @@ def test_standalone_registry_settles_on_its_own_clock(trained_bsom_classifier):
 def test_racing_settles_have_exactly_one_winner():
     futures = [PendingResult() for _ in range(300)]
     wins = [0] * len(futures)
+    winners = [None] * len(futures)
     refusals = []
-    start = threading.Barrier(8)
+    seen: list[list] = [[], []]  # what each of two waiters got, in order
+    start = threading.Barrier(8 + len(seen))
 
     def settle_all(worker: int) -> None:
         start.wait(5.0)
@@ -174,11 +180,23 @@ def test_racing_settles_have_exactly_one_winner():
                 refusals.append(index)
             else:
                 wins[index] += 1  # only the winner writes this slot
+                winners[index] = worker
+
+    def wait_all(got: list) -> None:
+        start.wait(5.0)
+        for future in futures:
+            try:
+                future.result()  # no timeout: a missed wake-up hangs the waiter
+            except ValueError as error:
+                got.append(error.args[0])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=settle_all, args=(w,)) for w in range(8)]
+        threads += [
+            threading.Thread(target=wait_all, args=(got,), daemon=True) for got in seen
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -188,6 +206,7 @@ def test_racing_settles_have_exactly_one_winner():
     assert not any(thread.is_alive() for thread in threads)
     assert wins == [1] * len(futures)
     assert len(refusals) == 7 * len(futures)
+    assert seen == [winners, winners]  # every waiter saw the winning settle
 
 
 def test_answer_path_fault_fails_the_batch_and_returns_its_budget(
@@ -334,6 +353,48 @@ def test_a_service_restarted_after_a_worker_died_answers(trained_bsom_classifier
     with service:
         answer = service.submit(signature(1), model="m").result(2.0)
     assert answer.label == trained_bsom_classifier.predict(signature(1)[np.newaxis, :])[0]
+
+
+def test_a_scan_racing_an_evict_restarts_no_worker(trained_bsom_classifier):
+    # The supervisor lists a shard whose worker died, then evict_model
+    # stops the shard before the scan acts on it: the scan must not start
+    # a replacement on the torn-down group, which nothing would ever stop.
+    injector = FaultInjector(specs=[FaultSpec(SHARD_DEATH, max_fires=1)])
+    service = _service(
+        trained_bsom_classifier, injector=injector, batch_size=1,
+        supervisor=SupervisorConfig(interval_s=3600.0, hang_timeout_s=3600.0),
+    )
+    service.start()
+    held = service.submit(signature(0), model="m")  # the worker dies with it
+    _, shard = service.registry.iter_shards()[0]
+    deadline = time.monotonic() + 5.0
+    while shard.thread_alive and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert not shard.thread_alive
+    listed, resume = threading.Event(), threading.Event()
+    busy_seconds = shard.busy_seconds
+
+    def held_busy_seconds(now):
+        listed.set()  # the scan has passed its supervisable check
+        resume.wait(5.0)
+        return busy_seconds(now)
+
+    shard.busy_seconds = held_busy_seconds
+    restarts = []
+    scan = threading.Thread(target=lambda: restarts.append(service._supervisor.scan()))
+    scan.start()
+    try:
+        assert listed.wait(5.0)
+        service.evict_model("m")
+    finally:
+        resume.set()
+        scan.join(5.0)
+        service.stop()
+    assert restarts == [0]
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("shard-m/0-r")]
+    assert _counter(service, "serve_shard_restarts_total") == 0
+    with pytest.raises(ShardFailedError):
+        held.result(1.0)
 
 
 def test_responses_are_counted_before_their_futures_are_set(
