@@ -6,8 +6,7 @@ module does the same for the CPU-side vision front-end.  Every
 stage (background differencing, morphology, connected-components labelling,
 blob extraction, tracking, signature extraction, classification) plus the
 frame total, so operators can see exactly where a camera's frame budget
-goes and the throughput benchmark can attribute its speedups
-(``BENCH_vision.json`` commits a per-stage breakdown).
+goes.
 
 Like the serve layer's telemetry, this lives in a
 :class:`repro.obs.MetricRegistry`: stage timings are registry counters

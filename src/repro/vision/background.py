@@ -12,16 +12,24 @@ with a per-pixel difference threshold:
 * a pixel is foreground when the maximum absolute difference over the RGB
   channels exceeds ``threshold``.
 
-The estimate is a float32 image updated **in place** through one
-preallocated scratch buffer, the differencing path reads the raw float
-estimate directly through :attr:`BackgroundModel.estimate_float`, and the
-per-pixel channel maximum is taken with two pairwise ``np.maximum`` calls
-(a reduction over the tiny contiguous channel axis is ~75x slower in
-numpy).  The seed implementation -- a float64 out-of-place EMA and a
-differencing path that round-trips the estimate through a clipped uint8
-copy and back to int16 every frame -- is kept in
-``tests/oracles/vision.py`` as the reference the update-semantics tests
-and the throughput benchmark's seed front-end use.
+The estimate is a float32 image updated **in place**, and
+:meth:`BackgroundSubtractor.apply` processes a frame in three steps:
+
+1. the signed difference ``frame - estimate`` is computed once, into the
+   model's preallocated scratch buffer;
+2. its absolute value's per-pixel channel maximum, taken with two pairwise
+   ``np.maximum`` calls (a reduction over the tiny contiguous channel axis
+   is ~75x slower in numpy), is thresholded into the foreground mask;
+3. the same difference, scaled by ``alpha`` and with the foreground
+   pixels zeroed by flat index, is added to the estimate.
+
+:meth:`BackgroundModel.update` runs steps 1 and 3 on a caller's mask, and
+both paths reject a frame whose shape differs from the estimate's.  The
+seed implementation -- a float64 out-of-place EMA and a differencing path
+that round-trips the estimate through a clipped uint8 copy and back to
+int16 every frame -- is kept in ``tests/oracles/vision.py``, beside a
+float32 reference of the steps above that the update-semantics tests pin
+this module to bit for bit.
 """
 
 from __future__ import annotations
@@ -70,8 +78,7 @@ class BackgroundModel:
     def estimate_float(self) -> np.ndarray:
         """Raw float background estimate (read-only view, no quantisation).
 
-        This is what the differencing hot path consumes; mutate the model
-        only through :meth:`update` / :meth:`initialise`.
+        Mutate the model only through :meth:`update` / :meth:`initialise`.
         """
         if self._estimate is None:
             raise DataError("background model has not seen any frames yet")
@@ -99,14 +106,28 @@ class BackgroundModel:
         if self._estimate is None:
             self.initialise(image)
             return
-        foreground = self._validate_foreground(foreground, image)
-        # estimate += alpha * (image - estimate), masked, in place.
-        scratch = self._scratch
-        np.subtract(image, self._estimate, out=scratch, casting="unsafe")
-        np.multiply(scratch, np.float32(self.learning_rate), out=scratch)
-        if foreground is not None:
-            scratch[foreground] = 0.0
-        np.add(self._estimate, scratch, out=self._estimate)
+        difference = self._difference(image)
+        self._blend(difference, self._validate_foreground(foreground, image))
+
+    def _difference(self, image: np.ndarray) -> np.ndarray:
+        """Signed float32 ``image - estimate``, in the scratch buffer."""
+        if image.shape != self._estimate.shape:
+            raise DataError(
+                f"frame shape {image.shape} does not match the background "
+                f"estimate's {self._estimate.shape}"
+            )
+        np.subtract(image, self._estimate, out=self._scratch, casting="unsafe")
+        return self._scratch
+
+    def _blend(self, difference: np.ndarray, foreground: np.ndarray | None) -> None:
+        """``estimate += alpha * difference`` except on ``foreground``.
+
+        Works in place, and overwrites ``difference``.
+        """
+        np.multiply(difference, np.float32(self.learning_rate), out=difference)
+        if self.selective and foreground is not None:
+            difference.reshape(-1, 3)[np.flatnonzero(foreground)] = 0.0
+        np.add(self._estimate, difference, out=self._estimate)
 
     def _validate_foreground(
         self, foreground: np.ndarray | None, image: np.ndarray
@@ -152,7 +173,7 @@ class BackgroundSubtractor:
             raise ConfigurationError(f"threshold must be positive, got {threshold}")
         self.threshold = float(threshold)
         self.model = BackgroundModel(learning_rate=learning_rate, selective=selective)
-        self._diff: np.ndarray | None = None
+        self._magnitude: np.ndarray | None = None
         self._channel_max: np.ndarray | None = None
 
     def initialise(self, image: np.ndarray) -> None:
@@ -166,18 +187,18 @@ class BackgroundSubtractor:
         so calling :meth:`apply` frame after frame tracks lighting drift.
         """
         image = BackgroundModel._validate(image)
-        if not self.model.initialised:
-            self.model.initialise(image)
+        model = self.model
+        if not model.initialised:
+            model.initialise(image)
             return np.zeros(image.shape[:2], dtype=bool)
-        estimate = self.model.estimate_float
-        if self._diff is None or self._diff.shape != image.shape:
-            self._diff = np.empty(image.shape, dtype=np.float32)
+        difference = model._difference(image)
+        if self._magnitude is None or self._magnitude.shape != image.shape:
+            self._magnitude = np.empty(image.shape, dtype=np.float32)
             self._channel_max = np.empty(image.shape[:2], dtype=np.float32)
-        diff, channel_max = self._diff, self._channel_max
-        np.subtract(image, estimate, out=diff, casting="unsafe")
-        np.abs(diff, out=diff)
-        np.maximum(diff[:, :, 0], diff[:, :, 1], out=channel_max)
-        np.maximum(channel_max, diff[:, :, 2], out=channel_max)
+        magnitude, channel_max = self._magnitude, self._channel_max
+        np.abs(difference, out=magnitude)
+        np.maximum(magnitude[:, :, 0], magnitude[:, :, 1], out=channel_max)
+        np.maximum(channel_max, magnitude[:, :, 2], out=channel_max)
         foreground = channel_max > self.threshold
-        self.model.update(image, foreground)
+        model._blend(difference, foreground)
         return foreground

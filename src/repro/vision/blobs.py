@@ -7,13 +7,15 @@ values of theta < 1" in the binarisation equation, because a silhouette
 with at least as many pixels as histogram bins guarantees a mean bin count
 of at least one.
 
-:func:`extract_blobs` derives every blob of a frame in one pass over the
-label image: areas come from ``np.bincount``, bounding boxes and centroids
-from segment reductions over the raster-sorted foreground coordinates
-(``np.minimum/maximum/add.reduceat``), instead of the seed's full-frame
-rescan per label (kept as a parity oracle in ``tests/oracles/vision.py``).
-Blobs store only their *cropped* silhouette; the full-frame
-:attr:`Blob.mask` view is materialised lazily on first access and cached.
+:func:`extract_blobs` derives every blob of a frame from one flat scan of
+the label image: ``np.flatnonzero(labels > 0)`` gives the labelled pixels
+in raster order, a stable argsort groups them by label, and areas,
+bounding boxes and centroids fall out of segment reductions
+(``np.minimum/maximum/add.reduceat``) over the grouped rows and columns.
+The seed's full-frame rescan per label is kept as a parity oracle in
+``tests/oracles/vision.py``.  Blobs store only their *cropped* silhouette;
+the full-frame :attr:`Blob.mask` view is materialised lazily on first
+access and cached.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ def _validate_labels(labels: np.ndarray, count: int | None) -> tuple[np.ndarray,
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise DataError(f"expected a 2-D label image, got shape {labels.shape}")
+    if labels.dtype.kind not in "biu":
+        raise DataError(f"expected an integer label image, got dtype {labels.dtype}")
     if count is None:
         count = int(labels.max(initial=0))
     if count < 0:
@@ -99,31 +103,32 @@ def _validate_labels(labels: np.ndarray, count: int | None) -> tuple[np.ndarray,
 def extract_blobs(labels: np.ndarray, count: int | None = None) -> list[Blob]:
     """Build :class:`Blob` objects from a labelled component image.
 
-    One vectorized pass: foreground coordinates are grouped by label with a
-    stable argsort (which preserves raster order inside each group, so row
-    extrema are the group's first/last elements), then areas, bounding
-    boxes and centroid sums all fall out of segment reductions.
+    One vectorized pass: the flat indices of the labelled pixels are
+    grouped by label with a stable argsort (which preserves raster order
+    inside each group, so row extrema are the group's first/last elements),
+    then areas, bounding boxes and centroid sums all fall out of segment
+    reductions.
 
     Parameters
     ----------
     labels:
-        Integer label image from
-        :func:`repro.vision.connected_components.label_components`.
+        Integer (or boolean) label image from
+        :func:`repro.vision.connected_components.label_components`.  Other
+        dtypes raise :class:`~repro.errors.DataError`.
     count:
         Number of components; inferred from ``labels.max()`` when omitted.
-        Labels greater than ``count`` are ignored.
+        Labels below 1 or greater than ``count`` are ignored.
     """
     labels, count = _validate_labels(labels, count)
     if count == 0:
         return []
-    rows, cols = np.nonzero(labels)
-    if rows.size == 0:
+    pixels = np.flatnonzero(labels > 0)
+    if pixels.size == 0:
         return []
-    values = labels[rows, cols]
+    values = labels.ravel()[pixels]
     order = np.argsort(values, kind="stable")
     values = values[order]
-    rows = rows[order]
-    cols = cols[order]
+    rows, cols = np.divmod(pixels[order], labels.shape[1])
 
     boundaries = np.flatnonzero(values[1:] != values[:-1]) + 1
     starts = np.concatenate(([0], boundaries))

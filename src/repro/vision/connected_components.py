@@ -1,14 +1,19 @@
-"""Connected-components labelling: run-based CCL in array operations.
+"""Connected-components labelling over the mask's row runs.
 
 Connected components analysis is the second stage of the paper's upstream
-pipeline (and the subject of the authors' companion FPGA paper [2]).  Row
-runs are derived with shifted-array comparisons, inter-row run adjacencies
-become edges of an equivalence graph, the graph is resolved with an array
-union-find (min-label propagation with pointer jumping), and the final
-label image is produced by one ``np.take`` through the run-id image.
-Everything is O(pixels) numpy work with no per-pixel Python, which is what
-makes the 320x240 many-camera serving path feasible (see
-``BENCH_vision.json``).
+pipeline (and the subject of the authors' companion FPGA paper [2]).  The
+labeller works on the mask's horizontal runs, a few hundred per camera
+frame, rather than on its pixels:
+
+1. one transition scan over a zero-padded int8 copy of the mask finds
+   every run's start and end;
+2. each run is linked to the runs it touches in the row above with two
+   ``np.searchsorted`` calls over the run starts and ends;
+3. an array union-find (min-label propagation with pointer jumping)
+   resolves the links to one root run per component;
+4. the runs are painted into the int64 label image.
+
+Only the scan and the paint touch the whole frame.
 
 Components are numbered by the raster position of their first pixel.  The
 seed's two-pass per-pixel labeller with a scalar union-find is kept in
@@ -66,69 +71,50 @@ def _resolve_equivalences(
 
 
 def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
-    """Run-based two-pass CCL in pure array operations."""
+    """Run-list CCL: find row runs, link them, resolve, paint."""
     height, width = mask.shape
-    # A False separator column keeps runs from spanning row boundaries when
-    # the mask is flattened.
-    separated = np.zeros((height, width + 1), dtype=bool)
-    separated[:, :width] = mask
-    flat = separated.ravel()
-    if flat.size == 0:
-        return np.zeros((height, width), dtype=np.int64), 0
-    run_starts = np.empty_like(flat)
-    run_starts[0] = flat[0]
-    np.greater(flat[1:], flat[:-1], out=run_starts[1:])
-    n_runs = int(np.count_nonzero(run_starts))
+    # Zero columns on both sides of every row keep runs from spanning row
+    # boundaries in the flattened copy, so one transition scan finds them
+    # all; transitions alternate between run starts and run ends.
+    stride = width + 2
+    padded = np.zeros((height, stride), dtype=np.int8)
+    padded[:, 1 : width + 1] = mask
+    flat = padded.ravel()
+    transitions = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts, ends = transitions[0::2], transitions[1::2]
+    n_runs = starts.size
     if n_runs == 0:
         return np.zeros((height, width), dtype=np.int64), 0
 
-    # Per-pixel run ids (1..n_runs, background 0) from one cumulative sum;
-    # int32 halves the memory traffic of every pass below and comfortably
-    # holds any frame's run count.
-    run_image = np.cumsum(run_starts, dtype=np.int32)
-    np.multiply(run_image, flat, out=run_image)
-    run_image = run_image.reshape(height, width + 1)[:, :width]
+    # Positions are flat indices into the padded copy.  Run j touches run
+    # i from the row above when [starts[j], ends[j]) overlaps run i moved
+    # up one row (``- stride``) and, for 8-connectivity, widened by one
+    # column each way.  Starts and ends both ascend in raster order, so
+    # the runs that run i touches are the slice [lo, hi) of the run list;
+    # the padding columns keep every run of another row out of it.
+    reach = 1 if connectivity == 8 else 0
+    lo = np.searchsorted(ends, starts - (stride + reach), side="right")
+    hi = np.searchsorted(starts, ends - (stride - reach), side="left")
+    touches = hi - lo
+    n_links = int(touches.sum())
+    # Links are 1-based run ids: run i against each run in its slice.
+    link_a = np.repeat(np.arange(1, n_runs + 1), touches)
+    first = np.cumsum(touches) - touches
+    link_b = np.arange(1, n_links + 1) + np.repeat(lo - first, touches)
+    roots = _resolve_equivalences(n_runs, link_a, link_b)
 
-    # Inter-row adjacencies: a run in row r is equivalent to every run its
-    # pixels touch in row r-1 (directly above for 4-connectivity, plus the
-    # two diagonals for 8-connectivity).
-    upper, lower = run_image[:-1], run_image[1:]
-    aligned_pairs = [(lower, upper)]
-    if connectivity == 8 and width > 1:
-        aligned_pairs.append((lower[:, 1:], upper[:, :-1]))
-        aligned_pairs.append((lower[:, :-1], upper[:, 1:]))
-    edges_a, edges_b = [], []
-    for a, b in aligned_pairs:
-        both = np.logical_and(a, b)
-        pair_a = a[both]
-        pair_b = b[both]
-        # Two runs that overlap along k columns emit k consecutive copies
-        # of the same pair; dropping consecutive duplicates removes almost
-        # all redundancy in O(E) without a sort (the union-find tolerates
-        # the rare repeats that survive).
-        if pair_a.size > 1:
-            keep = np.empty(pair_a.size, dtype=bool)
-            keep[0] = True
-            np.logical_or(
-                pair_a[1:] != pair_a[:-1], pair_b[1:] != pair_b[:-1], out=keep[1:]
-            )
-            pair_a = pair_a[keep]
-            pair_b = pair_b[keep]
-        edges_a.append(pair_a)
-        edges_b.append(pair_b)
-    edge_a = np.concatenate(edges_a)
-    edge_b = np.concatenate(edges_b)
+    # Each component's root is its minimum run id, and run ids follow
+    # raster order, so numbering the roots in ascending order numbers the
+    # components by the raster position of their first pixels.
+    is_root = roots == np.arange(n_runs + 1)
+    number = np.cumsum(is_root) - 1
+    run_labels = number[roots[1:]]
 
-    roots = _resolve_equivalences(n_runs, edge_a, edge_b)
-
-    # Compact representatives to 1..count.  Run ids increase in raster
-    # order and each component's root is its minimum run id, so ascending
-    # roots number components by the raster order of their first pixels.
-    component_roots = np.unique(roots[1:])
-    remap = np.zeros(n_runs + 1, dtype=np.int64)
-    remap[component_roots] = np.arange(1, component_roots.size + 1)
-    run_to_label = remap[roots]
-    return run_to_label.take(run_image), int(component_roots.size)
+    # Paint: the mask's pixels in raster order are the runs' pixels in run
+    # order.
+    labels = np.zeros((height, width), dtype=np.int64)
+    labels[mask] = np.repeat(run_labels, ends - starts)
+    return labels, int(number[-1])
 
 
 class ConnectedComponentLabeller:

@@ -1,7 +1,8 @@
-"""The seed implementation of the vision front-end, kept as parity oracles.
+"""Reference implementations of the vision front-end, kept as parity oracles.
 
-Each definition here is the seed version of a stage that
-:mod:`repro.vision` implements with array-level numpy:
+Each definition here is a plain version of a stage that
+:mod:`repro.vision` implements with array-level numpy; all but the float32
+background references are the seed's:
 
 * :func:`label_components_oracle` -- the two-pass per-pixel labeller with a
   scalar union-find.  It numbers components by the raster position of
@@ -15,11 +16,13 @@ Each definition here is the seed version of a stage that
 * :class:`SeedBackgroundSubtractor` -- a float64 running average updated
   out of place, differenced through a clipped uint8 estimate and int16
   arithmetic;
+* :func:`float32_foreground_reference` and :func:`float32_blend_reference`
+  -- the production background step's float32 arithmetic written out of
+  place, which the in-place model must match bit for bit;
 * :class:`SeedRecognitionSystem` -- the figure-1 system assembled from the
   oracles above plus per-blob :func:`repro.signatures.rgb_histogram` and
   :func:`repro.signatures.binarize_histogram`.  It is what the end-to-end
-  parity test and ``benchmarks/test_vision_throughput.py`` compare the
-  production system against.
+  parity test compares the production system against.
 """
 
 from __future__ import annotations
@@ -265,6 +268,27 @@ class SeedBackgroundSubtractor(BackgroundSubtractor):
         foreground = difference > self.threshold
         self.model.update(image, foreground)
         return foreground
+
+
+def float32_foreground_reference(
+    estimate: np.ndarray, image: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Pixels whose largest channel difference from ``estimate`` exceeds
+    ``threshold``, in float32."""
+    return np.abs(image.astype(np.float32) - estimate).max(axis=2) > threshold
+
+
+def float32_blend_reference(
+    estimate: np.ndarray,
+    image: np.ndarray,
+    learning_rate: float,
+    foreground: np.ndarray,
+) -> np.ndarray:
+    """``estimate + alpha * (image - estimate)`` in float32, except on
+    ``foreground``, where the estimate is kept."""
+    step = (image.astype(np.float32) - estimate) * np.float32(learning_rate)
+    step[foreground] = 0.0
+    return estimate + step
 
 
 # --------------------------------------------------------------------- #

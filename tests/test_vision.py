@@ -121,6 +121,23 @@ class TestBackground:
             mask = subtractor.apply(drifted)
         assert not mask.any()
 
+    def test_update_rejects_a_frame_of_another_shape(self):
+        model = BackgroundModel()
+        plate = np.full((240, 320, 3), 100, dtype=np.uint8)
+        model.initialise(plate)
+        with pytest.raises(DataError):
+            model.update(np.zeros((1, 320, 3), dtype=np.uint8))
+        assert np.array_equal(model.estimate, plate)
+
+    @pytest.mark.parametrize("shape", [(120, 160, 3), (1, 320, 3)])
+    def test_apply_rejects_a_frame_of_another_shape(self, shape):
+        subtractor = BackgroundSubtractor()
+        plate = np.full((240, 320, 3), 100, dtype=np.uint8)
+        subtractor.initialise(plate)
+        with pytest.raises(DataError):
+            subtractor.apply(np.zeros(shape, dtype=np.uint8))
+        assert np.array_equal(subtractor.model.estimate, plate)
+
     def test_model_validation(self):
         with pytest.raises(ConfigurationError):
             BackgroundModel(learning_rate=0.0)

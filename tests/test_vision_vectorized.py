@@ -8,8 +8,10 @@ implementation kept in ``tests/oracles/vision.py``, on randomized inputs:
 * single-pass blob extraction vs the per-label full-frame rescan,
 * the batched offset-``bincount`` histogram vs per-blob ``rgb_histogram``,
 * the float32 in-place background model vs the seed's float64 semantics,
+  and bit for bit vs the float32 reference step,
 * the end-to-end ``RecognitionSystem`` vs ``SeedRecognitionSystem``, the
-  same system assembled from the oracles.
+  same system assembled from the oracles, on a small two-actor scene and
+  on the 320x240 five-actor entrance scene.
 
 Plus the erosion border-semantics regression (edge-touching silhouettes
 survive ``binary_open``) and the per-stage pipeline telemetry.
@@ -17,6 +19,9 @@ survive ``binary_open``) and the per-stage pipeline telemetry.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ConfigurationError, DataError
 from repro.pipeline import PIPELINE_STAGES, PipelineMetrics
@@ -27,8 +32,11 @@ from repro.signatures import (
     rgb_histogram_batch,
 )
 from repro.vision import (
+    ActorSpec,
     BackgroundModel,
     BackgroundSubtractor,
+    SceneConfig,
+    SyntheticSurveillanceScene,
     binary_close,
     binary_dilate,
     binary_erode,
@@ -46,20 +54,52 @@ from oracles.vision import (
     binary_erode_oracle,
     binary_open_oracle,
     extract_blobs_oracle,
+    float32_blend_reference,
+    float32_foreground_reference,
     label_components_oracle,
 )
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    """Renumber a label image by first raster appearance of each label."""
-    flat = labels.ravel()
-    seen: dict[int, int] = {}
-    out = np.zeros_like(flat)
-    for i, value in enumerate(flat):
-        if value == 0:
-            continue
-        out[i] = seen.setdefault(int(value), len(seen) + 1)
-    return out.reshape(labels.shape)
+def _two_actor_scene(seed: int) -> SyntheticSurveillanceScene:
+    actors = [
+        ActorSpec(0, torso_colour=(220, 30, 30), legs_colour=(40, 40, 60),
+                  height=40, width=18, speed=1.5, entry_row=25, colour_jitter=3.0),
+        ActorSpec(1, torso_colour=(30, 60, 220), legs_colour=(90, 90, 100),
+                  height=44, width=20, speed=-1.8, entry_row=30, colour_jitter=3.0),
+    ]
+    config = SceneConfig(
+        height=96, width=128, lighting_amplitude=3.0, camera_jitter_pixels=0,
+        pixel_noise_std=2.0, furniture_occluders=0, initial_pause_max_frames=0,
+    )
+    return SyntheticSurveillanceScene(actors=actors, config=config, seed=seed)
+
+
+def _entrance_scene(seed: int) -> SyntheticSurveillanceScene:
+    """The paper-scale 320x240 entrance with five actors."""
+    actors = [
+        ActorSpec(0, torso_colour=(210, 40, 40), legs_colour=(40, 40, 60),
+                  height=60, width=26, speed=2.0, entry_row=60, colour_jitter=3.0),
+        ActorSpec(1, torso_colour=(40, 70, 210), legs_colour=(90, 90, 100),
+                  height=64, width=28, speed=-2.4, entry_row=90, colour_jitter=3.0),
+        ActorSpec(2, torso_colour=(60, 180, 70), legs_colour=(40, 40, 45),
+                  height=62, width=27, speed=2.8, entry_row=130, colour_jitter=3.0),
+        ActorSpec(3, torso_colour=(230, 200, 60), legs_colour=(60, 50, 40),
+                  height=58, width=25, speed=-2.0, entry_row=40, colour_jitter=3.0),
+        ActorSpec(4, torso_colour=(150, 60, 170), legs_colour=(30, 30, 50),
+                  height=66, width=28, speed=2.4, entry_row=170, colour_jitter=3.0),
+    ]
+    config = SceneConfig(
+        height=240, width=320, lighting_amplitude=4.0, camera_jitter_pixels=0,
+        pixel_noise_std=2.0, furniture_occluders=0, initial_pause_max_frames=0,
+    )
+    return SyntheticSurveillanceScene(actors=actors, config=config, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def entrance_frames():
+    """The clean plate and 50 frames of a seeded entrance scene."""
+    scene = _entrance_scene(seed=5)
+    return scene.background, list(scene.frames(50))
 
 
 def _random_masks(seed: int, n: int):
@@ -70,18 +110,51 @@ def _random_masks(seed: int, n: int):
         yield rng.random((height, width)) < rng.random()
 
 
+def _dense_mask(shape, seed: int, density: float) -> np.ndarray:
+    return np.random.default_rng(seed).random(shape) < density
+
+
+def _assert_blobs_match(fast, oracle) -> None:
+    assert len(fast) == len(oracle)
+    for a, b in zip(fast, oracle):
+        assert a.label == b.label
+        assert a.area == b.area
+        assert a.bounding_box == b.bounding_box
+        assert a.centroid == b.centroid
+        assert a.frame_shape == b.frame_shape
+        assert np.array_equal(a.crop_mask(), b.crop_mask())
+        assert np.array_equal(a.mask, b.mask)
+
+
+_mask_shapes = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)
+#: Hypothesis picks pixels itself (sparse, shrinkable masks) or draws a
+#: dense random mask from a seed and a density.
+masks = st.one_of(
+    arrays(np.bool_, _mask_shapes),
+    st.builds(_dense_mask, _mask_shapes, st.integers(0, 2**32 - 1), st.floats(0, 1)),
+)
+
+
 class TestConnectedComponentsParity:
     @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_random_masks_match_oracle(self, connectivity):
-        for mask in _random_masks(seed=connectivity, n=60):
-            fast, n_fast = label_components(mask, connectivity)
-            oracle, n_oracle = label_components_oracle(mask, connectivity)
-            assert n_fast == n_oracle
-            # Bit-exact, not merely equal up to renumbering: both paths
-            # number components by first-pixel raster order.
-            assert np.array_equal(fast, oracle)
-            # Belt and braces: canonical renumbering also agrees.
-            assert np.array_equal(_canonical(fast), _canonical(oracle))
+    @settings(max_examples=60, deadline=None)
+    @given(mask=masks)
+    @example(mask=np.zeros((40, 40), dtype=bool))
+    @example(mask=np.ones((40, 40), dtype=bool))
+    @example(mask=np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool))
+    @example(mask=np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool).T)
+    @example(mask=np.eye(40, dtype=bool) | np.eye(40, dtype=bool)[::-1])
+    def test_random_masks_match_oracle(self, connectivity, mask):
+        fast, n_fast = label_components(mask, connectivity)
+        oracle, n_oracle = label_components_oracle(mask, connectivity)
+        # Bit-exact, not merely equal up to renumbering: both paths number
+        # components by first-pixel raster order.
+        assert n_fast == n_oracle
+        assert fast.dtype == oracle.dtype
+        assert np.array_equal(fast, oracle)
+        _assert_blobs_match(
+            extract_blobs(fast, n_fast), extract_blobs_oracle(fast, n_fast)
+        )
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_spiral_equivalence_chains(self, connectivity):
@@ -165,19 +238,21 @@ class TestMorphologyParity:
 
 class TestBlobParity:
     def test_random_label_images_match_oracle(self):
-        for i, mask in enumerate(_random_masks(seed=200, n=40)):
+        for mask in _random_masks(seed=200, n=40):
             labels, count = label_components(mask)
-            fast = extract_blobs(labels, count)
-            oracle = extract_blobs_oracle(labels, count)
-            assert len(fast) == len(oracle)
-            for a, b in zip(fast, oracle):
-                assert a.label == b.label
-                assert a.area == b.area
-                assert a.bounding_box == b.bounding_box
-                assert a.centroid == b.centroid
-                assert a.frame_shape == b.frame_shape
-                assert np.array_equal(a.crop_mask(), b.crop_mask())
-                assert np.array_equal(a.mask, b.mask)
+            _assert_blobs_match(
+                extract_blobs(labels, count), extract_blobs_oracle(labels, count)
+            )
+
+    def test_labels_below_one_are_ignored_like_oracle(self):
+        labels = np.array([[0, -1, -1, 0], [0, 0, 2, 2], [1, 0, 0, 0]])
+        fast = extract_blobs(labels)
+        _assert_blobs_match(fast, extract_blobs_oracle(labels))
+        assert [blob.label for blob in fast] == [1, 2]
+
+    def test_non_integer_label_image_is_rejected(self):
+        with pytest.raises(DataError):
+            extract_blobs(np.array([[0, 1.5, 1.5], [2.0, 0, 0]]))
 
     def test_count_caps_labels_like_oracle(self):
         labels = np.zeros((6, 6), dtype=np.int64)
@@ -282,6 +357,34 @@ class TestBackgroundFloatPath:
             fast.estimate_float, seed.estimate_float, rtol=0, atol=0.05
         )
 
+    def test_apply_matches_float32_reference_bit_for_bit(self, entrance_frames):
+        plate, frames = entrance_frames
+        subtractor = BackgroundSubtractor(threshold=28.0, learning_rate=0.02)
+        subtractor.initialise(plate)
+        estimate = plate.astype(np.float32)
+        for frame in frames:
+            foreground = float32_foreground_reference(estimate, frame.image, 28.0)
+            estimate = float32_blend_reference(estimate, frame.image, 0.02, foreground)
+            assert np.array_equal(subtractor.apply(frame.image), foreground)
+            assert np.array_equal(subtractor.model.estimate_float, estimate)
+
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_update_matches_float32_reference_bit_for_bit(
+        self, entrance_frames, selective
+    ):
+        plate, frames = entrance_frames
+        model = BackgroundModel(learning_rate=0.1, selective=selective)
+        model.initialise(plate)
+        estimate = plate.astype(np.float32)
+        for frame in frames:
+            foreground = np.zeros(plate.shape[:2], dtype=bool)
+            for mask in frame.truth_masks.values():
+                foreground |= mask
+            model.update(frame.image, foreground)
+            kept = foreground if selective else np.zeros_like(foreground)
+            estimate = float32_blend_reference(estimate, frame.image, 0.1, kept)
+            assert np.array_equal(model.estimate_float, estimate)
+
     def test_subtractor_paths_agree_on_clear_scenes(self):
         """Far from the threshold boundary, both paths segment identically."""
         background = np.full((20, 24, 3), 90, dtype=np.uint8)
@@ -299,29 +402,23 @@ class TestBackgroundFloatPath:
 
 
 class TestPipelineParityAndTelemetry:
-    @pytest.fixture(scope="class")
-    def pipeline_setup(self):
+    @pytest.fixture(
+        scope="class",
+        params=[
+            pytest.param((_two_actor_scene, 120), id="128x96-two-actors"),
+            pytest.param((_entrance_scene, 300), id="320x240-five-actors"),
+        ],
+    )
+    def pipeline_setup(self, request):
+        """Classifier trained on one scene, the live scene, min blob area."""
         from repro.core import BinarySom, SomClassifier
         from repro.signatures import extract_signature
-        from repro.vision import ActorSpec, SceneConfig, SyntheticSurveillanceScene
 
-        actors = [
-            ActorSpec(0, torso_colour=(220, 30, 30), legs_colour=(40, 40, 60),
-                      height=40, width=18, speed=1.5, entry_row=25,
-                      colour_jitter=3.0),
-            ActorSpec(1, torso_colour=(30, 60, 220), legs_colour=(90, 90, 100),
-                      height=44, width=20, speed=-1.8, entry_row=30,
-                      colour_jitter=3.0),
-        ]
-        config = SceneConfig(
-            height=96, width=128, lighting_amplitude=3.0, camera_jitter_pixels=0,
-            pixel_noise_std=2.0, furniture_occluders=0, initial_pause_max_frames=0,
-        )
-        scene = SyntheticSurveillanceScene(actors=actors, config=config, seed=1)
+        make_scene, min_area = request.param
         signatures, labels = [], []
-        for frame in scene.frames(50):
+        for frame in make_scene(1).frames(50):
             for identity, mask in frame.truth_masks.items():
-                if mask.sum() < 100:
+                if mask.sum() < min_area:
                     continue
                 signatures.append(extract_signature(frame.image, mask).bits)
                 labels.append(identity)
@@ -331,18 +428,17 @@ class TestPipelineParityAndTelemetry:
             epochs=6,
             seed=1,
         )
-        live = SyntheticSurveillanceScene(actors=actors, config=config, seed=2)
-        return classifier, live
+        return classifier, make_scene(2), min_area
 
     def test_vectorized_system_matches_oracle_system(self, pipeline_setup):
         from repro.pipeline import RecognitionSystem, RecognitionSystemConfig
 
-        classifier, live = pipeline_setup
+        classifier, live, min_area = pipeline_setup
         frames = list(live.frames(12))
         observations = []
         for system_class in (RecognitionSystem, SeedRecognitionSystem):
             system = system_class(
-                classifier, RecognitionSystemConfig(min_blob_area=120)
+                classifier, RecognitionSystemConfig(min_blob_area=min_area)
             )
             # The float background differencing intentionally changes
             # threshold quantisation (vs the seed's uint8 round trip), so
@@ -361,15 +457,15 @@ class TestPipelineParityAndTelemetry:
             assert a.frame_index == b.frame_index
             assert a.track_id == b.track_id
             assert a.label == b.label
-            assert a.blob.bounding_box == b.blob.bounding_box
+            _assert_blobs_match([a.blob], [b.blob])
             assert np.array_equal(a.signature.bits, b.signature.bits)
 
     def test_per_stage_telemetry_recorded(self, pipeline_setup):
         from repro.pipeline import RecognitionSystem, RecognitionSystemConfig
 
-        classifier, live = pipeline_setup
+        classifier, live, min_area = pipeline_setup
         system = RecognitionSystem(
-            classifier, RecognitionSystemConfig(min_blob_area=120)
+            classifier, RecognitionSystemConfig(min_blob_area=min_area)
         )
         system.initialise_background(live.background)
         frames = list(live.frames(6))
