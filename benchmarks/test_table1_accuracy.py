@@ -14,6 +14,11 @@ the bSOM.
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.eval import run_table1
@@ -23,6 +28,12 @@ from repro.eval.experiments import Table1Config
 BENCH_ITERATIONS = (10, 40, 120)
 BENCH_REPETITIONS = 3
 BENCH_NEURONS = 40
+
+_PIN_PATH = Path(__file__).resolve().parent.parent / "scripts" / "pin_reproduction.py"
+_spec = importlib.util.spec_from_file_location("pin_reproduction", _PIN_PATH)
+pin_reproduction = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = pin_reproduction
+_spec.loader.exec_module(pin_reproduction)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +76,12 @@ def test_table1_shape_bsom_wins_early_csom_wins_late(table1_result):
     last = table1_result.row(BENCH_ITERATIONS[-1])
     assert first.bsom_mean > first.csom_mean
     assert last.csom_mean >= last.bsom_mean - 0.03
+
+
+def test_table1_bsom_scores_match_golden(table1_result):
+    """The reduced Table I's bSOM scores equal ``tests/golden/training.json``."""
+    golden = json.loads(pin_reproduction.GOLDEN_PATH.read_text())
+    assert pin_reproduction.table1_pins(table1_result) == golden["table1"]
 
 
 def test_table1_accuracies_in_plausible_band(table1_result):

@@ -29,9 +29,9 @@ the opt-in empirical variant: it times the candidates on synthetic data of
 the actual map shape and picks the winner.
 
 :class:`PreparedOperandCache` holds each backend's prepared operands keyed
-on the SOM's weights-version counter, so classifiers, serve shards and the
-training loop reuse packed planes / GEMM operands across calls and
-invalidate exactly when training touches the weights.
+on the SOM's weights-version counter, so classifiers and serve shards reuse
+packed planes / GEMM operands across calls, and they invalidate exactly
+when training or ``set_weights`` changes the weights.
 """
 
 from __future__ import annotations
@@ -145,27 +145,24 @@ class PreparedOperandCache:
 
     Entries are keyed on the backend name and carry the weights-version
     counter they were prepared at.  :meth:`operands` returns a cached
-    entry only when its version matches the map's current one;
-    :meth:`note_rows_changed` lets the training loop migrate still-warm
-    entries across a weight update by patching just the touched neuron
-    rows (backends that cannot are dropped and re-prepared lazily).
+    entry only when its version matches the map's current one.  Every
+    weight change -- a training pass or ``set_weights`` -- drops all
+    entries (:meth:`invalidate`); the next query prepares afresh.
 
     Concurrency contract: single writer, and readers must not overlap an
     in-flight weight update.  This is the same discipline the raw weight
-    matrix has always required -- training mutates it in place, so a query
-    racing a ``partial_fit`` could already read a torn weight snapshot
-    before backends existed; ``update_rows`` patching cached planes in
-    place has identical semantics.  The version keys prevent *reuse of
-    stale operands across calls* (a query after training always sees
-    re-derived or migrated operands); they cannot protect a reader that
-    overlaps the update itself.  The stock deployments respect this:
-    serve shards share a classifier that is fitted before registration,
-    and the on-line learner classifies and trains sequentially in one
-    thread.
+    matrix has always required -- a training pass writes it back in place,
+    so a query racing a ``partial_fit`` can read a torn weight snapshot.
+    The version keys prevent *reuse of stale operands across calls* (a
+    query after training always sees re-derived operands); they cannot
+    protect a reader that overlaps the update itself.  The stock
+    deployments respect this: serve shards share a classifier that is
+    fitted before registration, and the on-line learner classifies and
+    trains sequentially in one thread.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[int, Any, DistanceBackend]] = {}
+        self._entries: dict[str, tuple[int, Any]] = {}
 
     def operands(self, backend: DistanceBackend, weights: np.ndarray, version: int):
         """Prepared operands for ``weights`` at ``version`` (cached or fresh)."""
@@ -173,25 +170,11 @@ class PreparedOperandCache:
         if entry is not None and entry[0] == version:
             return entry[1]
         operands = backend.prepare(weights)
-        self._entries[backend.name] = (version, operands, backend)
+        self._entries[backend.name] = (version, operands)
         return operands
 
-    def note_rows_changed(
-        self,
-        weights: np.ndarray,
-        rows: np.ndarray,
-        old_version: int,
-        new_version: int,
-    ) -> None:
-        """Migrate warm entries across an in-place update of ``weights[rows]``."""
-        for name, (version, operands, backend) in list(self._entries.items()):
-            if version == old_version and backend.update_rows(operands, weights, rows):
-                self._entries[name] = (new_version, operands, backend)
-            else:
-                del self._entries[name]
-
     def invalidate(self) -> None:
-        """Drop every entry (wholesale weight replacement)."""
+        """Drop every entry (the weights changed)."""
         self._entries.clear()
 
     def cached_versions(self) -> dict[str, int]:

@@ -17,14 +17,11 @@ Every backend exposes the same three-operation surface:
 * :meth:`DistanceBackend.pairwise` -- ``(n_samples, n_neurons)`` distances
   for a whole input batch (the serving layer's hot path).
 * :meth:`DistanceBackend.batch_one` -- ``(n_neurons,)`` distances for a
-  single input (the training-loop winner search).
+  single input.
 
-Backends that can patch their prepared operands in place after a training
-step touched a few neuron rows additionally implement
-:meth:`DistanceBackend.update_rows`; the bSOM uses it to keep the cached
-operands warm across ``partial_fit`` steps instead of re-deriving them from
-scratch (the software analogue of the FPGA updating individual BlockRAM
-words).
+Prepared operands are a snapshot of one weights version: training runs on
+its own packed planes and, at the end of each pass, drops every cached
+snapshot, so the next query prepares afresh.
 """
 
 from __future__ import annotations
@@ -69,15 +66,6 @@ class DistanceBackend(ABC):
     @abstractmethod
     def batch_one(self, prepared: Any, x: np.ndarray) -> np.ndarray:
         """``(n_neurons,)`` ``int64`` distances for one binary input vector."""
-
-    def update_rows(self, prepared: Any, weights: np.ndarray, rows: np.ndarray) -> bool:
-        """Patch ``prepared`` in place after ``weights[rows]`` changed.
-
-        Returns ``True`` when the operands were refreshed incrementally and
-        remain valid for the new weights; ``False`` when this backend cannot
-        (the caller must drop the cache entry and re-``prepare``).
-        """
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -64,14 +64,3 @@ class GemmBackend(DistanceBackend):
         distances = prepared.diff @ x.astype(np.float32)
         distances += prepared.ones_count
         return np.rint(distances).astype(np.int64)
-
-    def update_rows(
-        self, prepared: GemmOperands, weights: np.ndarray, rows: np.ndarray
-    ) -> bool:
-        touched = np.asarray(weights[rows], dtype=np.int8)
-        ones = touched == 1
-        diff = (touched == 0).astype(np.float32)
-        diff -= ones
-        prepared.diff[rows] = diff
-        prepared.ones_count[rows] = ones.sum(axis=1, dtype=np.int64)
-        return True

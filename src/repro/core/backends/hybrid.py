@@ -105,10 +105,3 @@ class HybridBackend(DistanceBackend):
         if prepared.gemm.diff.shape[0] >= _PACKED_ONE_MIN_NEURONS:
             return self._packed.batch_one(prepared.packed, x)
         return self._gemm.batch_one(prepared.gemm, x)
-
-    def update_rows(
-        self, prepared: HybridOperands, weights: np.ndarray, rows: np.ndarray
-    ) -> bool:
-        gemm_ok = self._gemm.update_rows(prepared.gemm, weights, rows)
-        packed_ok = self._packed.update_rows(prepared.packed, weights, rows)
-        return gemm_ok and packed_ok

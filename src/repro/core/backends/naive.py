@@ -8,9 +8,7 @@ cycle-accurate hardware model is tested against it; the GEMM and packed
 backends must agree with it bit for bit (asserted by the parity tests and
 the benchmark suite).
 
-Preparation is zero-copy: the "operands" are the weight matrix itself, so
-the prepared object stays valid even while training mutates the weights in
-place, and ``update_rows`` is a trivially-successful no-op.
+Preparation is zero-copy: the "operands" are the weight matrix itself.
 """
 
 from __future__ import annotations
@@ -59,10 +57,3 @@ class NaiveBackend(DistanceBackend):
         weights = prepared.weights
         mismatch = (weights != DONT_CARE) & (weights != np.asarray(x)[np.newaxis, :])
         return np.count_nonzero(mismatch, axis=1).astype(np.int64)
-
-    def update_rows(
-        self, prepared: NaiveOperands, weights: np.ndarray, rows: np.ndarray
-    ) -> bool:
-        # The operands alias the live weight matrix; nothing to refresh as
-        # long as the reference is the same array object.
-        return prepared.weights is weights

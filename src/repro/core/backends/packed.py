@@ -15,8 +15,9 @@ multiples of 64.  A 768-bit signature is 12 words instead of 768 float32
 lanes; per the measured grid in ``BENCH_distance.json`` that wins over the
 GEMM backend exactly where memory traffic (not BLAS throughput) dominates:
 single-signature queries and small batches against large maps -- the
-FPGA-shaped workload of classifying one silhouette at a time, and the
-bSOM training loop's winner search.
+FPGA-shaped workload of classifying one silhouette at a time.  The bSOM's
+training pass keeps the same planes neuron-major and updates them in place
+(:mod:`repro.core.bsom`).
 
 The planes are stored *word-major* (``(n_words, n_neurons)``): NumPy
 reduces over the leading axis with contiguous row adds, which makes the
@@ -197,16 +198,3 @@ class PackedBackend(DistanceBackend):
         return self._one_packed(
             prepared, pack_bits_to_words(np.asarray(x, dtype=np.uint8))
         )
-
-    # ------------------------------------------------------------------ #
-    # Incremental refresh
-    # ------------------------------------------------------------------ #
-    def update_rows(
-        self, prepared: PackedOperands, weights: np.ndarray, rows: np.ndarray
-    ) -> bool:
-        touched = np.asarray(weights[rows], dtype=np.int8)
-        care = touched != DONT_CARE
-        value = care & (touched == 1)
-        prepared.value_words[:, rows] = pack_bits_to_words(value).T
-        prepared.care_words[:, rows] = pack_bits_to_words(care).T
-        return True

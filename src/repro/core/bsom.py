@@ -47,8 +47,25 @@ ablation target:
 ``#`` bits are resolved towards the input) are retained as ablation
 settings via :class:`BsomUpdateRule`.
 
+Training on bit-planes
+----------------------
 All rules are single-pass, bit-parallel and need no multipliers, matching
-the hardware budget of the FPGA "neurons updating unit" (figure 4).
+the hardware budget of the FPGA "neurons updating unit" (figure 4), and
+training runs them the way that unit does: on the two weight bit-planes,
+a *care* plane ``c`` (``0`` on ``#``) and a *value* plane ``v``.  Each
+pass over the data packs the patterns and the planes into ``uint64``
+words (the layout :class:`~repro.core.backends.PackedBackend` scores), so
+the winner of pattern ``x`` is the argmin over neurons of
+``popcount((v ^ x) & c)``, and every rule is one word rule
+(:func:`~repro.core.tristate.tristate_update`) over a selection ``s``::
+
+    c' = (c & ~s) | (~(c & (v ^ x)) & s)
+    v' = (v & ~s) | (x & c' & s)
+
+with ``s`` all ones for the full rule, ``~c`` for the commit rule, and the
+packed draws ``random < neighbour_strength ** d`` for the stochastic rule
+(the same draws, in the same order, as a per-step ``int8`` update takes).
+The ``int8`` weights are written back once per pass.
 """
 
 from __future__ import annotations
@@ -63,7 +80,10 @@ from repro.core.backends import (
     DistanceBackend,
     PackedBackend,
     PreparedOperandCache,
+    pack_bits_to_words,
+    popcount_words,
     resolve_backend,
+    unpack_words_to_bits,
 )
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
 from repro.core.topology import (
@@ -72,11 +92,18 @@ from repro.core.topology import (
     StepwiseNeighbourhoodSchedule,
     Topology,
 )
-from repro.core.tristate import DONT_CARE, TriStateWeights, random_tristate
+from repro.core.tristate import (
+    DONT_CARE,
+    TriStateWeights,
+    random_tristate,
+    tristate_update,
+)
 from repro.errors import ConfigurationError
 
 _VALID_WINNER_RULES = ("full", "commit")
 _VALID_NEIGHBOUR_RULES = ("stochastic", "full", "commit")
+#: The full rule's selection: every bit of a packed word.
+_ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
 
 
 @dataclass(frozen=True)
@@ -116,30 +143,6 @@ class BsomUpdateRule:
             raise ConfigurationError(
                 f"neighbour_strength must lie in (0, 1], got {self.neighbour_strength}"
             )
-
-
-def _apply_full_rule(
-    rows: np.ndarray, x: np.ndarray, select: np.ndarray | None = None
-) -> None:
-    """Apply the full tri-state rule to ``rows`` in place.
-
-    When ``select`` is given (a boolean matrix of the same shape as
-    ``rows``), only the selected bits are updated -- this is how the
-    stochastic neighbourhood rule attenuates the update with grid distance.
-    """
-    dont_care = rows == DONT_CARE
-    mismatch = ~dont_care & (rows != x[np.newaxis, :])
-    if select is not None:
-        dont_care &= select
-        mismatch &= select
-    rows[dont_care] = np.broadcast_to(x, rows.shape)[dont_care]
-    rows[mismatch] = DONT_CARE
-
-
-def _apply_commit_rule(rows: np.ndarray, x: np.ndarray) -> None:
-    """Apply the commit-only rule to ``rows`` in place."""
-    dont_care = rows == DONT_CARE
-    rows[dont_care] = np.broadcast_to(x, rows.shape)[dont_care]
 
 
 class BinarySom(SelfOrganisingMap):
@@ -214,7 +217,9 @@ class BinarySom(SelfOrganisingMap):
         # hardware equivalent is an LFSR separate from the one used for
         # weight initialisation).
         self._update_rng = as_generator(rng.integers(0, 2**63 - 1))
-        self._neighbourhood_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._neighbourhood_cache: dict[
+            tuple[int, int], tuple[np.ndarray, np.ndarray]
+        ] = {}
         self._backend = resolve_backend(backend)
         # Fallback packed kernel for pre-packed (uint64 word) queries from
         # the serving layer when the main backend cannot take them
@@ -240,8 +245,7 @@ class BinarySom(SelfOrganisingMap):
                 f"{self.n_neurons} neurons of {self.n_bits} bits"
             )
         self._weights = wrapped.values.copy()
-        self._bump_weights_version()
-        self._operand_cache.invalidate()
+        self._note_weights_changed(1)
 
     # ------------------------------------------------------------------ #
     # Distance backend
@@ -284,16 +288,10 @@ class BinarySom(SelfOrganisingMap):
                 self._fallback_packed = PackedBackend()
             self._operands(self._fallback_packed)
 
-    def _note_weights_changed(self, rows: np.ndarray | None) -> None:
-        """Bump the weights version; keep warm operands warm when possible."""
-        old_version = self._weights_version
-        new_version = self._bump_weights_version()
-        if rows is None:
-            self._operand_cache.invalidate()
-        else:
-            self._operand_cache.note_rows_changed(
-                self._weights, rows, old_version, new_version
-            )
+    def _note_weights_changed(self, updates: int) -> None:
+        """Advance the weights version by ``updates``; drop cached operands."""
+        self._bump_weights_version(updates)
+        self._operand_cache.invalidate()
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -330,57 +328,62 @@ class BinarySom(SelfOrganisingMap):
     def _current_radius(self, iteration: int, total_iterations: int) -> int:
         return self.schedule.radius(iteration, total_iterations)
 
-    def _neighbourhood(self, winner: int, radius: int) -> np.ndarray:
+    def _neighbourhood(self, winner: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows a win updates, winner first, and each neighbour's
+        stochastic-rule probability ``neighbour_strength ** d``."""
         key = (winner, radius)
         cached = self._neighbourhood_cache.get(key)
         if cached is None:
-            cached = self.topology.neighbourhood(winner, radius)
+            members = self.topology.neighbourhood(winner, radius)
+            neighbours = members[members != winner]
+            grid_distances = np.array(
+                [self.topology.grid_distance(winner, int(j)) for j in neighbours],
+                dtype=np.float64,
+            )
+            probabilities = self.update_rule.neighbour_strength ** grid_distances
+            rows = np.concatenate(([winner], neighbours)).astype(np.intp)
+            cached = (rows, probabilities[:, np.newaxis])
             self._neighbourhood_cache[key] = cached
         return cached
 
-    def partial_fit(self, x: np.ndarray, iteration: int, total_iterations: int) -> int:
-        """Present one pattern: find the winner and update its neighbourhood."""
-        x = self._validate_input(x)
-        return self._train_one(x, iteration, total_iterations)
-
-    def _train_one(self, x: np.ndarray, iteration: int, total_iterations: int) -> int:
-        # Winner search against the cached backend operands: the per-step
-        # weight update below migrates the cache (patching only the touched
-        # rows), so consecutive training steps never re-derive the packed
-        # planes / GEMM operands from the full weight matrix.
-        distances = self._backend.batch_one(self._operands(), x)
-        winner = int(np.argmin(distances))
+    def _train_pass(
+        self, X: np.ndarray, order: np.ndarray, iteration: int, total_iterations: int
+    ) -> np.ndarray:
+        """Present ``X[order]`` on packed care/value planes (module docstring)."""
         radius = self.schedule.radius(iteration, total_iterations)
-        members = self._neighbourhood(winner, radius)
-
-        winner_row = self._weights[winner : winner + 1]
-        if self.update_rule.winner_rule == "full":
-            _apply_full_rule(winner_row, x)
-        else:
-            _apply_commit_rule(winner_row, x)
-
-        neighbours = members[members != winner]
-        if neighbours.size:
-            neighbour_rows = self._weights[neighbours]
-            rule = self.update_rule.neighbour_rule
-            if rule == "stochastic":
-                grid_distances = np.array(
-                    [self.topology.grid_distance(winner, int(j)) for j in neighbours],
-                    dtype=np.float64,
-                )
-                probabilities = self.update_rule.neighbour_strength ** grid_distances
-                select = (
-                    self._update_rng.random(size=neighbour_rows.shape)
-                    < probabilities[:, np.newaxis]
-                )
-                _apply_full_rule(neighbour_rows, x, select)
-            elif rule == "full":
-                _apply_full_rule(neighbour_rows, x)
-            else:
-                _apply_commit_rule(neighbour_rows, x)
-            self._weights[neighbours] = neighbour_rows
-        self._note_weights_changed(members)
-        return winner
+        winner_full = self.update_rule.winner_rule == "full"
+        neighbour_rule = self.update_rule.neighbour_rule
+        care = pack_bits_to_words(self._weights != DONT_CARE)
+        value = pack_bits_to_words(self._weights == 1)
+        winners = np.empty(len(order), dtype=np.int64)
+        for step, x in enumerate(pack_bits_to_words(X[order])):
+            winner = int(np.argmin(popcount_words((value ^ x) & care).sum(axis=1)))
+            winners[step] = winner
+            rows, probabilities = self._neighbourhood(winner, radius)
+            row_care = care[rows]
+            select = np.empty_like(row_care)
+            select[0] = _ALL_BITS if winner_full else ~row_care[0]
+            if rows.size > 1:
+                if neighbour_rule == "stochastic":
+                    draws = self._update_rng.random(size=(rows.size - 1, self.n_bits))
+                    select[1:] = pack_bits_to_words(draws < probabilities)
+                elif neighbour_rule == "full":
+                    select[1:] = _ALL_BITS
+                else:
+                    select[1:] = ~row_care[1:]
+            care[rows], value[rows] = tristate_update(row_care, value[rows], x, select)
+        # Back to int8 in place as value + DONT_CARE * (1 - care): a committed
+        # bit is its value, a '#' bit (value 0) is DONT_CARE.
+        committed = unpack_words_to_bits(care, self.n_bits)
+        values = unpack_words_to_bits(value, self.n_bits)
+        np.subtract(
+            values + DONT_CARE,
+            committed * DONT_CARE,
+            out=self._weights,
+            casting="unsafe",
+        )
+        self._note_weights_changed(len(order))
+        return winners
 
     # ------------------------------------------------------------------ #
     # Diagnostics

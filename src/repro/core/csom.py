@@ -169,12 +169,16 @@ class KohonenSom(SelfOrganisingMap):
     def _current_radius(self, iteration: int, total_iterations: int) -> int:
         return self.schedule.radius(iteration, total_iterations)
 
-    def partial_fit(self, x: np.ndarray, iteration: int, total_iterations: int) -> int:
-        """Present one pattern and apply the Kohonen update."""
-        x = self._validate_input(x)
-        return self._train_one(x, iteration, total_iterations)
+    def _train_pass(
+        self, X: np.ndarray, order: np.ndarray, iteration: int, total_iterations: int
+    ) -> np.ndarray:
+        return np.array(
+            [self._train_one(X[i], iteration, total_iterations) for i in order],
+            dtype=np.int64,
+        )
 
     def _train_one(self, x: np.ndarray, iteration: int, total_iterations: int) -> int:
+        """Present one pattern and apply the Kohonen update."""
         x_real = x.astype(np.float64)
         diff_all = self._weights - x_real[np.newaxis, :]
         distances = np.einsum("ij,ij->i", diff_all, diff_all)

@@ -204,8 +204,7 @@ class DeltaSnapshot:
     """A model update expressed as touched neuron rows against a base.
 
     The on-line learner updates only the rows of the winning neuron and its
-    neighbours per observation (the same locality the operand cache exploits
-    for incremental migration), so between two nearby weights-versions most
+    neighbours per observation, so between two nearby weights-versions most
     of the matrix is unchanged.  A delta ships just the changed rows plus
     the full (small) labelling and rejection state, and records a CRC32 of
     the *complete* materialised weight matrix: :meth:`apply` patches the

@@ -12,6 +12,14 @@ evaluation harness and the FPGA model can treat them interchangeably:
 * ``distances(x)`` -- the dissimilarity of every neuron to ``x``,
 * ``winner(x)`` -- the index of the best-matching unit.
 
+Both training calls validate their input once and hand it to one hook,
+``_train_pass(X, order, iteration, total_iterations)``.  It presents the
+rows ``X[order]`` one at a time, updating the map after each, advances the
+weights version by one per pattern and returns the winners.  ``fit`` calls
+it once per epoch with that epoch's presentation order, ``partial_fit``
+with a one-row pass.  The bSOM runs a pass on packed bit-planes; the cSOM
+loops its per-pattern Kohonen step.
+
 :class:`TrainingHistory` records per-epoch summary statistics so examples
 and the EXPERIMENTS write-up can show how quickly each map converges.
 """
@@ -137,8 +145,19 @@ class SelfOrganisingMap(ABC):
     # Training
     # ------------------------------------------------------------------ #
     @abstractmethod
+    def _train_pass(
+        self, X: np.ndarray, order: np.ndarray, iteration: int, total_iterations: int
+    ) -> np.ndarray:
+        """Present the validated ``int8`` rows ``X[order]`` one at a time
+        during ``iteration``; returns each presentation's winner."""
+
     def partial_fit(self, x: np.ndarray, iteration: int, total_iterations: int) -> int:
         """Present a single pattern; returns the winning neuron index."""
+        x = self._validate_input(x)
+        winners = self._train_pass(
+            x[np.newaxis, :], np.zeros(1, dtype=np.intp), iteration, total_iterations
+        )
+        return int(winners[0])
 
     def fit(
         self,
@@ -178,8 +197,7 @@ class SelfOrganisingMap(ABC):
         n_samples = X.shape[0]
         for epoch in range(epochs):
             order = rng.permutation(n_samples) if shuffle else np.arange(n_samples)
-            for sample_index in order:
-                self.partial_fit(X[sample_index], epoch, epochs)
+            self._train_pass(X, order, epoch, epochs)
             self._trained_epochs += 1
             if record_history:
                 radius = self._current_radius(epoch, epochs)
@@ -211,8 +229,8 @@ class SelfOrganisingMap(ABC):
         """
         return self._weights_version
 
-    def _bump_weights_version(self) -> int:
-        self._weights_version += 1
+    def _bump_weights_version(self, updates: int = 1) -> int:
+        self._weights_version += int(updates)
         return self._weights_version
 
     def _restore_weights_version(self, version: int) -> None:

@@ -11,7 +11,9 @@ sentinel value :data:`DONT_CARE` (2) for ``#``.  The FPGA BlockRAM model in
 and a care plane); :meth:`TriStateWeights.to_bitplanes` /
 :meth:`TriStateWeights.from_bitplanes` convert between the two layouts and
 are exercised by the hardware tests to keep software and hardware views
-consistent.
+consistent.  :func:`tristate_update` is the one bit-parallel update rule
+over those planes; the software map's training pass and the hardware
+model's neighbourhood block both call it.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ class TriStateWeights:
     Notes
     -----
     The class is a thin, validated wrapper over the underlying ``int8``
-    array; the training loops in :mod:`repro.core.bsom` operate on
-    :attr:`values` directly for speed, while tests and the hardware model
-    use the richer helpers here.
+    array; training in :mod:`repro.core.bsom` works on packed bit-planes
+    of the map's raw array (:func:`tristate_update`), while tests and the
+    hardware model use the richer helpers here.
     """
 
     def __init__(self, values: np.ndarray):
@@ -164,6 +166,36 @@ class TriStateWeights:
         if len(lengths) != 1:
             raise DataError("all neuron strings must have the same length")
         return cls(np.array(parsed, dtype=np.int8))
+
+
+def tristate_update(
+    care: np.ndarray, value: np.ndarray, x: np.ndarray, select: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the tri-state rule to the selected bits of (care, value) planes.
+
+    Returns the new planes; the inputs are not modified::
+
+        c' = (c & ~s) | (~(c & (v ^ x)) & s)
+        v' = (v & ~s) | (x & c' & s)
+
+    On a selected bit (``s`` set) a committed bit equal to the input stays,
+    a committed bit that differs becomes ``#``, and a ``#`` bit commits to
+    the input; unselected bits keep their state.  The selection picks the
+    rule: every bit for the full rule, ``~c`` (the ``#`` bits) for the
+    commit rule, and a random subset for the stochastic neighbour rule.
+
+    The planes may be ``0``/``1`` arrays, one bit per element (``s`` then
+    ``0``/``1`` too), or packed ``uint64`` words.  ``x`` is the input in the
+    same layout and broadcasts against the rows of the planes.  Packed
+    padding bits need no mask: the input's and the value plane's padding
+    is zero, so a padding bit never mismatches, whatever the care plane
+    holds there, and unpacking drops it.
+    """
+    mismatch = care & (value ^ x)
+    keep = ~select
+    new_care = (care & keep) | (~mismatch & select)
+    new_value = (value & keep) | (x & new_care & select)
+    return new_care, new_value
 
 
 def tristate_from_binary(bits: np.ndarray) -> TriStateWeights:

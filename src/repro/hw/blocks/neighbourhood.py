@@ -8,10 +8,12 @@ size of the neighbourhood is set to 4."
 The block applies the same tri-state rules as the software bSOM
 (:mod:`repro.core.bsom`) to the weight bit-planes held in BlockRAM: the full
 rule for the winner and -- by default -- the stochastically attenuated rule
-for neighbours, driven by an LFSR-derived bit stream in place of the
-software generator.  The update walks the weight vectors bit-serially, so it
-charges one cycle per bit regardless of the neighbourhood size (all selected
-neurons are updated in parallel, like the Hamming unit).
+for neighbours, driven by a pseudo-random bit stream drawn row by row.  It
+builds each row's bit selection and hands the planes to the one rule both
+implementations share, :func:`repro.core.tristate.tristate_update`.  The
+update walks the weight vectors bit-serially, so it charges one cycle per
+bit regardless of the neighbourhood size (all selected neurons are updated
+in parallel, like the Hamming unit).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core.topology import (
     Topology,
 )
 from repro.core.bsom import BsomUpdateRule
+from repro.core.tristate import tristate_update
 from repro.errors import ConfigurationError, HardwareModelError
 from repro.hw.bram import BlockRam
 from repro.hw.clock import ClockDomain
@@ -73,26 +76,6 @@ class NeighbourhoodUpdateBlock:
         """One cycle per weight bit (all selected neurons update in parallel)."""
         return self.n_bits
 
-    def _apply_rows(
-        self,
-        values: np.ndarray,
-        cares: np.ndarray,
-        pattern: np.ndarray,
-        select: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the full tri-state rule to the selected bits of the rows."""
-        dont_care = (cares == 0) & select
-        mismatch = (cares == 1) & (values != pattern[np.newaxis, :]) & select
-        values = values.copy()
-        cares = cares.copy()
-        # '#' bits commit to the input value.
-        values[dont_care] = np.broadcast_to(pattern, values.shape)[dont_care]
-        cares[dont_care] = 1
-        # Mismatching committed bits fall back to '#'.
-        cares[mismatch] = 0
-        values[mismatch] = 0
-        return values, cares
-
     def update(
         self,
         winner: int,
@@ -120,12 +103,11 @@ class NeighbourhoodUpdateBlock:
         cares = np.vstack([care_plane.read(int(j)) for j in members])
 
         rule = self.update_rule
-        select = np.ones(values.shape, dtype=bool)
+        select = np.ones(values.shape, dtype=np.uint8)
         if rule.neighbour_rule == "commit":
-            is_winner = members == winner
-            select[~is_winner] = False
             # Commit rule: only '#' bits update for neighbours.
-            select[~is_winner] = (cares[~is_winner] == 0)
+            is_winner = members == winner
+            select[~is_winner] = cares[~is_winner] == 0
         elif rule.neighbour_rule == "stochastic":
             for row, neuron in enumerate(members):
                 if neuron == winner:
@@ -137,7 +119,7 @@ class NeighbourhoodUpdateBlock:
             winner_row = int(np.flatnonzero(members == winner)[0])
             select[winner_row] = cares[winner_row] == 0
 
-        values, cares = self._apply_rows(values, cares, pattern, select)
+        cares, values = tristate_update(cares, values, pattern, select)
         for row, neuron in enumerate(members):
             value_plane.write(int(neuron), values[row])
             care_plane.write(int(neuron), cares[row])

@@ -50,6 +50,15 @@ from repro.hw.bram import BlockRamBank
 from repro.hw.clock import PAPER_CLOCK_MHZ, ClockDomain
 
 
+def _binary_input(x: np.ndarray) -> np.ndarray:
+    """``x`` as ``uint8`` bits, raising before the cast could wrap or
+    truncate a value that is not 0 or 1 (as the pattern-input block does)."""
+    x = np.asarray(x)
+    if x.size and not np.isin(x, (0, 1)).all():
+        raise HardwareModelError("input pattern must be binary")
+    return x.astype(np.uint8)
+
+
 @dataclass
 class FpgaBsomConfig:
     """Configuration of the FPGA bSOM design (Table III defaults).
@@ -339,7 +348,7 @@ class FpgaBsomDesign:
 
         Returns the total number of cycles consumed by training.
         """
-        X = np.asarray(X, dtype=np.uint8)
+        X = _binary_input(X)
         if X.ndim != 2 or X.shape[1] != self.n_bits:
             raise ConfigurationError(
                 f"training data of shape {X.shape} does not match a {self.n_bits}-bit design"
@@ -362,7 +371,7 @@ class FpgaBsomDesign:
         """Masked Hamming distances of every neuron to ``x`` (no cycle charge)."""
         self._require_initialised()
         return self.hamming_unit.compute(
-            np.asarray(x, dtype=np.uint8), self._value_plane.dump(), self._care_plane.dump()
+            _binary_input(x), self._value_plane.dump(), self._care_plane.dump()
         )
 
     def winner(self, x: np.ndarray) -> int:
@@ -372,7 +381,7 @@ class FpgaBsomDesign:
 
     def winners(self, X: np.ndarray) -> np.ndarray:
         """Winning neuron for every row of ``X`` (used by the node labeller)."""
-        X = np.asarray(X, dtype=np.uint8)
+        X = _binary_input(X)
         return np.array([self.winner(row) for row in X], dtype=np.int64)
 
     def render_display(self) -> np.ndarray:

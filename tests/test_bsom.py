@@ -1,10 +1,21 @@
 """Unit tests for the tri-state binary SOM."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import bsom as oracle
 from repro.core.bsom import BinarySom, BsomUpdateRule
-from repro.core.topology import ConstantNeighbourhoodSchedule, RingTopology
+from repro.core.topology import (
+    ConstantNeighbourhoodSchedule,
+    Grid2DTopology,
+    LinearTopology,
+    RingTopology,
+    StepwiseNeighbourhoodSchedule,
+)
 from repro.core.tristate import DONT_CARE, TriStateWeights
 from repro.errors import ConfigurationError, DataError, DimensionMismatchError
 
@@ -181,3 +192,75 @@ class TestTraining:
         X, _ = cluster_data
         som = BinarySom(16, X.shape[1], seed=0).fit(X, epochs=5, seed=1)
         assert (som.neuron_usage(X) > 0).sum() >= 5
+
+
+def _fit_winners(som, X, epochs, shuffle, seed):
+    """``som.fit``, returning the winners its passes reported."""
+    winners = []
+    train_pass = som._train_pass
+
+    def recording_pass(*args):
+        winners.append(train_pass(*args))
+        return winners[-1]
+
+    som._train_pass = recording_pass
+    try:
+        som.fit(X, epochs, shuffle=shuffle, seed=seed, record_history=False)
+    finally:
+        del som._train_pass
+    return np.concatenate(winners)
+
+
+def _assert_same_map(som, reference):
+    assert np.array_equal(som.weights.values, reference.weights.values)
+    assert som.weights_version == reference.weights_version
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_plane_training_matches_int8_oracle(data):
+    """``fit`` and ``partial_fit`` on packed planes equal the per-step int8
+    oracle in weights, weights version, winners and random-stream position."""
+    kind = data.draw(st.sampled_from(["linear", "ring", "grid"]))
+    if kind == "grid":
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        topology = Grid2DTopology(rows, cols)
+    else:
+        n = data.draw(st.integers(1, 12))
+        topology = LinearTopology(n) if kind == "linear" else RingTopology(n)
+    n_bits = data.draw(st.one_of(st.integers(1, 200), st.sampled_from([64, 128, 192])))
+    rule = BsomUpdateRule(
+        winner_rule=data.draw(st.sampled_from(["full", "commit"])),
+        neighbour_rule=data.draw(st.sampled_from(["stochastic", "full", "commit"])),
+        neighbour_strength=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    max_radius = data.draw(st.integers(0, 4))
+    som = BinarySom(
+        topology.n_neurons,
+        n_bits,
+        topology=topology,
+        schedule=StepwiseNeighbourhoodSchedule(max_radius=max_radius, min_radius=0),
+        update_rule=rule,
+        dont_care_probability=data.draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    reference = copy.deepcopy(som)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 2, size=(data.draw(st.integers(1, 20)), n_bits), dtype=np.int8)
+    epochs = data.draw(st.integers(1, 4))
+    shuffle = data.draw(st.booleans())
+    order_seed = data.draw(st.integers(0, 2**32 - 1))
+
+    winners = _fit_winners(som, X, epochs, shuffle, order_seed)
+    expected = oracle.fit(reference, X, epochs, shuffle=shuffle, seed=order_seed)
+    assert np.array_equal(winners, expected)
+    _assert_same_map(som, reference)
+
+    total = data.draw(st.integers(1, 4))
+    for step, x in enumerate(X[:8]):
+        iteration = step % total
+        assert som.partial_fit(x, iteration, total) == oracle.train_one(
+            reference, x, iteration, total
+        )
+    _assert_same_map(som, reference)
+    assert som._update_rng.random() == reference._update_rng.random()

@@ -179,10 +179,10 @@ class TestOperandCache:
 
     @pytest.mark.parametrize("backend", ["gemm", "packed", "hybrid"])
     def test_incremental_refresh_equals_fresh_prepare(self, backend):
-        # Train step by step; the cache migrates its operands by patching
-        # only the touched rows.  Distances from the (incrementally
-        # maintained) cache must equal a from-scratch prepare on the
-        # current weights at every step.
+        # Train step by step, querying between steps: each step drops the
+        # cached operands and the query re-prepares them.  Distances from
+        # the cache must equal a fresh naive prepare on the current
+        # weights at every step.
         rng = np.random.default_rng(5)
         X = rng.integers(0, 2, size=(30, 96), dtype=np.int8)
         som = BinarySom(10, 96, seed=3, backend=backend)
@@ -200,9 +200,13 @@ class TestOperandCache:
         first = som._operands()
         assert som._operands() is first  # same version -> same object
         som.partial_fit(X[0], 0, 1)
+        assert som._operand_cache.cached_versions() == {}
         som.distance_matrix(X)
-        # Migrated in place by update_rows, not re-prepared.
-        assert som._operands() is first
+        # Re-prepared at the new version, not migrated in place.
+        second = som._operands()
+        assert second is not first
+        assert som._operand_cache.cached_versions() == {"packed": som.weights_version}
+        assert som._operands() is second
 
     def test_set_weights_invalidates_cache(self):
         rng = np.random.default_rng(2)
@@ -221,9 +225,9 @@ class TestOperandCache:
 
     def test_train_then_predict_same_labels_with_and_without_cache(self):
         # Acceptance check: the operand cache must be semantically
-        # invisible.  Train (which exercises the incremental refresh),
-        # predict through the warm cache, then drop the cache and predict
-        # again -- identical labels, distances and neurons.
+        # invisible.  Train, predict through the warm cache, then drop the
+        # cache and predict again -- identical labels, distances and
+        # neurons.
         rng = np.random.default_rng(17)
         X = rng.integers(0, 2, size=(120, 96), dtype=np.int8)
         y = np.repeat(np.arange(4), 30)

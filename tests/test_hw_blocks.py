@@ -1,5 +1,7 @@
 """Unit tests for the individual hardware blocks (figure 4)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,31 @@ class TestNeighbourhoodUpdate:
         x = rng.integers(0, 2, 32).astype(np.int8)
         winner = software.partial_fit(x, 0, 10)
         block.update(winner, x.astype(np.uint8), value_ram, care_ram, 0, 10)
+        hardware_weights = TriStateWeights.from_bitplanes(value_ram.dump(), care_ram.dump())
+        assert hardware_weights == software.weights
+
+    @pytest.mark.parametrize("winner_rule", ["full", "commit"])
+    @pytest.mark.parametrize("neighbour_rule", ["stochastic", "full", "commit"])
+    def test_update_matches_software_every_rule(self, winner_rule, neighbour_rule, rng):
+        # The block draws its stochastic selection row by row; seeded with a
+        # copy of the software map's update stream it must take the same
+        # draws and produce the same weights under every rule pair.
+        from repro.core.bsom import BinarySom
+
+        rule = BsomUpdateRule(winner_rule=winner_rule, neighbour_rule=neighbour_rule)
+        software = BinarySom(8, 32, update_rule=rule, dont_care_probability=0.25, seed=4)
+        block = NeighbourhoodUpdateBlock(
+            8, 32, update_rule=rule, seed=copy.deepcopy(software._update_rng)
+        )
+        value, care = software.weights.to_bitplanes()
+        value_ram = BlockRam(8, 32, name="value")
+        care_ram = BlockRam(8, 32, name="care")
+        for neuron in range(8):
+            value_ram.write(neuron, value[neuron])
+            care_ram.write(neuron, care[neuron])
+        for step, x in enumerate(rng.integers(0, 2, size=(20, 32), dtype=np.int8)):
+            winner = software.partial_fit(x, step % 10, 10)
+            block.update(winner, x.astype(np.uint8), value_ram, care_ram, step % 10, 10)
         hardware_weights = TriStateWeights.from_bitplanes(value_ram.dump(), care_ram.dump())
         assert hardware_weights == software.weights
 

@@ -90,6 +90,24 @@ class TestDesignLifecycle:
         assert frame.ndim == 2
         assert set(np.unique(frame)).issubset({0, 128, 255})
 
+    @pytest.mark.parametrize("bad", [1.5, 0.7, -1, 1.9, 2])
+    def test_non_binary_input_is_rejected(self, small_design, bad):
+        # The software map raises DataError for these, and present() raises
+        # HardwareModelError; the query and training paths must not cast
+        # 1.5 to 1 or wrap -1 to 255 and carry on.
+        x = np.zeros(64)
+        x[3] = bad
+        before = small_design.export_weights()
+        for query in (small_design.distances, small_design.winner):
+            with pytest.raises(HardwareModelError):
+                query(x)
+        with pytest.raises(HardwareModelError):
+            small_design.winners(np.vstack([np.zeros(64), x]))
+        with pytest.raises(HardwareModelError):
+            small_design.train(x[np.newaxis, :], epochs=1, seed=0)
+        assert small_design.export_weights() == before
+        assert small_design.patterns_trained == 0
+
 
 class TestSoftwareEquivalence:
     def test_recognition_matches_software_exactly(self, rng):
