@@ -232,8 +232,10 @@ class BinarySom(SelfOrganisingMap):
     # ------------------------------------------------------------------ #
     @property
     def weights(self) -> TriStateWeights:
-        """The tri-state weight matrix (copy-free view wrapper)."""
-        return TriStateWeights(self._weights)
+        """A copy of the tri-state weight matrix, so a holder never sees later
+        training or writes behind :attr:`weights_version`.  Not scanned again:
+        :meth:`set_weights` validates, and training writes valid planes back."""
+        return TriStateWeights.from_valid(self._weights.copy())
 
     def set_weights(self, weights: TriStateWeights | np.ndarray) -> None:
         """Replace the weight matrix (used for serialisation and hardware sync)."""

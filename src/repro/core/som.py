@@ -8,7 +8,8 @@ evaluation harness and the FPGA model can treat them interchangeably:
   (the paper's "iterations" in Table I are full passes over the training
   set),
 * ``partial_fit(x, iteration, total_iterations)`` -- present a single
-  pattern (used by the on-line extension and by the hardware model),
+  pattern, or a block of them in order (used by the on-line extension and
+  by the hardware model),
 * ``distances(x)`` -- the dissimilarity of every neuron to ``x``,
 * ``winner(x)`` -- the index of the best-matching unit.
 
@@ -17,8 +18,8 @@ Both training calls validate their input once and hand it to one hook,
 rows ``X[order]`` one at a time, updating the map after each, advances the
 weights version by one per pattern and returns the winners.  ``fit`` calls
 it once per epoch with that epoch's presentation order, ``partial_fit``
-with a one-row pass.  The bSOM runs a pass on packed bit-planes; the cSOM
-loops its per-pattern Kohonen step.
+with one pass over its row or block.  The bSOM runs a pass on packed
+bit-planes; the cSOM loops its per-pattern Kohonen step.
 
 :class:`TrainingHistory` records per-epoch summary statistics so examples
 and the EXPERIMENTS write-up can show how quickly each map converges.
@@ -151,13 +152,16 @@ class SelfOrganisingMap(ABC):
         """Present the validated ``int8`` rows ``X[order]`` one at a time
         during ``iteration``; returns each presentation's winner."""
 
-    def partial_fit(self, x: np.ndarray, iteration: int, total_iterations: int) -> int:
-        """Present a single pattern; returns the winning neuron index."""
-        x = self._validate_input(x)
-        winners = self._train_pass(
-            x[np.newaxis, :], np.zeros(1, dtype=np.intp), iteration, total_iterations
-        )
-        return int(winners[0])
+    def partial_fit(
+        self, x: np.ndarray, iteration: int, total_iterations: int
+    ) -> int | np.ndarray:
+        """Present one pattern, or a ``(k, n_bits)`` block in order in one
+        pass (as ``k`` one-pattern calls would); returns the winning neuron
+        index, or the ``k`` winners."""
+        x = np.asarray(x)
+        X = validate_binary_matrix(x, self.n_bits)
+        winners = self._train_pass(X, np.arange(X.shape[0]), iteration, total_iterations)
+        return winners if x.ndim == 2 else int(winners[0])
 
     def fit(
         self,

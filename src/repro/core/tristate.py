@@ -70,6 +70,13 @@ class TriStateWeights:
             raise DataError("tri-state weight vectors must have at least one bit")
         self.values = values
 
+    @classmethod
+    def from_valid(cls, values: np.ndarray) -> "TriStateWeights":
+        """Wrap a 2-D ``int8`` array already known to be valid, unscanned."""
+        weights = cls.__new__(cls)
+        weights.values = values
+        return weights
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -99,7 +106,7 @@ class TriStateWeights:
 
     def copy(self) -> "TriStateWeights":
         """Deep copy of the weights."""
-        return TriStateWeights(self.values.copy())
+        return TriStateWeights.from_valid(self.values.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriStateWeights):

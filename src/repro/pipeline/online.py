@@ -218,11 +218,11 @@ class OnlineLearner:
         new_label = self._next_label
         self._next_label += 1
 
-        # On-line training: a few passes over just the new signatures.
+        # On-line training: a few passes over just the new signatures, one
+        # partial_fit block per epoch.
         som = self.classifier.som
         for epoch in range(self.config.online_epochs):
-            for row in signatures:
-                som.partial_fit(row, epoch, self.config.online_epochs)
+            som.partial_fit(signatures, epoch, self.config.online_epochs)
 
         # Extend the labelled pool and relabel every neuron from scratch so
         # known objects keep their labels and the new object gets its own.

@@ -16,8 +16,8 @@ only be scored by one classifier.  The scheduler is purely passive -- it
 never starts threads and owns no clock beyond the injectable ``clock``
 callable -- which keeps flush behaviour exactly testable; the service's
 dispatcher thread drives :meth:`due` off :meth:`next_deadline`, and
-:meth:`~MicroBatchScheduler.submit` reports the submits that open a lane,
-the only ones that can bring that deadline forward.
+:meth:`~MicroBatchScheduler.submit` reports the blocks that leave a lane
+they opened, the only ones that can bring that deadline forward.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.serve.request import ClassificationRequest
@@ -47,8 +47,8 @@ class MicroBatch:
         :attr:`fill_fraction` this is the batch-fill telemetry signal.
     flushed_by:
         ``"size"``, ``"deadline"`` or ``"drain"`` -- why the batch was cut;
-        ``"submit"`` for the one-request batch of a request the service
-        settles at submit (a cache answer or a refusal).
+        ``"submit"`` for requests the service settles at admission (a
+        cache or stale answer, or a refused block).
     cut_at:
         Scheduler clock value at the moment the batch was cut; request
         traces use it as the queue-wait / batch-wait span boundary.
@@ -129,25 +129,31 @@ class MicroBatchScheduler:
     # Submission and flushing
     # ------------------------------------------------------------------ #
     def submit(
-        self, request: ClassificationRequest
-    ) -> tuple[Optional[MicroBatch], bool]:
-        """Queue one request; returns ``(batch, opened)``.
+        self, requests: Sequence[ClassificationRequest]
+    ) -> tuple[list[MicroBatch], bool]:
+        """Queue a block of requests in order; returns ``(batches, opened)``.
 
-        ``batch`` is the cut batch when the request filled its lane, else
-        ``None``.  ``opened`` is whether the request went into an empty
-        lane: only such a submit starts a new deadline (a lane's deadline
-        runs from its oldest request), so it is the only one a dispatcher
-        waiting on :meth:`next_deadline` needs to hear about.
+        ``batches`` are the full batches the block cut, in order.  A request
+        that opens a lane starts its deadline at its ``enqueued_at`` (a
+        block's arrival, so building the block never delays the cut).
+        ``opened``: the block left a lane it opened holding requests -- the
+        only new deadline a dispatcher on :meth:`next_deadline` must hear of.
         """
+        batches: list[MicroBatch] = []
+        opened: list[str] = []
         with self._lock:
-            lane = self._lanes.setdefault(request.model, [])
-            opened = not lane
-            if opened:
-                self._oldest[request.model] = self._clock()
-            lane.append(request)
-            if len(lane) >= self.batch_size:
-                return self._cut(request.model, "size"), opened
-        return None, opened
+            for request in requests:
+                lane = self._lanes.setdefault(request.model, [])
+                if not lane:
+                    self._oldest[request.model] = request.enqueued_at
+                    opened.append(request.model)
+                lane.append(request)
+                if len(lane) >= self.batch_size:
+                    batches.append(self._cut(request.model, "size"))
+            for model in opened:
+                if self._lanes[model]:
+                    return batches, True
+        return batches, False
 
     def due(self) -> list[MicroBatch]:
         """Cut every lane whose oldest request has exceeded the deadline."""

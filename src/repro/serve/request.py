@@ -167,10 +167,10 @@ class ClassificationRequest:
 
     ``packed`` carries the signature as ``uint64`` words
     (:func:`repro.signatures.packing.packed_signature_words`), produced
-    once at submit time together with ``cache_key`` (the words' raw
+    once per admitted block together with ``cache_key`` (the words' raw
     bytes).  Shards score an all-packed batch straight against the bSOM's
     cached bit-planes without re-packing or re-validating; ``signature``
-    is retained for models without a packed query path.
+    (the caller's row as given) serves only requests built unpacked.
 
     ``generation`` stamps the model generation current at submit time (the
     service bumps it on every hot-swap/evict) so the settle step never

@@ -1,17 +1,21 @@
 """The streaming inference service front-end.
 
 :class:`StreamingInferenceService` is the piece a multi-camera deployment
-talks to.  Per request it:
+talks to.  It admits signatures a block at a time -- a frame's
+silhouettes arrive as one ``classify`` block, and ``submit`` is a block of
+one -- validating and packing the block once, then per row it:
 
 1. checks the signature LRU cache (packed-signature key) and answers
-   immediately on a hit -- a repeated silhouette never touches the SOM,
-2. coalesces the request onto an identical *in-flight* packed signature
-   when one exists (cross-request deduplication: one kernel execution fans
-   out to every waiting future, counted as ``dedup_hits``),
-3. otherwise admits the request against a service-wide pending budget
-   (raising :class:`~repro.errors.ServiceOverloadedError` when saturated --
+   on a hit -- a repeated silhouette never touches the SOM,
+2. coalesces the row onto an identical *in-flight* packed signature, or
+   an identical earlier row of the block, when one exists (cross-request
+   deduplication: one kernel execution fans out to every waiting future,
+   counted as ``dedup_hits``),
+3. otherwise admits it against a service-wide pending budget -- the whole
+   block's slots at once, or none (raising
+   :class:`~repro.errors.ServiceOverloadedError` when saturated --
    backpressure instead of unbounded queues),
-4. hands it to the micro-batching scheduler, which cuts size- or
+4. hands the block to the micro-batching scheduler, which cuts size- or
    deadline-bounded batches per model, and
 5. routes each batch through the sharded model registry to a worker
    thread, which hands the scored batch back to the service's settle
@@ -36,9 +40,9 @@ memoises a prediction computed by a superseded map.
 
 A background dispatcher thread enforces the deadline flushes so a lone
 low-rate stream still sees bounded latency.  It sleeps until the earliest
-lane deadline and is woken only by a submit that opens a lane -- the one
-kind of submit that starts a deadline -- so its passes scale with
-batches, not with requests.  The service is a context manager:
+lane deadline and is woken only by a block that leaves a lane it opened
+-- the one kind of admission that starts a deadline -- so its passes
+scale with batches, not with requests.  The service is a context manager:
 ``with StreamingInferenceService(...) as service: ...``.
 """
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from repro.core.serialization import PathLike
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
+    DataError,
     DeadlineExceededError,
     ModelEvictedError,
     ServiceError,
@@ -333,8 +338,8 @@ class StreamingInferenceService:
         self._next_request_id = 0
         self._id_lock = threading.Lock()
         self._running = False
-        # Guards the running flag against the submit path: stop() flips it
-        # under this lock, and submit() enqueues under it, so no request can
+        # Guards the running flag against the admission path: stop() flips
+        # it under this lock, and admission enqueues under it, so no request can
         # reach the scheduler after stop() has drained the lanes (a stranded
         # request would leave its future unresolved until the caller's
         # timeout).  Every batch also leaves its lane for a shard queue
@@ -475,7 +480,7 @@ class StreamingInferenceService:
         self.obs.events.emit("cache_invalidate", model=name, dropped_entries=dropped)
 
     # ------------------------------------------------------------------ #
-    # Submission
+    # Submission: one admission path, a block of signatures at a time
     # ------------------------------------------------------------------ #
     def submit(
         self,
@@ -487,238 +492,15 @@ class StreamingInferenceService:
     ) -> PendingResult:
         """Queue one signature for classification; returns its future.
 
-        Cache hits resolve before this method returns.  Raises
-        :class:`ServiceOverloadedError` when the service-wide pending
-        budget is full (or, as :class:`~repro.errors.CircuitOpenError`,
-        when every shard breaker of the model is open and no stale cache
-        entry could answer), and :class:`UnknownModelError` for an
-        unregistered model name.  Shard-queue saturation is only
-        detectable at dispatch time (the batch holds other callers'
-        requests and may be cut by the deadline thread), so that flavour
-        of backpressure is delivered through the future: ``result()``
-        re-raises the :class:`ServiceOverloadedError` for every request of
-        the shed batch.  Callers should treat both paths as "retry later";
-        :func:`repro.serve.streams.drive_streams` shows the pattern.
-
-        When ``config.retry`` is set, transient submit-time refusals are
-        retried here under jittered exponential backoff -- bounded by the
-        policy's ``max_attempts`` and by the request's deadline (the
-        service never sleeps past ``deadline_at``).  A refused submit
-        leaves no admitted state behind, so retries cannot stack orphaned
-        requests against the pending budget.
-
-        ``deadline_s`` (defaulting to ``config.default_deadline_s``) is
-        the caller's total latency budget: requests that exceed it are
-        shed with :class:`~repro.errors.DeadlineExceededError` at dispatch
-        or pre-kernel instead of consuming a kernel they can no longer
-        use.
+        A block of one: admission, errors, retries and deadlines are
+        :meth:`submit_many`'s.  A cache hit resolves before this returns.
         """
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        deadline_at = None if deadline_s is None else self._clock() + deadline_s
-        policy = self.config.retry
-        attempt = 0
-        while True:
-            try:
-                return self._submit_once(
-                    signature,
-                    model=model,
-                    stream_id=stream_id,
-                    deadline_at=deadline_at,
-                )
-            except ServiceOverloadedError:
-                attempt += 1
-                if policy is None or attempt >= policy.max_attempts:
-                    raise
-                delay = policy.delay_s(attempt)
-                if deadline_at is not None and self._clock() + delay >= deadline_at:
-                    raise  # the backoff would outlive the deadline
-                self._retries.inc()
-                time.sleep(delay)
-
-    def _submit_once(
-        self,
-        signature: np.ndarray,
-        *,
-        model: str,
-        stream_id: str,
-        deadline_at: Optional[float],
-    ) -> PendingResult:
-        if not self._running:
-            raise ServiceError("the service is not running; call start() first")
-        # Canary routing: a logical name under an active traffic split
-        # resolves to a concrete version here, once, so lanes, cache keys,
-        # dedup keys and the response all carry the version that actually
-        # serves the request.  Unrouted names pass through untouched.  A
-        # draw of another version pins it until this submit is done (the
-        # request is in its lane, in a shard queue or settled), so a
-        # teardown draining the version (drained) waits for it.
-        version = self.registry.resolve(model)
-        try:
-            return self._submit_resolved(
-                signature,
-                model=version,
-                stream_id=stream_id,
-                deadline_at=deadline_at,
-            )
-        finally:
-            if version != model:
-                self.registry.release(version)
-
-    def _submit_resolved(
-        self,
-        signature: np.ndarray,
-        *,
-        model: str,
-        stream_id: str,
-        deadline_at: Optional[float],
-    ) -> PendingResult:
-        classifier = self.registry.classifier(model)  # raises UnknownModelError
         signature = np.asarray(signature)
-        # Validate and pack exactly once: the uint64 words are both the
-        # cache key (their raw bytes) and the shard's distance-kernel
-        # input, so the signature is never re-packed downstream.
-        packed = packed_signature_words(signature)  # validates the bit vector
-        key = packed.tobytes()
-        if signature.size != classifier.som.n_bits:
-            raise ConfigurationError(
-                f"model {model!r} expects {classifier.som.n_bits}-bit signatures, "
-                f"got {signature.size} bits"
+        if signature.ndim != 1:
+            raise DataError(
+                f"expected a one-dimensional bit vector, got shape {signature.shape}"
             )
-        now = self._clock()
-        with self._id_lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-        request = ClassificationRequest(
-            signature=signature.astype(np.uint8, copy=True),
-            model=model,
-            stream_id=stream_id,
-            request_id=request_id,
-            cache_key=key,
-            enqueued_at=now,
-            packed=packed,
-            trace=self.obs.tracer.start(
-                t=now, model=model, stream_id=stream_id, request_id=request_id
-            ),
-            deadline_at=deadline_at,
-        )
-
-        try:
-            outcome = self.cache.get(model, key)
-        except Exception:
-            # A corrupt entry / codec bug in the cache must degrade to a
-            # miss, not fail the request: the SOM can always re-derive the
-            # answer.  Counted so an elevated error rate is visible.
-            self._cache_errors.inc()
-            outcome = None
-        if outcome is not None:
-            self._requests.inc()
-            self._cache_hits.inc()
-            self._settle(None, _alone(request), outcome, admitted=False)
-            return request.pending
-
-        # Cross-request dedup: an identical packed signature already in
-        # flight for this model answers us too.  The follower consumes no
-        # pending-budget slot and never reaches a shard -- the primary's
-        # one kernel execution fans out to every waiting future.
-        with self._inflight_lock:
-            primary = self._inflight.get((model, key))
-            if primary is not None:
-                if request.trace is not None:
-                    # The follower never queues or reaches a shard; its one
-                    # span records the coalesce and links to the primary's
-                    # kernel span, which does the actual work.
-                    span = request.trace.span(
-                        "dedup",
-                        start=now,
-                        end=self._clock(),
-                        primary_request_id=primary.request_id,
-                    )
-                    if primary.trace is not None:
-                        span.add_link(
-                            trace_id=primary.trace.trace_id, span="kernel"
-                        )
-                # Append last: once the follower is visible to the settle
-                # step its trace/span state must be final.
-                primary.followers.append(request)
-                self._requests.inc()
-                self._dedup_hits.inc()
-                self.obs.events.emit(
-                    "dedup",
-                    model=model,
-                    request_id=request_id,
-                    primary_request_id=primary.request_id,
-                )
-                return request.pending
-
-        refusal: Optional[ServiceOverloadedError] = None
-        if self._board is not None:
-            shard_names = self.registry.shard_names(model)
-            if not self._board.would_allow_any(model, shard_names):
-                # Every shard breaker of the model is open: degrade to the
-                # stale cache tier if it can answer (flagged stale=True),
-                # otherwise shed with CircuitOpenError so the retry policy
-                # backs off until a half-open probe closes a breaker.
-                stale = self.cache.get_stale(model, key)
-                if stale is not None:
-                    self._requests.inc()
-                    self._stale_hits.inc()
-                    self.obs.events.emit(
-                        "stale_hit", model=model, request_id=request_id
-                    )
-                    self._settle(None, _alone(request), stale, admitted=False, stale=True)
-                    return request.pending
-                refusal = CircuitOpenError(
-                    model,
-                    open_shards=len(shard_names),
-                    total_shards=len(shard_names),
-                )
-        if refusal is None:
-            with self._pending_lock:
-                if self._pending < self.config.max_pending:
-                    self._pending += 1
-                else:
-                    refusal = ServiceOverloadedError(
-                        "service pending budget",
-                        pending=self._pending,
-                        capacity=self.config.max_pending,
-                    )
-        if refusal is not None:
-            # A refused attempt is backpressure only -- neither a request
-            # nor a cache miss -- so requests_total keeps the documented
-            # meaning of "requests accepted".
-            self._settle(None, _alone(request), refusal, admitted=False)
-            raise refusal
-
-        with self._gen_lock:
-            request.generation = self._generations.get(model, 0)
-        if request.trace is not None:
-            request.trace.begin("queue", t=now)
-        with self._inflight_lock:
-            # First-in becomes the primary; later identical signatures
-            # coalesce onto it until its batch completes.
-            self._inflight.setdefault((model, key), request)
-        with self._state_lock:
-            admitted = self._running
-            if admitted:
-                # Counted only once admitted: a request that loses the race
-                # with stop() below is refused, not accepted.
-                self._requests.inc()
-                self._cache_misses.inc()
-                full_batch, opened = self.scheduler.submit(request)
-                if full_batch is not None:
-                    # Dispatch inside the lock so stop() cannot slip its
-                    # shard shutdown sentinel in front of this batch.
-                    self._dispatch(full_batch)
-        if not admitted:
-            # stop() won the race after the entry check: fail fast instead
-            # of stranding the request in a drained lane.
-            error = ServiceError("the service is not running; call start() first")
-            self._settle(None, _alone(request), error)
-            raise error
-        if opened and full_batch is None:
-            self._wake.set()  # only a lane's first request starts a deadline
-        return request.pending
+        return self._admit(signature[np.newaxis], model, stream_id, deadline_s)[0].pending
 
     def submit_many(
         self,
@@ -727,41 +509,30 @@ class StreamingInferenceService:
         model: str,
         stream_id: str = "",
         deadline_s: Optional[float] = None,
-        drain_timeout_s: float = 30.0,
     ) -> list[PendingResult]:
-        """Submit every row of ``X``; returns one future per row.
+        """Admit the rows of ``X`` as one block; returns one future per row.
 
-        All-or-nothing admission: if a row's ``submit`` is refused with
-        :class:`ServiceOverloadedError` (after the retry policy, if any,
-        gave up), the rows already submitted are drained -- their results
-        awaited and discarded, dedup followers included, since a follower's
-        future resolves with its primary -- before the error is re-raised.
-        A retrying caller therefore never stacks orphaned requests onto the
-        already-saturated pending budget.
+        The block is validated and packed once and takes its request ids,
+        pending-budget slots and lane hand-off in one step each; cache hits
+        and dedup followers (rows equal to a request in flight or an earlier
+        row) take no slot.  All or nothing: with no row admitted, counted or
+        answered, raises :class:`~repro.errors.DataError` (empty, or not
+        zeros and ones), :class:`~repro.errors.ConfigurationError` (width),
+        :class:`UnknownModelError`, :class:`ServiceError` (not running),
+        :class:`ServiceOverloadedError` (the pending budget cannot take every
+        row that needs a kernel) or :class:`~repro.errors.CircuitOpenError`
+        (every breaker open, a row without a stale answer); each refused row
+        counts once as shed.  If :meth:`stop` wins the race, the rows that
+        needed a kernel fail.  Full shard queues fail a cut batch's futures
+        with :class:`ServiceOverloadedError` instead.  ``config.retry``
+        retries a refused block whole; ``deadline_s`` (default
+        ``config.default_deadline_s``) sheds a late row with
+        :class:`~repro.errors.DeadlineExceededError`.
         """
         X = np.asarray(X)
         if X.ndim == 1:
             X = X[np.newaxis, :]
-        futures: list[PendingResult] = []
-        try:
-            for row in X:
-                futures.append(
-                    self.submit(
-                        row, model=model, stream_id=stream_id, deadline_s=deadline_s
-                    )
-                )
-        except ServiceOverloadedError:
-            # Drain without flushing: the deadline dispatcher cuts the
-            # orphans' lane within max_delay_ms, and a global flush here
-            # would fragment every other caller's half-filled batches at
-            # the exact moment the service is saturated.
-            for future in futures:
-                try:
-                    future.result(drain_timeout_s)
-                except ServiceError:
-                    pass
-            raise
-        return futures
+        return [request.pending for request in self._admit(X, model, stream_id, deadline_s)]
 
     def classify(
         self,
@@ -772,21 +543,231 @@ class StreamingInferenceService:
         timeout: float = 30.0,
         deadline_s: Optional[float] = None,
     ) -> list[ClassificationResponse]:
-        """Synchronous convenience: submit every row of ``X`` and wait.
-
-        This is the path :class:`repro.pipeline.system.RecognitionSystem`
-        uses to push a frame's silhouettes through the service.  Delegates
-        admission (and its all-or-nothing overload drain) to
-        :meth:`submit_many`.
-        """
+        """:meth:`submit_many`, then wait up to ``timeout`` seconds for each
+        answer: how :class:`repro.pipeline.system.RecognitionSystem` sends a
+        frame's silhouettes, as one block."""
         futures = self.submit_many(
-            X,
-            model=model,
-            stream_id=stream_id,
-            deadline_s=deadline_s,
-            drain_timeout_s=timeout,
+            X, model=model, stream_id=stream_id, deadline_s=deadline_s
         )
         return [future.result(timeout) for future in futures]
+
+    def _admit(
+        self, X: np.ndarray, model: str, stream_id: str, deadline_s: Optional[float]
+    ) -> list[ClassificationRequest]:
+        """Admit the 2-D block ``X``, retrying a refusal under
+        ``config.retry``; returns its requests in row order."""
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        deadline_at = None if deadline_s is None else self._clock() + deadline_s
+        policy = self.config.retry
+        attempt = 0
+        while True:
+            if not self._running:
+                raise ServiceError("the service is not running; call start() first")
+            # Canary routing: under a traffic split each row draws its own
+            # version, so the Kth draw stays a pure function of (seed, name,
+            # K) and lanes, cache and dedup keys and responses carry the
+            # version that serves the row.  A draw of another version pins it
+            # until the block is in its lanes or settled, so a teardown
+            # draining the version (drained) waits for it.
+            if len(X) == 1:
+                version, versions = self.registry.resolve(model), None
+            elif self.registry.route(model) is None:
+                version, versions = model, None
+            else:
+                version, versions = None, [self.registry.resolve(model) for _ in X]
+            try:
+                return self._admit_routed(X, version, versions, stream_id, deadline_at)
+            except ServiceOverloadedError:
+                attempt += 1
+                if policy is None or attempt >= policy.max_attempts:
+                    raise
+                delay = policy.delay_s(attempt)
+                if deadline_at is not None and self._clock() + delay >= deadline_at:
+                    raise  # the backoff would outlive the deadline
+            finally:
+                for drawn in (version,) if versions is None else versions:
+                    if drawn != model:
+                        self.registry.release(drawn)
+            self._retries.inc()
+            time.sleep(delay)
+
+    def _admit_routed(
+        self,
+        X: np.ndarray,
+        version: Optional[str],
+        versions: Optional[list[str]],
+        stream_id: str,
+        deadline_at: Optional[float],
+    ) -> list[ClassificationRequest]:
+        """Admit ``X``, served by ``version``, or row i by ``versions[i]``."""
+        widths = {
+            name: self.registry.classifier(name).som.n_bits  # UnknownModelError
+            for name in ((version,) if versions is None else dict.fromkeys(versions))
+        }
+        # Validate and pack the block once: row i's uint64 words are both
+        # request i's cache key (their bytes) and its distance-kernel input.
+        words = packed_signature_words(X)
+        n_rows, n_bits = X.shape
+        for name, width in widths.items():
+            if n_bits != width:
+                raise ConfigurationError(
+                    f"model {name!r} expects {width}-bit signatures, got {n_bits} bits"
+                )
+        now = self._clock()
+        with self._id_lock:
+            first_id = self._next_request_id
+            self._next_request_id += n_rows
+        # A settle memoises only outcomes of the current generation, so a
+        # swap landing after this read costs a cache fill, never a stale one.
+        with self._gen_lock:
+            generations = self._generations.copy()
+        start_trace, get = self.obs.tracer.start, self.cache.get
+        requests: list[ClassificationRequest] = []
+        hits: list[tuple[ClassificationRequest, CachedOutcome]] = []
+        misses: list[ClassificationRequest] = []
+        for row in range(n_rows):
+            name = version if versions is None else versions[row]
+            request_id = first_id + row
+            packed = words[row]
+            request = ClassificationRequest(
+                signature=X[row],  # the caller's row as given: shards score ``packed``
+                model=name,
+                stream_id=stream_id,
+                request_id=request_id,
+                cache_key=packed.tobytes(),
+                enqueued_at=now,
+                packed=packed,
+                generation=generations.get(name, 0),
+                trace=start_trace(
+                    t=now, model=name, stream_id=stream_id, request_id=request_id
+                ),
+                deadline_at=deadline_at,
+            )
+            requests.append(request)
+            try:
+                outcome = get(name, request.cache_key)
+            except Exception:
+                # A corrupt entry / codec bug degrades to a miss, not a failed
+                # request: the SOM can re-derive the answer.  Counted.
+                self._cache_errors.inc()
+                outcome = None
+            if outcome is None:
+                misses.append(request)
+            else:
+                hits.append((request, outcome))
+        primaries, stale = self._reserve(requests, misses, now) if misses else ([], [])
+        if hits or stale:
+            self._requests.inc(len(hits) + len(stale))
+            self._cache_hits.inc(len(hits))
+            self._stale_hits.inc(len(stale))
+            for request, outcome in hits:
+                self._settle(None, _block([request]), outcome, admitted=False)
+            for request, outcome in stale:
+                self.obs.events.emit(
+                    "stale_hit", model=request.model, request_id=request.request_id
+                )
+                self._settle(None, _block([request]), outcome, admitted=False, stale=True)
+        if not primaries:
+            return requests
+        for request in primaries:
+            if request.trace is not None:
+                request.trace.begin("queue", t=now)
+        with self._state_lock:
+            admitted = self._running
+            if admitted:
+                # Counted only once admitted: primaries that lose the race
+                # with stop() below are refused, not accepted.
+                self._requests.inc(len(primaries))
+                self._cache_misses.inc(len(primaries))
+                batches, opened = self.scheduler.submit(primaries)
+                for batch in batches:
+                    # Dispatch inside the lock so stop() cannot slip its
+                    # shard shutdown sentinel in front of this batch.
+                    self._dispatch(batch)
+        if not admitted:
+            # stop() won the race after the entry check: fail fast instead of
+            # stranding the primaries, and their followers, in a drained lane.
+            error = ServiceError("the service is not running; call start() first")
+            self._settle(None, _block(primaries), error)
+            raise error
+        if opened:
+            self._wake.set()  # only a block that opens a lane starts a deadline
+        return requests
+
+    def _reserve(
+        self,
+        requests: list[ClassificationRequest],
+        misses: list[ClassificationRequest],
+        now: float,
+    ) -> tuple[list[ClassificationRequest], list[tuple[ClassificationRequest, CachedOutcome]]]:
+        """Dedup a block's misses and reserve its primaries' slots in one
+        ``_inflight_lock`` section; returns the primaries and stale answers.
+
+        A miss equal to a request in flight or an earlier miss follows it;
+        with its model's breakers all open it takes a stale answer or
+        refuses the block; else it is a primary.  Only an admitted block
+        touches the dedup table; a refusal settles ``requests`` and raises.
+        """
+        open_models: Collection[str] = ()
+        if self._board is not None:
+            allow = self._board.would_allow_any
+            models = {request.model for request in misses}
+            open_models = {m for m in models if not allow(m, self.registry.shard_names(m))}
+        primaries: dict[tuple[str, bytes], ClassificationRequest] = {}
+        followers: list[tuple[ClassificationRequest, ClassificationRequest]] = []
+        stale: list[tuple[ClassificationRequest, CachedOutcome]] = []
+        refusal: Optional[ServiceOverloadedError] = None
+        inflight = self._inflight
+        with self._inflight_lock:
+            for request in misses:
+                key = (request.model, request.cache_key)
+                primary = primaries.get(key) or inflight.get(key)
+                if primary is not None:
+                    followers.append((primary, request))
+                elif request.model not in open_models:
+                    primaries[key] = request
+                elif (outcome := self.cache.get_stale(*key)) is not None:
+                    stale.append((request, outcome))
+                else:
+                    # No stale answer either: shed, so the retry policy backs
+                    # off until a half-open probe closes a breaker.
+                    shards = len(self.registry.shard_names(request.model))
+                    refusal = CircuitOpenError(
+                        request.model, open_shards=shards, total_shards=shards
+                    )
+                    break
+            if primaries and refusal is None:
+                with self._pending_lock:
+                    if self._pending + len(primaries) <= self.config.max_pending:
+                        self._pending += len(primaries)
+                    else:
+                        refusal = ServiceOverloadedError("service pending budget",
+                            pending=self._pending, capacity=self.config.max_pending)
+            if refusal is None:
+                # Followers count as accepted now: their primary may settle
+                # them once the lock is released.
+                if followers:
+                    self._requests.inc(len(followers))
+                    self._dedup_hits.inc(len(followers))
+                for primary, follower in followers:
+                    if follower.trace is not None:  # a coalesce span, linked to the kernel's
+                        span = follower.trace.span("dedup", start=now, end=self._clock(),
+                                                   primary_request_id=primary.request_id)
+                        if primary.trace is not None:
+                            span.add_link(trace_id=primary.trace.trace_id, span="kernel")
+                    # Append last: once visible to the settle step, the
+                    # follower's trace must be final.
+                    primary.followers.append(follower)
+                inflight.update(primaries)
+        if refusal is not None:
+            # Every row, cache hits included, is shed, not a request.
+            self._settle(None, _block(requests), refusal, admitted=False)
+            raise refusal
+        for primary, follower in followers:
+            self.obs.events.emit("dedup", model=follower.model, request_id=follower.request_id,
+                                 primary_request_id=primary.request_id)
+        return list(primaries.values()), stale
 
     def flush(self) -> None:
         """Force-dispatch every buffered lane (bounded-latency barrier)."""
@@ -798,7 +779,7 @@ class StreamingInferenceService:
         """Whether nothing resolved to ``model`` is still on its way to a
         shard, or queued or in flight on one.
 
-        True when no submit pins ``model`` (a routed draw not yet in its
+        True when no admission pins ``model`` (a routed draw not yet in its
         lane), its scheduler lane is empty, and no shard of it holds a
         batch.  A canary teardown polls this after clearing the version's
         route: no request can resolve to the version after that, so once
@@ -860,7 +841,7 @@ class StreamingInferenceService:
         stale-tier hit), or the error that ended the batch.  ``shard`` is
         the shard that finished the batch, ``None`` when the service ends
         it itself.  ``admitted`` batches hold pending-budget slots and
-        dedup entries; requests answered or refused at submit hold
+        dedup entries; requests answered or refused at admission hold
         neither.  A fault while answering fails the batch with that fault
         rather than stranding it.
         """
@@ -970,8 +951,8 @@ class StreamingInferenceService:
             self._board.record(model, shard_name, ok=False)
 
     def _dispatch_loop(self) -> None:
-        # Sleeps until the earliest lane deadline.  Only a submit that
-        # opens a lane sets _wake (and stop()): a request joining a lane
+        # Sleeps until the earliest lane deadline.  Only a block that leaves
+        # a lane it opened sets _wake (and stop()): a request joining a lane
         # cannot move that lane's deadline, which runs from its oldest
         # request.  Every clear() is followed by a fresh next_deadline()
         # read before the next wait, so a set that lands between a wait
@@ -1006,17 +987,19 @@ class StreamingInferenceService:
         return MetricsSnapshot.read(self.obs.registry, self.registry.queue_depths())
 
 
-def _alone(request: ClassificationRequest) -> MicroBatch:
-    """A one-request batch, for a request settled at submit."""
-    return MicroBatch(request.model, (request,), capacity=1, flushed_by="submit")
+def _block(requests: Sequence[ClassificationRequest]) -> MicroBatch:
+    """Requests settled at admission, as one batch."""
+    return MicroBatch(
+        requests[0].model, tuple(requests), capacity=len(requests), flushed_by="submit"
+    )
 
 
 def _shed_reason(error: BaseException, admitted: bool) -> Optional[str]:
     """The ``shed`` reason ``error`` stands for; ``None`` for a failure.
 
-    A plain :class:`ServiceOverloadedError` refuses a request at the
-    pending budget before admission, or an admitted batch at full shard
-    queues.
+    A plain :class:`ServiceOverloadedError` refuses a block at the
+    pending budget before admission, or sheds an admitted batch at full
+    shard queues.
     """
     if isinstance(error, DeadlineExceededError):
         return "deadline_exceeded"

@@ -20,29 +20,33 @@ from repro.errors import DataError
 SIGNATURE_IMAGE_SHAPE = (24, 32)  # rows, columns -> 768 bits
 
 
-def _validate_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def _checked(bits: np.ndarray, ndims: tuple[int, ...]) -> np.ndarray:
+    """``bits`` as an array, after the one rule for signatures: ``ndims``
+    dimensions, non-empty, only zeros and ones (one ``np.unique``)."""
     bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise DataError(f"expected a one-dimensional bit vector, got shape {bits.shape}")
+    if bits.ndim not in ndims:
+        raise DataError(
+            f"expected a {' or '.join(map(str, ndims))}-D bit array, got shape "
+            f"{bits.shape}"
+        )
     if bits.size == 0:
-        raise DataError("bit vector must not be empty")
-    if validate:
-        values = np.unique(bits)
-        if not np.all(np.isin(values, (0, 1))):
-            raise DataError("bit vector must contain only zeros and ones")
-    return bits.astype(np.uint8)
+        raise DataError("bit array must not be empty")
+    if not np.isin(np.unique(bits), (0, 1)).all():
+        raise DataError("bit array must contain only zeros and ones")
+    return bits
 
 
-def pack_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def _validate_bits(bits: np.ndarray) -> np.ndarray:
+    return _checked(bits, (1,)).astype(np.uint8)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a vector of zeros and ones into bytes (big-endian within a byte).
 
     The packed form is what the BlockRAM model in :mod:`repro.hw` stores:
-    768 bits fit in 96 bytes per neuron.  ``validate=False`` skips the
-    O(n log n) zeros-and-ones scan for callers that validated the bits at
-    the API boundary already.
+    768 bits fit in 96 bytes per neuron.
     """
-    bits = _validate_bits(bits, validate=validate)
-    return np.packbits(bits)
+    return np.packbits(_validate_bits(bits))
 
 
 def unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
@@ -58,7 +62,7 @@ def unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
     return bits[:length].astype(np.uint8)
 
 
-def pack_signature_batch(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
+def pack_signature_batch(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(n_samples, n_bits)`` binary matrix row-wise into bytes.
 
     The batched counterpart of :func:`pack_bits`: one ``packbits`` call
@@ -68,17 +72,10 @@ def pack_signature_batch(bits: np.ndarray, *, validate: bool = True) -> np.ndarr
     useful for bulk-deriving cache keys or BlockRAM images of a whole
     signature set.
     """
-    bits = np.asarray(bits)
-    if bits.ndim != 2:
-        raise DataError(f"expected a 2-D bit matrix, got shape {bits.shape}")
-    if bits.size == 0:
-        raise DataError("bit matrix must not be empty")
-    if validate and not np.all(np.isin(np.unique(bits), (0, 1))):
-        raise DataError("bit matrix must contain only zeros and ones")
-    return np.packbits(bits.astype(np.uint8), axis=1)
+    return np.packbits(_checked(bits, (2,)).astype(np.uint8), axis=1)
 
 
-def signature_key(bits: np.ndarray, *, validate: bool = True) -> bytes:
+def signature_key(bits: np.ndarray) -> bytes:
     """Compact, hashable identity of one signature: its packed bytes.
 
     Two signatures share a key exactly when they are bit-for-bit equal, so
@@ -93,21 +90,21 @@ def signature_key(bits: np.ndarray, *, validate: bool = True) -> bytes:
     forms are injective over equal-length signatures, and for 768-bit
     signatures (96 bytes = 12 words exactly) they are byte-identical.
     """
-    return pack_bits(bits, validate=validate).tobytes()
+    return pack_bits(bits).tobytes()
 
 
-def packed_signature_words(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
-    """Validate once, pack once: one signature as ``uint64`` words.
+def packed_signature_words(bits: np.ndarray) -> np.ndarray:
+    """Validate once, pack once: one signature (1-D) or a block of them (one
+    per row) as ``uint64`` words.
 
-    The serving layer's submit path derives *both* artefacts it needs from
-    this single call: the words feed the packed distance backend directly
+    One ``np.unique`` checks the whole block and one
+    :func:`~repro.core.backends.pack_bits_to_words` call packs it.  The
+    serving layer derives *both* artefacts it needs from this one call: row
+    ``i``'s words feed the packed distance backend
     (:meth:`repro.core.BinarySom.distance_matrix_packed`), and their raw
-    bytes (``words.tobytes()``) are the LRU cache key.  The signature is
-    therefore validated and packed exactly once per request, instead of
-    once per lookup plus once per classification.
+    bytes are its LRU cache key.
     """
-    bits = _validate_bits(bits, validate=validate)
-    return pack_bits_to_words(bits)
+    return pack_bits_to_words(_checked(bits, (1, 2)))
 
 
 def signature_to_image(

@@ -109,6 +109,24 @@ class TestWeightManagement:
         with pytest.raises(ConfigurationError):
             small_bsom.set_weights(np.zeros((4, 32), dtype=np.int8))
 
+    def test_weights_is_a_copy_of_the_map(self, rng):
+        som = BinarySom(8, 32, dont_care_probability=0.3, seed=3)
+        som.fit(rng.integers(0, 2, size=(20, 32)), epochs=2, seed=0)
+        version = som.weights_version
+        weights = som.weights
+        assert np.array_equal(weights.values, som._weights)
+        assert weights.values is not som._weights
+        weights.values[:] = DONT_CARE  # a holder's write stays its own
+        assert not np.array_equal(som.weights.values, weights.values)
+        assert som.weights_version == version
+        assert som.dont_care_fraction() < 1.0
+
+    def test_set_weights_still_rejects_invalid_states(self, small_bsom):
+        values = small_bsom.weights.values
+        values[0, 0] = DONT_CARE + 1  # neither 0, 1 nor '#'
+        with pytest.raises(DataError):
+            small_bsom.set_weights(values)
+
 
 class TestTraining:
     def test_partial_fit_returns_winner(self, small_bsom, rng):
@@ -219,8 +237,9 @@ def _assert_same_map(som, reference):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_plane_training_matches_int8_oracle(data):
-    """``fit`` and ``partial_fit`` on packed planes equal the per-step int8
-    oracle in weights, weights version, winners and random-stream position."""
+    """``fit`` and ``partial_fit`` (one row or a block) on packed planes equal
+    the per-step int8 oracle in weights, weights version, winners and
+    random-stream position."""
     kind = data.draw(st.sampled_from(["linear", "ring", "grid"]))
     if kind == "grid":
         rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
@@ -262,5 +281,13 @@ def test_plane_training_matches_int8_oracle(data):
         assert som.partial_fit(x, iteration, total) == oracle.train_one(
             reference, x, iteration, total
         )
+    _assert_same_map(som, reference)
+
+    # A block is one pass: the oracle's per-row steps, in order.
+    block = X[data.draw(st.integers(0, len(X) - 1)) :]
+    iteration = data.draw(st.integers(0, total - 1))
+    winners = som.partial_fit(block, iteration, total)
+    expected = [oracle.train_one(reference, x, iteration, total) for x in block]
+    assert np.array_equal(winners, expected)
     _assert_same_map(som, reference)
     assert som._update_rng.random() == reference._update_rng.random()

@@ -635,12 +635,10 @@ class TestEvictSubmitRace:
 
 
 # --------------------------------------------------------------------- #
-# submit_many all-or-nothing drain (dedup followers included)
+# submit_many admits a block all or nothing (dedup followers included)
 # --------------------------------------------------------------------- #
-class TestSubmitManyDrain:
-    def test_overload_drain_reraises_and_releases_budget(
-        self, trained_bsom_classifier, cluster_data
-    ):
+class TestSubmitManyAllOrNothing:
+    def test_refused_block_admits_nothing(self, trained_bsom_classifier, cluster_data):
         X, _ = cluster_data
         config = ServiceConfig(
             batch_size=256, max_delay_ms=20.0, cache_capacity=0, max_pending=3
@@ -648,23 +646,24 @@ class TestSubmitManyDrain:
         service = StreamingInferenceService(config=config)
         service.register_model("m", trained_bsom_classifier)
         with service:
-            # Rows 0,0,1,2 fit (the duplicate coalesces, consuming no
-            # budget slot); row 3 is refused by the 3-slot pending budget.
-            rows = np.vstack([X[0], X[0], X[1], X[2], X[3]])
+            # Five distinct rows need five slots of a 3-slot budget: the
+            # block is refused whole, and nothing is left to drain.
             with pytest.raises(ServiceOverloadedError):
-                service.submit_many(rows, model="m")
-            assert service.metrics_snapshot().dedup_hits == 1
-            # The drain awaited the admitted futures (follower included):
-            # the deadline dispatcher cut their lane, so the budget frees
-            # without any caller-side flush.
-            deadline = time.monotonic() + 5.0
-            while service.pending_requests and time.monotonic() < deadline:
-                time.sleep(0.005)
+                service.submit_many(X[:5], model="m")
+            snapshot = service.metrics_snapshot()
             assert service.pending_requests == 0
-            # A retried bulk submission now fits cleanly.
-            futures = service.submit_many(rows[2:], model="m")
+            assert snapshot.requests_total == 0 and snapshot.cache_misses == 0
+            assert snapshot.backpressure_rejections == 5
+            # Rows 0, 0, 1, 2 need three slots: the duplicate follows the
+            # first row and takes none.
+            rows = np.vstack([X[0], X[0], X[1], X[2]])
+            futures = service.submit_many(rows, model="m")
+            assert service.pending_requests == 3
+            assert service.metrics_snapshot().dedup_hits == 1
             service.flush()
-            assert all(f.result(10.0) is not None for f in futures)
+            answers = [future.result(10.0) for future in futures]
+            assert answers[1].deduplicated and answers[1].label == answers[0].label
+            assert service.pending_requests == 0
 
 
 # --------------------------------------------------------------------- #

@@ -74,10 +74,9 @@ def _request(model: str = "m", bits: int = 16, fill: int = 0) -> ClassificationR
 class TestMicroBatchScheduler:
     def test_size_triggered_flush(self):
         scheduler = MicroBatchScheduler(batch_size=3, max_delay_s=10.0, clock=FakeClock())
-        assert scheduler.submit(_request(fill=0))[0] is None
-        assert scheduler.submit(_request(fill=1))[0] is None
-        batch, _ = scheduler.submit(_request(fill=2))
-        assert batch is not None
+        assert scheduler.submit([_request(fill=0)])[0] == []
+        assert scheduler.submit([_request(fill=1)])[0] == []
+        (batch,), _ = scheduler.submit([_request(fill=2)])
         assert len(batch) == 3 and batch.flushed_by == "size"
         assert batch.fill_fraction == 1.0
         assert scheduler.pending_count() == 0
@@ -85,7 +84,7 @@ class TestMicroBatchScheduler:
     def test_deadline_triggered_flush(self):
         clock = FakeClock()
         scheduler = MicroBatchScheduler(batch_size=8, max_delay_s=0.5, clock=clock)
-        scheduler.submit(_request(fill=0))
+        scheduler.submit([_request(fill=0)])
         assert scheduler.due() == []  # not yet due
         clock.advance(0.4)
         assert scheduler.due() == []
@@ -97,9 +96,9 @@ class TestMicroBatchScheduler:
     def test_deadline_measured_from_oldest_request(self):
         clock = FakeClock()
         scheduler = MicroBatchScheduler(batch_size=8, max_delay_s=0.5, clock=clock)
-        scheduler.submit(_request(fill=0))
+        scheduler.submit([_request(fill=0)])
         clock.advance(0.4)
-        scheduler.submit(_request(fill=1))  # newer request must not reset the clock
+        scheduler.submit([_request(fill=1)])  # newer request must not reset the clock
         assert scheduler.next_deadline() == pytest.approx(0.5)
         clock.advance(0.1)
         (batch,) = scheduler.due()
@@ -108,21 +107,57 @@ class TestMicroBatchScheduler:
     def test_per_model_lanes_are_independent(self):
         clock = FakeClock()
         scheduler = MicroBatchScheduler(batch_size=2, max_delay_s=1.0, clock=clock)
-        scheduler.submit(_request(model="a", fill=0))
-        batch, _ = scheduler.submit(_request(model="b", fill=1))
-        assert batch is None  # two lanes, neither full
-        full, _ = scheduler.submit(_request(model="a", fill=2))
-        assert full is not None and full.model == "a"
+        scheduler.submit([_request(model="a", fill=0)])
+        batches, _ = scheduler.submit([_request(model="b", fill=1)])
+        assert batches == []  # two lanes, neither full
+        (full,), _ = scheduler.submit([_request(model="a", fill=2)])
+        assert full.model == "a"
         assert scheduler.pending_count("b") == 1
 
     def test_drain_cuts_everything(self):
         scheduler = MicroBatchScheduler(batch_size=8, max_delay_s=1.0, clock=FakeClock())
-        scheduler.submit(_request(model="a"))
-        scheduler.submit(_request(model="b"))
+        scheduler.submit([_request(model="a")])
+        scheduler.submit([_request(model="b")])
         batches = scheduler.drain()
         assert {batch.model for batch in batches} == {"a", "b"}
         assert all(batch.flushed_by == "drain" for batch in batches)
         assert scheduler.next_deadline() is None
+
+    def test_block_cuts_full_batches_in_order(self):
+        scheduler = MicroBatchScheduler(batch_size=3, max_delay_s=1.0, clock=FakeClock())
+        block = [_request(fill=index) for index in range(7)]
+        batches, opened = scheduler.submit(block)
+        assert [[r.request_id for r in b.requests] for b in batches] == [
+            [0, 1, 2], [3, 4, 5]
+        ]
+        assert all(batch.flushed_by == "size" for batch in batches)
+        assert opened and scheduler.pending_count() == 1
+
+    def test_opened_only_when_the_block_leaves_a_lane_it_opened(self):
+        clock = FakeClock()
+        scheduler = MicroBatchScheduler(batch_size=2, max_delay_s=1.0, clock=clock)
+        # Filling the lane it opened leaves nothing to wait for.
+        assert scheduler.submit([_request(fill=0), _request(fill=1)])[1] is False
+        assert scheduler.submit([_request(fill=2)])[1] is True
+        # Joining a lane that is already open starts no new deadline.
+        clock.advance(0.3)
+        batches, opened = scheduler.submit([_request(fill=3)])
+        assert len(batches) == 1 and not opened
+        # ... unless the block cuts it and opens it again.
+        scheduler.submit([_request(fill=4)])
+        assert scheduler.submit([_request(fill=5), _request(fill=6)])[1] is True
+
+    def test_deadline_runs_from_the_opening_request_enqueued_at(self):
+        clock = FakeClock()
+        clock.advance(10.0)
+        scheduler = MicroBatchScheduler(batch_size=8, max_delay_s=0.5, clock=clock)
+        early = _request(fill=0)
+        early.enqueued_at = 9.8  # the block arrived before it reached its lane
+        scheduler.submit([early, _request(fill=1)])
+        assert scheduler.next_deadline() == pytest.approx(10.3)
+        clock.advance(0.3)
+        (batch,) = scheduler.due()
+        assert len(batch) == 2 and batch.flushed_by == "deadline"
 
     def test_configuration_validation(self):
         with pytest.raises(ConfigurationError):
@@ -582,6 +617,138 @@ class TestDispatcherWakes:
             for index in range(2):  # the second opens the lane the first left
                 service.submit(X[index], model="m").result(5.0)
         assert cuts == ["deadline", "deadline"]
+
+
+def _answers(responses) -> list[tuple]:
+    return [
+        (r.label, r.neuron, r.distance, r.rejected, r.confidence) for r in responses
+    ]
+
+
+def _counter(service, name: str) -> float:
+    return service.obs.registry.get(name).value
+
+
+class TestBlockAdmission:
+    """``submit_many`` admits a block once: one validation, one reservation,
+    one lane hand-off -- with the answers of per-row submits."""
+
+    @staticmethod
+    def _service(classifier, **config):
+        config.setdefault("batch_size", 32)
+        config.setdefault("max_delay_ms", 2.0)
+        service = StreamingInferenceService(config=ServiceConfig(**config))
+        service.register_model("m", classifier)
+        return service
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 65])
+    def test_block_answers_equal_row_submits_and_predict_batch(
+        self, trained_bsom_classifier, cluster_data, size, cached
+    ):
+        X, _ = cluster_data
+        # Drawn from 20 rows, so every block past 20 rows holds duplicates.
+        block = X[np.random.default_rng(size).integers(0, 20, size)]
+        batch = trained_bsom_classifier.predict_batch(block)
+        expected = list(zip(
+            batch.labels.tolist(), batch.neurons.tolist(), batch.distances.tolist(),
+            batch.rejected.tolist(), batch.confidences.tolist(),
+        ))
+        answers = []
+        for admit in ("block", "rows"):
+            with self._service(trained_bsom_classifier) as service:
+                if cached:
+                    service.classify("m", block[::3])
+                if admit == "block":
+                    futures = service.submit_many(block, model="m")
+                else:
+                    futures = [service.submit(row, model="m") for row in block]
+                service.flush()
+                answers.append(_answers([future.result(10.0) for future in futures]))
+                warmed = len(block[::3]) if cached else 0
+                assert _counter(service, "serve_requests_total") == warmed + size
+                assert service.pending_requests == 0
+        assert answers[0] == answers[1] == expected
+
+    def test_a_refused_block_is_counted_once_per_row_as_shed(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        with self._service(
+            trained_bsom_classifier, cache_capacity=0, max_pending=3, max_delay_ms=1e6
+        ) as service:
+            with pytest.raises(ServiceOverloadedError):
+                service.submit_many(X[:5], model="m")
+            assert service.pending_requests == 0
+            assert _counter(service, "serve_requests_total") == 0
+            assert _counter(service, "serve_backpressure_rejections_total") == 5
+            events = service.obs.events.events(kind="shed")
+            assert [(e.fields["reason"], e.fields["count"]) for e in events] == [
+                ("pending_budget", 5)
+            ]
+
+    @pytest.mark.parametrize("call", ["submit_many", "classify"])
+    @pytest.mark.parametrize("position", [0, 2, 3], ids=["first", "middle", "last"])
+    def test_a_non_binary_row_admits_no_row(
+        self, trained_bsom_classifier, cluster_data, call, position
+    ):
+        X, _ = cluster_data
+        block = X[:4].copy()
+        block[position, 5] = 2
+        names = (
+            "serve_requests_total",
+            "serve_cache_misses_total",
+            "serve_responses_total",
+        )
+        with self._service(
+            trained_bsom_classifier, batch_size=256, max_delay_ms=1e6
+        ) as service:
+            before = [_counter(service, name) for name in names]
+            with pytest.raises(DataError):
+                if call == "classify":
+                    service.classify("m", block, timeout=1.0)
+                else:
+                    service.submit_many(block, model="m")
+            service.flush()
+            deadline = time.monotonic() + 5.0
+            while service.pending_requests and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.pending_requests == 0
+            assert [_counter(service, name) for name in names] == before
+
+    def test_block_rows_draw_the_canary_split_in_order(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        from repro.serve.registry import TrafficRoute
+
+        X, _ = cluster_data
+        weights = {"m": 0.5, "m@v2": 0.5}
+        with self._service(trained_bsom_classifier, cache_capacity=0) as service:
+            service.register_model("m@v2", trained_bsom_classifier)
+            service.registry.set_route("m", weights, seed=7)
+            versions = [response.model for response in service.classify("m", X[:40])]
+            assert service.registry.pinned("m@v2") == 0
+        route = TrafficRoute("m", weights, seed=7)
+        assert versions == [route.draw() for _ in range(40)]
+        assert set(versions) == {"m", "m@v2"}
+
+    def test_a_block_wakes_the_dispatcher_only_when_it_leaves_an_open_lane(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        config = ServiceConfig(batch_size=8, max_delay_ms=5.0, cache_capacity=0)
+        service = StreamingInferenceService(config=config, clock=FakeClock())
+        service.register_model("m", trained_bsom_classifier)
+        wake = service._wake = _CountingEvent()
+        with service:
+            service.submit_many(X[:8], model="m")  # one full batch, no lane left
+            assert wake.sets == 0
+            service.submit_many(X[8:11], model="m")  # opens the lane
+            assert wake.sets == 1
+            service.submit_many(X[11:14], model="m")  # joins it
+            assert wake.sets == 1
+            service.submit_many(X[14:20], model="m")  # cuts it and opens it again
+            assert wake.sets == 2 and service.scheduler.pending_count("m") == 4
 
 
 class TestStreamReportLatencyAndShed:

@@ -522,15 +522,20 @@ class ServeMachine(RuleBasedStateMachine):
             RolloutConfig(auto=False, rollback_on_breaker=False)
         )
         self.accepted: list[PendingResult] = []
-        submit = self.service.submit
+        submit, submit_many = self.service.submit, self.service.submit_many
 
         def recording_submit(*args, **kwargs):
             future = submit(*args, **kwargs)
             self.accepted.append(future)
             return future
 
-        # submit_many submits through this attribute, so it is counted too.
+        def recording_submit_many(*args, **kwargs):
+            futures = submit_many(*args, **kwargs)
+            self.accepted.extend(futures)
+            return futures
+
         self.service.submit = recording_submit
+        self.service.submit_many = recording_submit_many
         self.service.start()
 
     def teardown(self) -> None:
@@ -564,12 +569,14 @@ class ServeMachine(RuleBasedStateMachine):
     )
     def submit_many(self, indices, deadline):
         rows = np.stack([POOL[index] for index in indices])
+        requests = _counter(self.service, "serve_requests_total")
+        pending = self.service.pending_requests
         try:
-            self.service.submit_many(
-                rows, model="m", deadline_s=deadline, drain_timeout_s=0.01
-            )
+            self.service.submit_many(rows, model="m", deadline_s=deadline)
         except ServiceError:
-            pass
+            # Refused whole: no row of the block was admitted.
+            assert _counter(self.service, "serve_requests_total") == requests
+            assert self.service.pending_requests <= pending
 
     @rule(seconds=st.sampled_from([0.1, 0.3, 0.6]))
     def advance_clock(self, seconds):
