@@ -30,7 +30,8 @@ With ``--inject-faults`` the first drive phase runs under a deterministic
 :class:`~repro.serve.FaultInjector` that kills one worker shard mid-wave:
 the frames in the abandoned micro-batch fail fast with
 ``ShardFailedError``, the shard supervisor detects the dead thread and
-restarts it, and the remaining frames resolve on the replacement worker.
+restarts it, and the remaining frames resolve on the other worker and the
+replacement, which pull the model's one ready queue.
 The restart is visible in the telemetry (``shard restarts`` line, the
 ``shard_restart`` event) and in ``--metrics-out`` as the
 ``serve_shard_restarts_total`` counter.
@@ -105,8 +106,9 @@ def _drive_through_fault(service, dataset, n_streams, frames_per_stream, seed0):
     ``drive_streams`` surfaces non-overload failures to the caller, so this
     phase submits frames directly and counts per-future outcomes instead:
     the frames in the micro-batch the dying worker abandoned fail with
-    ``ShardFailedError``; everything queued behind them is re-dispatched to
-    the supervisor's replacement worker and resolves normally.
+    ``ShardFailedError``; everything queued behind them stays in the
+    model's ready queue for the other worker and the supervisor's
+    replacement, and resolves normally.
     """
     streams = [
         SimulatedCameraStream(
@@ -310,7 +312,6 @@ def main(
         max_delay_ms=5.0,
         cache_capacity=0 if canary else 4096,
         n_shards=2,
-        routing_policy="least_loaded",
         fault_injector=injector,
         supervisor=SupervisorConfig(interval_s=0.05, hang_timeout_s=5.0),
     )
@@ -318,7 +319,7 @@ def main(
     exporter = JsonlExporter(metrics_out) if metrics_out else None
     print(
         f"registered models: {service.registry.names()}  "
-        f"(shards per model: {config.n_shards}, policy: {config.routing_policy})"
+        f"(shards per model: {config.n_shards})"
     )
 
     with service:

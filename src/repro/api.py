@@ -281,7 +281,7 @@ def swap(
 ) -> SomClassifier:
     """Hot-reload served model ``name``; returns the classifier it replaced.
 
-    Zero-drop by construction: shard queues are untouched and each worker
+    Zero-drop by construction: ready queues are untouched and each worker
     flips to the new (operand-pre-warmed) model at a micro-batch boundary,
     so every request queued across the swap resolves successfully.  When
     ``service`` is a :class:`StreamingInferenceService`, its signature

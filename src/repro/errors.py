@@ -130,11 +130,11 @@ class ModelEvictedError(UnknownModelError):
 
 
 class ServiceOverloadedError(ServiceError):
-    """Backpressure: the service's queues are saturated.
+    """Backpressure: the service is saturated.
 
-    Raised instead of queueing unboundedly when either the service-wide
-    pending budget or every worker shard's batch queue is full.  Callers are
-    expected to shed load or retry after a delay.
+    Raised at submit when the service-wide pending budget, the one
+    admission point, cannot take a block; never to an admitted request.
+    Callers are expected to shed load or retry after a delay.
     """
 
     def __init__(self, what: str, pending: int, capacity: int):
@@ -149,9 +149,9 @@ class ServiceOverloadedError(ServiceError):
 class CircuitOpenError(ServiceOverloadedError):
     """Every shard circuit breaker of the requested model is open.
 
-    The scheduler routes around individually open shards; this error means
-    no shard of the model is currently accepting work and no stale cache
-    entry could answer the request.  Derives from
+    A batch is queued while any enabled shard's breaker allows it; this
+    error means no shard of the model is currently accepting work and no
+    stale cache entry could answer the request.  Derives from
     :class:`ServiceOverloadedError` because the remedy is the same: back
     off and retry -- a half-open probe will test the shards again after the
     breaker's reset timeout.
@@ -195,7 +195,8 @@ class ShardFailedError(ServiceError):
 
     Delivered by the shard supervisor to the futures of the batch the
     failed worker was holding; the shard itself is restarted (under a
-    bounded restart budget) and its still-queued batches are re-dispatched.
+    bounded restart budget), and the model's other workers pull its queued
+    batches.  A stop that finds every worker dead fails those too.
     """
 
     def __init__(self, shard: str, reason: str = "failed"):

@@ -11,8 +11,8 @@ moving parts, front to back:
   are scored in one vectorised ``predict_batch`` call,
 * :mod:`repro.serve.cache` -- an LRU cache keyed on packed signatures;
   repeated silhouettes skip the SOM entirely,
-* :mod:`repro.serve.shard` -- thread-backed worker shards with
-  round-robin / least-loaded routing and bounded queues,
+* :mod:`repro.serve.shard` -- thread-backed worker shards that pull cut
+  batches from one ready queue per model,
 * :mod:`repro.serve.registry` -- named model snapshots
   (:class:`~repro.core.snapshot.ModelSnapshot` or fitted classifiers),
   each behind its own shard group, with zero-drop hot-reload
@@ -97,7 +97,7 @@ from repro.serve.rollout import (
     ShadowStats,
 )
 from repro.serve.service import ServiceConfig, StreamingInferenceService
-from repro.serve.shard import ShardGroup, WorkerShard
+from repro.serve.shard import ReadyQueue, ShardGroup, WorkerShard
 from repro.serve.streams import SimulatedCameraStream, StreamReport, drive_streams
 
 __all__ = [
@@ -145,6 +145,7 @@ __all__ = [
     "ShadowStats",
     "ServiceConfig",
     "StreamingInferenceService",
+    "ReadyQueue",
     "ShardGroup",
     "WorkerShard",
     "SimulatedCameraStream",

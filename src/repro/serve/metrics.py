@@ -9,7 +9,7 @@ FPGA.  This module keeps the software service honest the same way:
 * batch fill -- how close the micro-batcher gets to its configured batch
   size, the lever that trades latency for throughput,
 * cache hit rate, mirrored from the signature LRU cache, and
-* per-shard queue depth plus a count of backpressure rejections.
+* per-model ready-queue depth plus a count of backpressure rejections.
 
 Every counter and the latency histogram live in the service's
 :class:`repro.obs.MetricRegistry` under stable ``serve_*`` names (in
@@ -30,11 +30,11 @@ Registry metric names (the vocabulary ``BENCH_serve.json`` will commit):
 ``serve_dedup_hits_total``                  counter    in-flight coalesces
 ``serve_model_swaps_total``                 counter    zero-drop hot-swaps
 ``serve_backpressure_rejections_total``     counter    requests shed by load
-``serve_batches_total``                     counter    micro-batches cut
+``serve_batches_total``                     counter    batches dispatched to shards
 ``serve_batch_fill_fraction_sum``           counter    summed fill fractions
 ``serve_batch_size_sum``                    counter    summed batch sizes
 ``serve_request_latency_seconds``           histogram  submit-to-resolve
-``serve_shard_queue_depth{shard=...}``      gauge      queued batches
+``serve_shard_queue_depth{model=...}``      gauge      ready-queue batches
 ``serve_retries_total``                     counter    submit retries (backoff)
 ``serve_deadline_exceeded_total``           counter    requests shed past deadline
 ``serve_stale_hits_total``                  counter    stale-cache degradations
@@ -87,9 +87,9 @@ class MetricsSnapshot:
         Hot-swaps (:meth:`StreamingInferenceService.swap_model`) performed.
     backpressure_rejections:
         Requests shed by load: refused at the pending budget, or failed
-        because every shard queue was full or every circuit open.
+        because every circuit of their model was open.
     batches_total:
-        Micro-batches dispatched to shards.
+        Micro-batches dispatched to shards: taken by a model's ready queue.
     mean_batch_fill:
         Average fill fraction of dispatched batches (1.0 = always full).
     mean_batch_size:
@@ -113,7 +113,7 @@ class MetricsSnapshot:
     shard_leaks:
         Worker threads that failed to join at stop (wedged past timeout).
     queue_depths:
-        Batches queued per shard, keyed by shard name, at snapshot time.
+        Batches waiting in each model's ready queue at snapshot time.
     """
 
     requests_total: int
@@ -145,14 +145,14 @@ class MetricsSnapshot:
     ) -> "MetricsSnapshot":
         """Read a service's ``serve_*`` metrics from ``registry``.
 
-        ``queue_depths`` (batches queued per shard, sampled by the caller)
+        ``queue_depths`` (batches waiting per model, sampled by the caller)
         is also published as the ``serve_shard_queue_depth`` gauges.
         """
-        for shard, depth in queue_depths.items():
+        for model, depth in queue_depths.items():
             registry.gauge(
                 "serve_shard_queue_depth",
-                labels={"shard": shard},
-                help="Micro-batches queued per worker shard",
+                labels={"model": model},
+                help="Micro-batches waiting in each model's ready queue",
             ).set(depth)
 
         def count(name: str) -> int:

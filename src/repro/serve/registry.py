@@ -6,9 +6,9 @@ weights to the FPGA; :class:`~repro.core.snapshot.ModelSnapshot` (and its
 registry is the serving-side half of the story: it accepts named snapshots
 (or already-fitted classifiers), stands up a
 :class:`~repro.serve.shard.ShardGroup` of worker threads for each, and
-routes micro-batches to them.  Several cameras can thus be served by
-different map generations side by side -- e.g. ``"hall-v1"`` still serving
-while ``"hall-v2"`` warms up.
+hands each cut micro-batch to its model's ready queue.  Several cameras
+can thus be served by different map generations side by side -- e.g.
+``"hall-v1"`` still serving while ``"hall-v2"`` warms up.
 
 Two lifecycle operations keep futures honest:
 
@@ -96,16 +96,17 @@ class TrafficRoute:
 
 
 class ModelRegistry:
-    """Named, sharded classifier snapshots with batch routing.
+    """Named, sharded classifier snapshots, one ready queue per model.
+
+    The registry admits nothing itself: :meth:`submit` queues every batch
+    some shard of its model can serve, and the service's pending budget
+    is what bounds the queues.
 
     Parameters
     ----------
     n_shards:
-        Worker shards (threads) per registered model.
-    policy:
-        Shard routing policy: ``"round_robin"`` or ``"least_loaded"``.
-    queue_capacity:
-        Per-shard bounded queue size (the backpressure knob).
+        Worker shards (threads) per registered model; they pull the
+        model's cut batches from its one ready queue.
     clock:
         Monotonic time source forwarded to the shards for trace
         timestamps, and the latency clock of a standalone registry's
@@ -120,16 +121,12 @@ class ModelRegistry:
         self,
         *,
         n_shards: int = 2,
-        policy: str = "round_robin",
-        queue_capacity: int = 8,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: Optional[FaultInjector] = None,
     ):
         if n_shards <= 0:
             raise ConfigurationError(f"n_shards must be positive, got {n_shards}")
         self.n_shards = int(n_shards)
-        self.policy = policy
-        self.queue_capacity = int(queue_capacity)
         self._clock = clock
         self._injector = fault_injector
         self._breaker_gate: Optional[BreakerGate] = None
@@ -147,7 +144,7 @@ class ModelRegistry:
     # Completion binding
     # ------------------------------------------------------------------ #
     def _default_completion(
-        self, shard: WorkerShard, batch: MicroBatch, outcome: Outcome
+        self, shard: Optional[WorkerShard], batch: MicroBatch, outcome: Outcome
     ) -> None:
         resolve_requests(batch.requests, outcome, clock=self._clock)
 
@@ -160,7 +157,8 @@ class ModelRegistry:
         step adds cache, metrics and pending-budget accounting).
 
         ``completion(shard, batch, outcome)`` receives every batch a shard
-        finishes with, ``outcome`` being its prediction or its error.
+        finishes with, ``outcome`` being its prediction or its error, and
+        every batch failed straight off a ready queue, with ``shard=None``.
 
         ``retired(name)`` fires after :meth:`swap` or :meth:`evict` has
         displaced a model's classifier, so a bound service can invalidate
@@ -171,10 +169,10 @@ class ModelRegistry:
         self._retired = retired
 
     def bind_breakers(self, gate: BreakerGate) -> None:
-        """Install a circuit-breaker routing gate on every shard group.
+        """Install a circuit-breaker gate on every shard group.
 
-        ``gate(model, shard_name)`` is consulted by each group's router
-        before offering a batch to a shard (typically
+        ``gate(model, shard_name)`` is consulted by :meth:`submit`, shard by
+        shard, before a batch is queued (typically
         :meth:`repro.serve.resilience.BreakerBoard.allow`).  Applied to
         already-registered groups and to every future registration.
         """
@@ -203,7 +201,7 @@ class ModelRegistry:
             self._retired(name)
 
     def _dispatch_completion(
-        self, shard: WorkerShard, batch: MicroBatch, outcome: Outcome
+        self, shard: Optional[WorkerShard], batch: MicroBatch, outcome: Outcome
     ) -> None:
         # Late-bound indirection so shards created before bind_completion()
         # still route through the service once it attaches.
@@ -258,8 +256,6 @@ class ModelRegistry:
                 classifier,
                 self._dispatch_completion,
                 n_shards=self.n_shards,
-                policy=self.policy,
-                queue_capacity=self.queue_capacity,
                 clock=self._clock,
                 fault_injector=self._injector,
             )
@@ -291,8 +287,8 @@ class ModelRegistry:
         """Hot-reload ``name`` with a new model; return the previous classifier.
 
         The software equivalent of reflashing the FPGA without power-cycling
-        the camera: the shard group stays up, its queues are untouched, and
-        every shard flips to the new classifier at a micro-batch boundary --
+        the camera: the shard group stays up, its ready queue is untouched,
+        and every shard flips to the new classifier at a micro-batch boundary --
         a swap issued while requests are queued completes with zero dropped
         or failed futures.  The new model's distance operands are prepared
         *before* the flip, so the first post-swap batch pays no warm-up.
@@ -360,12 +356,12 @@ class ModelRegistry:
             for key in dropped_routes:
                 del self._routes[key]
         error = ModelEvictedError(name, remaining)
-        # First pass: fail what is queued right now (covers never-started
-        # shards, whose queues would otherwise strand their futures).
+        # First pass: fail what is queued right now (covers a never-started
+        # group, whose ready queue would otherwise strand its futures).
         cancelled = group.cancel_queued(error)
         group.stop()
         # Second pass: anything that raced in between the cancel and the
-        # worker shutdown (the name is already unrouteable, but a caller
+        # worker shutdown (the name is already unregistered, but a caller
         # holding a direct group reference could still have submitted).
         cancelled += group.cancel_queued(error)
         self._emit("evict", model=name, cancelled_requests=cancelled)
@@ -452,7 +448,7 @@ class ModelRegistry:
             return self._pins.get(version, 0)
 
     # ------------------------------------------------------------------ #
-    # Lookup and routing
+    # Lookup and hand-off
     # ------------------------------------------------------------------ #
     def group(self, name: str) -> ShardGroup:
         with self._lock:
@@ -468,9 +464,15 @@ class ModelRegistry:
                 raise UnknownModelError(name, tuple(self._classifiers))
             return classifier
 
-    def submit(self, batch: MicroBatch) -> WorkerShard:
-        """Route a micro-batch to a shard of its model."""
-        return self.group(batch.model).submit(batch)
+    def submit(self, batch: MicroBatch) -> None:
+        """Queue a cut micro-batch on its model's ready queue.
+
+        Raises :class:`~repro.errors.CircuitOpenError` when no shard could
+        serve it (every shard disabled, or every breaker refusing) and
+        :class:`~repro.errors.UnknownModelError` when the model is gone;
+        never a plain :class:`~repro.errors.ServiceOverloadedError`.
+        """
+        self.group(batch.model).submit(batch)
 
     def names(self) -> tuple[str, ...]:
         with self._lock:
@@ -525,10 +527,7 @@ class ModelRegistry:
         return leaked
 
     def queue_depths(self) -> dict[str, int]:
-        """Queued batches per shard across every registered model."""
+        """Batches waiting in each registered model's ready queue."""
         with self._lock:
-            groups = list(self._groups.values())
-        depths: dict[str, int] = {}
-        for group in groups:
-            depths.update(group.queue_depths())
-        return depths
+            groups = list(self._groups.items())
+        return {name: len(group.ready) for name, group in groups}

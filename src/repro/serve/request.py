@@ -168,9 +168,8 @@ class ClassificationRequest:
     ``packed`` carries the signature as ``uint64`` words
     (:func:`repro.signatures.packing.packed_signature_words`), produced
     once per admitted block together with ``cache_key`` (the words' raw
-    bytes).  Shards score an all-packed batch straight against the bSOM's
-    cached bit-planes without re-packing or re-validating; ``signature``
-    (the caller's row as given) serves only requests built unpacked.
+    bytes); it is all a shard scores, straight against the bSOM's cached
+    bit-planes, without re-packing or re-validating.
 
     ``generation`` stamps the model generation current at submit time (the
     service bumps it on every hot-swap/evict) so the settle step never
@@ -191,13 +190,12 @@ class ClassificationRequest:
     :class:`~repro.errors.DeadlineExceededError`.
     """
 
-    signature: np.ndarray
+    packed: np.ndarray
     model: str
     stream_id: str
     request_id: int
     cache_key: bytes
     enqueued_at: float
-    packed: Optional[np.ndarray] = None
     pending: PendingResult = field(default_factory=PendingResult)
     generation: int = 0
     followers: list["ClassificationRequest"] = field(default_factory=list)

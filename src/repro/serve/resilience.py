@@ -18,13 +18,14 @@ to prove they work (``scripts/check_resilience.py``):
 * :class:`CircuitBreaker` / :class:`BreakerBoard` -- per-(model, shard)
   breakers that open after N consecutive batch failures, let one probe
   through per reset-timeout once half-open, and close again on success.
-  The shard router skips open breakers; when every shard of a model is
-  open the service degrades to stale cache answers (``stale=True``).
+  A cut batch is queued only while some shard's breaker allows it; when
+  every shard of a model is open the service degrades to stale cache
+  answers (``stale=True``).
 * :class:`ShardSupervisor` -- a watchdog thread that detects dead or
   wedged worker shards via per-shard heartbeats, fails the abandoned
-  in-flight batch (terminal futures, never hangs), restarts the worker
-  under a bounded restart budget, and leaves the shard's queued batches in
-  place for the replacement worker to drain.
+  in-flight batch (terminal futures, never hangs), and restarts the worker
+  on the model's ready queue under a bounded restart budget; the model's
+  queued batches stay in place for whichever worker pulls them.
 
 Everything reports through the :mod:`repro.obs` layer: breaker-state
 gauges (``serve_breaker_state{model,shard}``), ``serve_retries_total``,
@@ -372,7 +373,7 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """The per-(model, shard) breaker table the service and router consult.
+    """The per-(model, shard) breaker table the service and groups consult.
 
     Breakers are created lazily on first reference (an unreferenced shard
     is implicitly closed).  Transitions are pushed to the observability
@@ -436,14 +437,14 @@ class BreakerBoard:
             self._events.emit("breaker_close", model=model, shard=shard)
 
     def allow(self, model: str, shard: str) -> bool:
-        """Routing gate: may a batch go to this shard?  Consumes probes."""
+        """Dispatch gate: may a batch be queued for this shard?  Consumes probes."""
         return self.breaker(model, shard).allow(self._clock())
 
     def would_allow_any(self, model: str, shards: Sequence[str]) -> bool:
         """Degradation check: could *any* shard of the model take a batch?
 
         Side-effect free (no probe is consumed), so the service can use it
-        per-submit without starving the router of half-open probes.
+        per-submit without starving dispatch of half-open probes.
         """
         now = self._clock()
         return any(self.breaker(model, shard).would_allow(now) for shard in shards)
@@ -483,9 +484,8 @@ class SupervisorConfig:
         its batch is failed (terminal futures) and the worker is replaced.
         Must comfortably exceed the worst-case legitimate kernel time.
     max_restarts:
-        Per-shard restart budget; a shard exceeding it is disabled (its
-        queue is failed and the router stops selecting it) instead of
-        being restarted forever.
+        Per-shard restart budget; a shard exceeding it is disabled (it
+        never pulls a batch again) instead of being restarted forever.
     """
 
     interval_s: float = 0.25
@@ -520,9 +520,9 @@ class ShardSupervisor:
     Either way the in-flight batch is failed with
     :class:`~repro.errors.ShardFailedError` (every future reaches a
     terminal state) and a replacement worker thread is started on the same
-    queue, so still-queued batches are re-dispatched automatically.  A
-    shard that exhausts ``max_restarts`` is disabled instead: its queue is
-    failed terminally and the router skips it from then on.
+    ready queue, which the model's other shards kept pulling.  A shard that
+    exhausts ``max_restarts`` is disabled instead: it never pulls again,
+    and with no enabled shard left the ready queue is failed terminally.
     """
 
     def __init__(

@@ -13,13 +13,14 @@ one -- validating and packing the block once, then per row it:
    counted as ``dedup_hits``),
 3. otherwise admits it against a service-wide pending budget -- the whole
    block's slots at once, or none (raising
-   :class:`~repro.errors.ServiceOverloadedError` when saturated --
-   backpressure instead of unbounded queues),
+   :class:`~repro.errors.ServiceOverloadedError` when saturated).  The
+   budget is the service's one admission point: backpressure happens
+   here, where the caller can retry, and nowhere later,
 4. hands the block to the micro-batching scheduler, which cuts size- or
    deadline-bounded batches per model, and
-5. routes each batch through the sharded model registry to a worker
-   thread, which hands the scored batch back to the service's settle
-   step.
+5. hands each cut batch through the sharded model registry to its
+   model's ready queue, which the model's worker threads pull from; a
+   worker hands the scored batch back to the service's settle step.
 
 The settle step (:meth:`StreamingInferenceService._settle`) is the one
 code path that ends a request, whatever the outcome: an answer from the
@@ -112,14 +113,13 @@ class ServiceConfig:
     cache_capacity:
         Signature LRU cache entries (0 disables caching).
     n_shards:
-        Worker shards per registered model.
-    routing_policy:
-        ``"round_robin"`` or ``"least_loaded"`` shard selection.
-    shard_queue_capacity:
-        Bounded batch queue per shard.
+        Worker shards per registered model; they pull cut batches from the
+        model's one ready queue.
     max_pending:
         Service-wide cap on admitted-but-unresolved requests; submissions
-        beyond it are refused with :class:`ServiceOverloadedError`.
+        beyond it are refused with :class:`ServiceOverloadedError`.  The
+        only admission control: it also bounds the ready queues, so an
+        admitted request is never shed for queue space.
     trace_sample_every:
         Trace every Nth request (``1`` = all, ``0`` = tracing off).  Only
         used when the service builds its own :class:`~repro.obs.Observability`;
@@ -136,9 +136,10 @@ class ServiceConfig:
         refusal, exactly as before.
     breaker:
         :class:`~repro.serve.resilience.BreakerConfig` enabling
-        per-(model, shard) circuit breakers; the router skips open shards
-        and the service degrades to stale cache answers when every shard
-        of a model is open.  ``None`` (default) disables breakers.
+        per-(model, shard) circuit breakers; a cut batch is queued only
+        while some shard's breaker allows it, and the service degrades to
+        stale cache answers when every shard of a model is open.  ``None``
+        (default) disables breakers.
     supervisor:
         :class:`~repro.serve.resilience.SupervisorConfig` for the shard
         watchdog (dead/wedged worker detection + bounded restarts).  On by
@@ -154,8 +155,6 @@ class ServiceConfig:
     max_delay_ms: float = 5.0
     cache_capacity: int = 2048
     n_shards: int = 2
-    routing_policy: str = "round_robin"
-    shard_queue_capacity: int = 8
     max_pending: int = 1024
     trace_sample_every: int = 16
     default_deadline_s: Optional[float] = None
@@ -223,8 +222,6 @@ class StreamingInferenceService:
         )
         self.registry = registry if registry is not None else ModelRegistry(
             n_shards=self.config.n_shards,
-            policy=self.config.routing_policy,
-            queue_capacity=self.config.shard_queue_capacity,
             clock=clock,
             fault_injector=self.config.fault_injector,
         )
@@ -260,8 +257,7 @@ class StreamingInferenceService:
         )
         self._backpressure = registry.counter(
             "serve_backpressure_rejections_total",
-            help="Requests shed under saturation (pending budget, shard queues, "
-            "open circuits)",
+            help="Requests shed under saturation (pending budget, open circuits)",
         )
         self._batches = registry.counter(
             "serve_batches_total", help="Micro-batches dispatched to shards"
@@ -342,8 +338,8 @@ class StreamingInferenceService:
         # it under this lock, and admission enqueues under it, so no request can
         # reach the scheduler after stop() has drained the lanes (a stranded
         # request would leave its future unresolved until the caller's
-        # timeout).  Every batch also leaves its lane for a shard queue
-        # under it, so drained() never sees a batch between the two.
+        # timeout).  Every batch also leaves its lane for its model's ready
+        # queue under it, so drained() never sees a batch between the two.
         self._state_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._wake = threading.Event()
@@ -430,7 +426,7 @@ class StreamingInferenceService:
     def evict_model(self, name: str) -> SomClassifier:
         """Unregister ``name``; every queued future fails promptly and clearly.
 
-        Shard-queued batches are failed by the registry with
+        Batches in the model's ready queue are failed by the registry with
         :class:`~repro.errors.ModelEvictedError`; requests still buffered
         in this service's scheduler lane are cut and failed here the same
         way, so no future is left waiting for a deadline flush to discover
@@ -523,11 +519,10 @@ class StreamingInferenceService:
         row that needs a kernel) or :class:`~repro.errors.CircuitOpenError`
         (every breaker open, a row without a stale answer); each refused row
         counts once as shed.  If :meth:`stop` wins the race, the rows that
-        needed a kernel fail.  Full shard queues fail a cut batch's futures
-        with :class:`ServiceOverloadedError` instead.  ``config.retry``
-        retries a refused block whole; ``deadline_s`` (default
-        ``config.default_deadline_s``) sheds a late row with
-        :class:`~repro.errors.DeadlineExceededError`.
+        needed a kernel fail.  An admitted row is never shed for queue
+        space.  ``config.retry`` retries a refused block whole;
+        ``deadline_s`` (default ``config.default_deadline_s``) sheds a late
+        row with :class:`~repro.errors.DeadlineExceededError`.
         """
         X = np.asarray(X)
         if X.ndim == 1:
@@ -631,7 +626,6 @@ class StreamingInferenceService:
             request_id = first_id + row
             packed = words[row]
             request = ClassificationRequest(
-                signature=X[row],  # the caller's row as given: shards score ``packed``
                 model=name,
                 stream_id=stream_id,
                 request_id=request_id,
@@ -682,8 +676,8 @@ class StreamingInferenceService:
                 self._cache_misses.inc(len(primaries))
                 batches, opened = self.scheduler.submit(primaries)
                 for batch in batches:
-                    # Dispatch inside the lock so stop() cannot slip its
-                    # shard shutdown sentinel in front of this batch.
+                    # Dispatch inside the lock so stop() cannot close the
+                    # ready queues in front of this batch.
                     self._dispatch(batch)
         if not admitted:
             # stop() won the race after the entry check: fail fast instead of
@@ -777,31 +771,31 @@ class StreamingInferenceService:
 
     def drained(self, model: str) -> bool:
         """Whether nothing resolved to ``model`` is still on its way to a
-        shard, or queued or in flight on one.
+        shard, or queued for or in flight on one.
 
         True when no admission pins ``model`` (a routed draw not yet in its
-        lane), its scheduler lane is empty, and no shard of it holds a
-        batch.  A canary teardown polls this after clearing the version's
-        route: no request can resolve to the version after that, so once
-        this holds, evicting the version fails nothing routed to it.  Read
-        under the state lock, under which every batch leaves its lane for
-        a shard queue, so a batch between the two is never missed.
+        lane), its scheduler lane and its ready queue are empty, and no
+        shard of it holds a batch.  A canary teardown polls this after
+        clearing the version's route: no request can resolve to the
+        version after that, so once this holds, evicting the version fails
+        nothing routed to it.  Read under the state lock, under which every
+        batch leaves its lane for the ready queue, so a batch between the
+        two is never missed.
         """
         with self._state_lock:
             if self.registry.pinned(model) or self.scheduler.pending_count(model):
                 return False
             try:
-                shards = self.registry.group(model).shards
+                return self.registry.group(model).idle
             except UnknownModelError:
                 return True
-            return all(shard.load == 0 for shard in shards)
 
     # ------------------------------------------------------------------ #
     # Dispatch and completion
     # ------------------------------------------------------------------ #
     def _dispatch(self, batch: MicroBatch) -> None:
         # First deadline shed: requests that expired while waiting for
-        # their batch to be cut never reach a shard queue.  (The shard
+        # their batch to be cut never reach a ready queue.  (The shard
         # sheds once more just before kernel launch.)
         live, expired = batch.partition_expired(self._clock())
         if expired is not None:
@@ -809,9 +803,6 @@ class StreamingInferenceService:
         if live is None:
             return
         batch = live
-        self._batches.inc()
-        self._fill_sum.inc(batch.fill_fraction)
-        self._size_sum.inc(len(batch))
         for request in batch.requests:
             if request.trace is not None:
                 # The batch-cut timestamp is the queue/batch boundary: the
@@ -822,9 +813,14 @@ class StreamingInferenceService:
         try:
             self.registry.submit(batch)
         except Exception as error:
-            # Full shard queues, every circuit open, or the model gone:
-            # the settle step sheds or fails the batch by the error's type.
+            # Every shard gated off, or the model gone: the settle step
+            # sheds or fails the batch by the error's type.
             self._settle(None, batch, error)
+            return
+        # Counted once a ready queue has taken the batch.
+        self._batches.inc()
+        self._fill_sum.inc(batch.fill_fraction)
+        self._size_sum.inc(len(batch))
 
     def _settle(
         self,
@@ -840,7 +836,8 @@ class StreamingInferenceService:
         ``outcome`` is the shard's prediction, a cached outcome (cache or
         stale-tier hit), or the error that ended the batch.  ``shard`` is
         the shard that finished the batch, ``None`` when the service ends
-        it itself.  ``admitted`` batches hold pending-budget slots and
+        it itself or a group fails it straight off its ready queue.
+        ``admitted`` batches hold pending-budget slots and
         dedup entries; requests answered or refused at admission hold
         neither.  A fault while answering fails the batch with that fault
         rather than stranding it.
@@ -877,7 +874,7 @@ class StreamingInferenceService:
             except Exception as error:
                 outcome = error
         if isinstance(outcome, BaseException):
-            reason = _shed_reason(outcome, admitted)
+            reason = _shed_reason(outcome)
             if reason is not None:
                 shed = (
                     self._deadline_exceeded
@@ -983,7 +980,7 @@ class StreamingInferenceService:
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Current counters, read from ``obs.registry``, plus a live
-        per-shard queue-depth sample."""
+        per-model ready-queue depth sample."""
         return MetricsSnapshot.read(self.obs.registry, self.registry.queue_depths())
 
 
@@ -994,17 +991,16 @@ def _block(requests: Sequence[ClassificationRequest]) -> MicroBatch:
     )
 
 
-def _shed_reason(error: BaseException, admitted: bool) -> Optional[str]:
+def _shed_reason(error: BaseException) -> Optional[str]:
     """The ``shed`` reason ``error`` stands for; ``None`` for a failure.
 
-    A plain :class:`ServiceOverloadedError` refuses a block at the
-    pending budget before admission, or sheds an admitted batch at full
-    shard queues.
+    A plain :class:`ServiceOverloadedError` only ever refuses a block at
+    the pending budget, before admission.
     """
     if isinstance(error, DeadlineExceededError):
         return "deadline_exceeded"
     if isinstance(error, CircuitOpenError):
         return "circuit_open"
     if isinstance(error, ServiceOverloadedError):
-        return "shard_queues" if admitted else "pending_budget"
+        return "pending_budget"
     return None

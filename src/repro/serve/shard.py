@@ -1,38 +1,34 @@
 """Worker shards: thread-backed batch executors behind each model.
 
-A shard owns a bounded queue of micro-batches and a worker thread that
-classifies each batch in one :meth:`SomClassifier.predict_batch` call.  A
-:class:`ShardGroup` fronts the N shards of one model and picks a shard per
-batch using one of two routing policies:
-
-* ``round_robin`` -- rotate through the shards, skipping full queues, and
-* ``least_loaded`` -- send the batch to the shard with the smallest load
-  (queued batches plus the one in flight).
-
-When every shard's queue is full the group raises
-:class:`~repro.errors.ServiceOverloadedError` -- the backpressure signal the
-service surfaces to callers instead of buffering without bound.  When a
-breaker gate is bound (:class:`~repro.serve.resilience.BreakerBoard` via
-the registry) the router additionally skips shards whose circuit breaker
-is open, and raises :class:`~repro.errors.CircuitOpenError` when *every*
-shard of the model is gated off.
+A :class:`ShardGroup` fronts the N worker shards of one model, whose
+threads all pull cut micro-batches from the model's one
+:class:`ReadyQueue` and classify each in one
+:meth:`SomClassifier.predict_batch_packed` call.  The queue is unbounded:
+the service's pending budget bounds it, so an admitted request is never
+shed for queue space, and a wedged worker holds only its one batch.  A
+bound breaker gate (:class:`~repro.serve.resilience.BreakerBoard` via the
+registry) is consulted before a batch is queued; the group raises
+:class:`~repro.errors.CircuitOpenError` when *every* shard of the model is
+gated off or disabled.
 
 Shards never settle request futures themselves: every batch a shard
-finishes with -- scored, failed by the kernel, shed past its deadline,
-cancelled by an eviction, or abandoned by the supervisor -- is handed as
-``(shard, batch, outcome)`` to one completion callback, where ``outcome``
-is the :class:`~repro.core.classifier.BatchPrediction` or the error.  The
-service's settle step owns the futures, the cache and the metrics; a bare
-registry settles through :func:`repro.serve.request.resolve_requests`.
-That keeps the shard loop model-only and lets tests drive a shard without
-a full service around it.
+finishes with -- scored, failed by the kernel, shed past its deadline, or
+abandoned by the supervisor -- is handed as ``(shard, batch, outcome)`` to
+one completion callback, where ``outcome`` is the
+:class:`~repro.core.classifier.BatchPrediction` or the error (``shard`` is
+``None`` for a batch failed straight off the ready queue).  The service's
+settle step owns the futures, the cache and the metrics; a bare registry
+settles through :func:`repro.serve.request.resolve_requests`.  That keeps
+the shard loop model-only and lets tests drive a shard without a full
+service around it.
 
 Supervision protocol
 --------------------
 Python threads cannot be killed, so a wedged worker (hung kernel) is
 *abandoned*, not stopped: the supervisor takes the in-flight batch, fails
 its futures terminally, bumps the shard's **epoch**, and starts a
-replacement thread on the same queue.  Two rules keep that race-free:
+replacement thread on the same ready queue.  Two rules keep that
+race-free:
 
 * the worker **claims** its batch (:meth:`WorkerShard._claim`, under the
   shard lock) before handing it on -- an abandoned worker's claim fails
@@ -40,13 +36,13 @@ replacement thread on the same queue.  Two rules keep that race-free:
   is discarded instead of double-delivered, and
 * every busy-state mutation is guarded by the epoch captured at thread
   start, so a stale worker can never clobber its replacement's state; on
-  its next queue read it hands the item back and exits.
+  its next queue read it hands the batch back and exits.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
-import queue
 import threading
 import time
 from typing import Callable, Optional, Union
@@ -56,7 +52,6 @@ from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
-    ServiceOverloadedError,
     ShardFailedError,
 )
 from repro.serve.batching import MicroBatch
@@ -72,34 +67,100 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 #: Signature of the completion callback every finished batch is handed to,
-#: with its prediction or the error that ended it.
+#: with its prediction or the error that ended it; the shard is ``None``
+#: for a batch failed straight off the ready queue.
 CompletionCallback = Callable[
-    ["WorkerShard", MicroBatch, Union[BatchPrediction, BaseException]], None
+    [Optional["WorkerShard"], MicroBatch, Union[BatchPrediction, BaseException]], None
 ]
 
-#: Signature of the breaker gate the router consults per (model, shard).
+#: Signature of the breaker gate a group consults per (model, shard).
 BreakerGate = Callable[[str, str], bool]
 
-_ROUTING_POLICIES = ("round_robin", "least_loaded")
+
+class ReadyQueue:
+    """The FIFO of cut batches that the worker shards of one model pull.
+
+    It counts the enabled shards that serve it and refuses a batch once
+    none is left.  :meth:`close` lets the workers drain what is queued and
+    return; no stop sentinel is queued, so none outlives a stop.
+    """
+
+    def __init__(self) -> None:
+        self._batches: collections.deque[MicroBatch] = collections.deque()
+        self._changed = threading.Condition()
+        self._closed = False
+        self._servers = 0
+
+    def __len__(self) -> int:
+        return len(self._batches)
+
+    def add_server(self) -> None:
+        """Count one more enabled shard pulling this queue."""
+        with self._changed:
+            self._servers += 1
+
+    def retire_server(self) -> list[MicroBatch]:
+        """Count one enabled shard fewer; returns (and removes) every
+        queued batch when that was the last one."""
+        with self._changed:
+            self._servers -= 1
+            return [] if self._servers else self.take_all()  # reentrant lock
+
+    def put(self, batch: MicroBatch) -> bool:
+        """Queue ``batch``; ``False`` (and not queued) when no enabled
+        shard serves the queue."""
+        with self._changed:
+            if not self._servers:
+                return False
+            self._batches.append(batch)
+            self._changed.notify()
+            return True
+
+    def get(self) -> Optional[MicroBatch]:
+        """The oldest batch, waiting for one; ``None`` once the queue is
+        closed and empty."""
+        with self._changed:
+            while not self._batches:
+                if self._closed:
+                    return None
+                self._changed.wait()
+            return self._batches.popleft()
+
+    def take_all(self) -> list[MicroBatch]:
+        """Remove and return every queued batch."""
+        with self._changed:
+            batches = list(self._batches)
+            self._batches.clear()
+            return batches
+
+    def open(self) -> None:
+        with self._changed:
+            self._closed = False
+
+    def close(self) -> None:
+        """Wake every waiting worker; each returns once the queue is empty."""
+        with self._changed:
+            self._closed = True
+            self._changed.notify_all()
 
 
 class WorkerShard:
-    """One worker thread + bounded batch queue for one model replica.
+    """One worker thread of a model, pulling cut batches from its ready queue.
 
     Parameters
     ----------
     name:
         Unique shard name (``"<model>/<index>"`` in a group); keys the
-        per-shard queue-depth telemetry.
+        shard's circuit breaker and its kernel spans.
     classifier:
-        The fitted classifier replica this shard scores batches with.
+        The fitted classifier this shard scores batches with.
     completion:
         Called with ``(shard, batch, outcome)`` for every batch the shard
         finishes with; ``outcome`` is the prediction, or the error that
-        ended the batch (kernel failure, deadline shed, cancellation,
-        abandonment).
-    queue_capacity:
-        Maximum queued batches before :meth:`try_submit` refuses.
+        ended the batch (kernel failure, deadline shed, abandonment).
+    ready:
+        The :class:`ReadyQueue` the worker pulls batches from, shared by
+        every shard of a model; the shard serves it until disabled.
     clock:
         Monotonic time source for trace timestamps (kernel spans) and the
         busy heartbeat the supervisor reads, shared with the service's
@@ -114,25 +175,19 @@ class WorkerShard:
         name: str,
         classifier: SomClassifier,
         completion: CompletionCallback,
+        ready: ReadyQueue,
         *,
-        queue_capacity: int = 8,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: Optional[FaultInjector] = None,
     ):
-        if queue_capacity <= 0:
-            raise ConfigurationError(
-                f"queue_capacity must be positive, got {queue_capacity}"
-            )
         self.name = name
         self.classifier = classifier
         self._completion = completion
         self._clock = clock
         self._injector = fault_injector
-        self._queue: "queue.Queue[Optional[MicroBatch]]" = queue.Queue(
-            maxsize=int(queue_capacity)
-        )
+        self._ready = ready
+        ready.add_server()
         self._thread: Optional[threading.Thread] = None
-        self._in_flight = 0
         self._lock = threading.Lock()
         self._epoch = 0
         self._busy_since: Optional[float] = None
@@ -148,18 +203,22 @@ class WorkerShard:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        if self._thread is not None and self._thread.is_alive():
+        """Start the worker; a no-op while it runs, or once disabled."""
+        if self.thread_alive:
             return
         with self._lock:
+            if self._disabled:
+                return
             self._stopped = False
             epoch = self._epoch
+        self._ready.open()
         self._thread = threading.Thread(
             target=self._run, args=(epoch,), name=f"shard-{self.name}", daemon=True
         )
         self._thread.start()
 
     def stop(self, timeout: float = 5.0) -> bool:
-        """Drain the queue, then stop the worker thread.
+        """Close the ready queue, let the worker drain it, and join it.
 
         Returns ``True`` when the worker exited within ``timeout``.  A
         worker that is still alive after the join -- wedged in a kernel, or
@@ -167,19 +226,17 @@ class WorkerShard:
         forgotten: the shard is flagged ``leaked``, a warning is logged,
         and ``False`` is returned so the registry can count the leak.  The
         daemon thread cannot block interpreter exit either way.  A worker
-        that had died instead leaves its claimed batch and the batches
-        queued behind the sentinel unserved; no supervisor watches a
-        stopped shard, so they are failed here with
-        :class:`~repro.errors.ShardFailedError`, and the unread sentinel
-        is dropped so a later :meth:`start` gets a worker that serves.
+        that had died instead leaves its claimed batch unserved; no
+        supervisor watches a stopped shard, so it is failed here with
+        :class:`~repro.errors.ShardFailedError`.
         """
+        self._ready.close()
         if self._thread is None:
             return True
         with self._lock:
             # From here on restart() refuses, so this is the last worker.
             self._stopped = True
             thread = self._thread
-        self._queue.put(None)  # sentinel; everything queued before it drains
         thread.join(timeout)
         self._thread = None
         if thread.is_alive():
@@ -191,9 +248,7 @@ class WorkerShard:
                 thread.name,
             )
             return False
-        error = ShardFailedError(self.name, "died")
-        self.abandon_current(error)
-        self.cancel_queued(error)
+        self.abandon_current(ShardFailedError(self.name, "died"))
         return True
 
     def restart(self, announce: Optional[Callable[[], None]] = None) -> bool:
@@ -201,8 +256,7 @@ class WorkerShard:
 
         Bumps the epoch so the previous worker -- dead, or wedged and
         abandoned -- can never claim a batch or clobber busy-state again,
-        then starts a fresh thread on the *same* queue, so batches queued
-        behind the failure are re-dispatched automatically.
+        then starts a fresh thread on the *same* ready queue.
 
         Returns ``False`` and does nothing once :meth:`stop` has begun.
         The decision is taken under the shard lock, under which ``stop()``
@@ -220,7 +274,6 @@ class WorkerShard:
             self._epoch += 1
             self._current_batch = None
             self._busy_since = None
-            self._in_flight = 0
             self.restarts += 1
             self._thread = threading.Thread(
                 target=self._run,
@@ -243,7 +296,6 @@ class WorkerShard:
             batch = self._current_batch
             self._current_batch = None
             self._busy_since = None
-            self._in_flight = 0
             self._epoch += 1
         if batch is None:
             return 0
@@ -253,18 +305,21 @@ class WorkerShard:
     def disable(self, error: BaseException) -> None:
         """Take the shard out of service (restart budget exhausted).
 
-        The in-flight batch and everything queued are failed terminally;
-        :meth:`try_submit` refuses from now on, so the router stops
-        selecting this shard and the group's breaker accounting treats it
-        as permanently open.
+        The in-flight batch is failed with ``error``, and the shard never
+        pulls again: the epoch bump leaves its worker stale, and a stale
+        worker hands back whatever it reads.  The model's other shards
+        carry the ready queue on; when no enabled shard of the model is
+        left, every queued batch is failed with ``error`` too, and the
+        queue refuses further batches
+        (:class:`~repro.errors.CircuitOpenError` at the group).
         """
-        self._disabled = True
+        with self._lock:
+            if self._disabled:
+                return
+            self._disabled = True
         self.abandon_current(error)
-        self.cancel_queued(error)
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        for batch in self._ready.retire_server():
+            self._deliver(batch, error)
 
     # ------------------------------------------------------------------ #
     # Supervisor surface
@@ -283,6 +338,12 @@ class WorkerShard:
             return now - self._busy_since
 
     @property
+    def idle(self) -> bool:
+        """Does the worker hold no batch?"""
+        with self._lock:
+            return self._current_batch is None
+
+    @property
     def supervisable(self) -> bool:
         """Should the watchdog act on this shard?  Started, not stopping,
         not disabled."""
@@ -293,74 +354,24 @@ class WorkerShard:
         return self._disabled
 
     # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
-    def try_submit(self, batch: MicroBatch) -> bool:
-        """Queue a batch; ``False`` when the queue is full (backpressure)
-        or the shard has been disabled by the supervisor."""
-        if self._disabled:
-            return False
-        try:
-            self._queue.put_nowait(batch)
-            return True
-        except queue.Full:
-            return False
-
-    def cancel_queued(self, error: BaseException) -> int:
-        """Fail every queued (not yet running) batch with ``error``.
-
-        Used by model eviction: queued futures get a prompt, catchable
-        error instead of hanging until their timeout.  Batches the worker
-        already pulled are unaffected (they complete normally).  Stop
-        sentinels found in the queue are preserved while a worker is alive
-        to read them, and dropped otherwise, so a worker started later
-        does not exit on a sentinel meant for a dead one.  Returns the
-        number of requests failed.
-        """
-        drained: list[Optional[MicroBatch]] = []
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        cancelled = 0
-        for batch in drained:
-            if batch is None:
-                if self.running:
-                    self._queue.put(None)
-                continue
-            self._deliver(batch, error)
-            cancelled += len(batch)
-        return cancelled
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    @property
-    def load(self) -> int:
-        """Queued batches plus the batch currently being classified."""
-        with self._lock:
-            return self._queue.qsize() + self._in_flight
-
-    # ------------------------------------------------------------------ #
     # Worker loop
     # ------------------------------------------------------------------ #
     def _run(self, epoch: int) -> None:
         while True:
-            batch = self._queue.get()
+            batch = self._ready.get()
+            if batch is None:
+                return  # the queue was closed and is drained
             with self._lock:
                 stale = epoch != self._epoch
-                if not stale and batch is not None:
-                    self._in_flight = 1
+                if not stale:
                     self._busy_since = self._clock()
                     self._current_batch = batch
             if stale:
-                # Abandoned while blocked on the queue: hand the item
-                # (batch or stop sentinel) to the replacement worker.
-                self._queue.put(batch)
-                return
-            if batch is None:
+                # Abandoned or disabled while waiting on the queue: hand
+                # the batch back to a live worker, or fail it when the
+                # model has no enabled shard left to take it.
+                if not self._ready.put(batch):
+                    self._deliver(batch, ShardFailedError(self.name, "disabled"))
                 return
             if self._injector is not None and self._injector.fires(SHARD_DEATH):
                 # Simulated worker death: exit with the batch still
@@ -369,7 +380,7 @@ class WorkerShard:
                 # thread, fail the batch and start a replacement.
                 return
             if not self._process(batch, epoch):
-                return  # abandoned mid-batch; a replacement owns the queue
+                return  # abandoned mid-batch; a replacement serves the queue
 
     def _claim(self, batch: MicroBatch, epoch: int) -> bool:
         """Atomically take delivery rights for ``batch``.
@@ -384,7 +395,6 @@ class WorkerShard:
                 return False
             self._current_batch = None
             self._busy_since = None
-            self._in_flight = 0
             return True
 
     def _process(self, batch: MicroBatch, epoch: int) -> bool:
@@ -406,7 +416,6 @@ class WorkerShard:
                     with self._lock:
                         if epoch == self._epoch:
                             self._busy_since = None
-                            self._in_flight = 0
                     return True
         try:
             outcome = self._classify(live)
@@ -433,14 +442,12 @@ class WorkerShard:
             logger.exception("completion callback of shard %r raised", self.name)
 
     def _classify(self, batch: MicroBatch) -> BatchPrediction:
-        """Score one micro-batch, preferring the zero-copy packed path.
+        """Score one micro-batch on the bSOM's cached bit-planes.
 
-        When every request carries its submit-time ``uint64`` words, the
-        stacked words go straight to ``predict_batch_packed`` and the bSOM
-        scores them against its cached bit-planes -- no re-packing, no
-        re-validation.  Mixed or unpacked batches fall back to stacking the
-        raw signatures; those were validated at ``submit`` time too, so the
-        zeros-and-ones scan is skipped either way.
+        Every request carries its submit-time ``uint64`` words, packed (and
+        validated) once per admitted block, so the stacked words go
+        straight to ``predict_batch_packed`` -- no re-packing, no
+        re-validation.
 
         ``self.classifier`` is read exactly once per batch: a hot-swap
         (:meth:`ShardGroup.swap_classifier`) rebinding it mid-queue takes
@@ -450,7 +457,7 @@ class WorkerShard:
         whole batch) annotated with the shard, model, batch size and the
         serving map's weights version -- the annotation that makes a trace
         spanning a hot-swap attributable to the map that actually scored
-        it.  Their still-open ``batch`` span (shard-queue wait) is closed
+        it.  Their still-open ``batch`` span (ready-queue wait) is closed
         at the same instant the kernel starts.
         """
         if self._injector is not None:
@@ -461,12 +468,9 @@ class WorkerShard:
         classifier = self.classifier
         traced = [r.trace for r in batch.requests if r.trace is not None]
         kernel_start = self._clock() if traced else 0.0
-        rows = [request.packed for request in batch.requests]
-        if rows and all(row is not None for row in rows):
-            prediction = classifier.predict_batch_packed(np.vstack(rows))
-        else:
-            signatures = np.vstack([request.signature for request in batch.requests])
-            prediction = classifier.predict_batch(signatures, validate=False)
+        prediction = classifier.predict_batch_packed(
+            np.vstack([request.packed for request in batch.requests])
+        )
         if traced:
             kernel_end = self._clock()
             som = classifier.som
@@ -488,23 +492,19 @@ class WorkerShard:
 
 
 class ShardGroup:
-    """The routed set of worker shards behind one registered model.
+    """The worker shards behind one registered model, and their ready queue.
 
     Parameters
     ----------
     model:
         Model name (shards are named ``"<model>/<index>"``).
     classifier:
-        Fitted classifier shared by all shards.  ``predict_batch`` is
-        read-only over the weights, so replicas can share the object.
+        Fitted classifier shared by all shards.  ``predict_batch_packed``
+        is read-only over the weights, so the shards can share the object.
     completion:
         Forwarded to every shard.
     n_shards:
         Number of worker threads.
-    policy:
-        ``"round_robin"`` or ``"least_loaded"``.
-    queue_capacity:
-        Per-shard queue bound.
     clock:
         Monotonic time source forwarded to every shard (trace timestamps).
     fault_injector:
@@ -518,56 +518,60 @@ class ShardGroup:
         completion: CompletionCallback,
         *,
         n_shards: int = 2,
-        policy: str = "round_robin",
-        queue_capacity: int = 8,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: Optional[FaultInjector] = None,
     ):
         if n_shards <= 0:
             raise ConfigurationError(f"n_shards must be positive, got {n_shards}")
-        if policy not in _ROUTING_POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {_ROUTING_POLICIES}, got {policy!r}"
-            )
         self.model = model
-        self.policy = policy
         self.classifier = classifier
-        #: Optional (model, shard) -> bool gate the router consults before
-        #: offering a batch to a shard; bound by the registry when the
-        #: service runs with circuit breakers
-        #: (:meth:`repro.serve.resilience.BreakerBoard.allow`).
+        #: Optional (model, shard) -> bool gate consulted before a batch is
+        #: queued; bound by the registry when the service runs with
+        #: circuit breakers (:meth:`repro.serve.resilience.BreakerBoard.allow`).
         self.breaker_gate: Optional[BreakerGate] = None
+        self._completion = completion
+        self.ready = ReadyQueue()
+        self._started = False
         self.shards = [
             WorkerShard(
                 f"{model}/{index}",
                 classifier,
                 completion,
-                queue_capacity=queue_capacity,
+                self.ready,
                 clock=clock,
                 fault_injector=fault_injector,
             )
             for index in range(n_shards)
         ]
-        self._rr_lock = threading.Lock()
-        self._rr_next = 0
 
     def start(self) -> None:
+        self._started = True
         for shard in self.shards:
             shard.start()
 
     def stop(self, timeout: float = 5.0) -> list[str]:
-        """Stop every shard; returns the names of leaked (wedged) workers."""
-        return [shard.name for shard in self.shards if not shard.stop(timeout)]
+        """Stop every shard; returns the names of leaked (wedged) workers.
+
+        Everything queued drains through live workers first.  What no
+        worker is left to take -- every worker of a started group dead --
+        is failed with :class:`~repro.errors.ShardFailedError`, since no
+        supervisor watches a stopped group.
+        """
+        leaked = [shard for shard in self.shards if not shard.stop(timeout)]
+        if self._started and all(shard.disabled for shard in leaked):
+            self.cancel_queued(ShardFailedError(self.model, "died"))
+        self._started = False
+        return [shard.name for shard in leaked]
 
     # ------------------------------------------------------------------ #
-    # Hot-swap and eviction support
+    # Hot-swap, eviction and hand-off
     # ------------------------------------------------------------------ #
     def swap_classifier(self, classifier: SomClassifier) -> SomClassifier:
         """Rebind every shard to ``classifier``; return the previous one.
 
         Rebinding is a single attribute store per shard, and each worker
         reads its classifier once per batch, so the switch lands exactly at
-        a micro-batch boundary: the in-flight batch finishes on the old
+        a micro-batch boundary: the in-flight batches finish on the old
         map, everything still queued is scored by the new one, and no
         request is dropped or failed.
         """
@@ -578,59 +582,40 @@ class ShardGroup:
         return previous
 
     def cancel_queued(self, error: BaseException) -> int:
-        """Fail every queued batch across all shards (eviction path)."""
-        return sum(shard.cancel_queued(error) for shard in self.shards)
+        """Fail every batch waiting in the ready queue with ``error``.
 
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-    def _candidate_order(self) -> list[WorkerShard]:
-        if self.policy == "least_loaded":
-            return sorted(self.shards, key=lambda shard: shard.load)
-        with self._rr_lock:
-            start = self._rr_next
-            self._rr_next = (self._rr_next + 1) % len(self.shards)
-        return [
-            self.shards[(start + offset) % len(self.shards)]
-            for offset in range(len(self.shards))
-        ]
+        Batches a worker already pulled complete normally.  Returns the
+        number of requests failed.
+        """
+        batches = self.ready.take_all()
+        for batch in batches:
+            try:
+                self._completion(None, batch, error)
+            except Exception:
+                logger.exception("completion callback of model %r raised", self.model)
+        return sum(len(batch) for batch in batches)
 
-    def submit(self, batch: MicroBatch) -> WorkerShard:
-        """Route a batch to a shard per the policy.
+    def submit(self, batch: MicroBatch) -> None:
+        """Queue a cut batch for whichever shard of the model pulls it first.
 
-        Shards whose circuit breaker is open (or that the supervisor
-        disabled) are skipped.  When every shard was gated off the group
-        raises :class:`~repro.errors.CircuitOpenError`; when at least one
-        shard was eligible but all eligible queues were full it raises
-        :class:`~repro.errors.ServiceOverloadedError` (backpressure).
+        Raises :class:`~repro.errors.CircuitOpenError` when no shard could
+        serve it: every shard is disabled, or the breaker gate refuses
+        every enabled one.  The gate is asked shard by shard until one
+        allows, so a batch consumes at most one half-open probe.  There is
+        no refusal for queue space: the service's pending budget bounds
+        the queue.
         """
         gate = self.breaker_gate
-        gated = 0
-        for shard in self._candidate_order():
-            if shard.disabled:
-                gated += 1
-                continue
-            if gate is not None and not gate(self.model, shard.name):
-                gated += 1
-                continue
-            if shard.try_submit(batch):
-                return shard
-        if gated == len(self.shards):
-            raise CircuitOpenError(
-                self.model, open_shards=gated, total_shards=len(self.shards)
-            )
-        raise ServiceOverloadedError(
-            f"all {len(self.shards)} shard queues of model {self.model!r}",
-            pending=self.total_queue_depth,
-            capacity=sum(shard._queue.maxsize for shard in self.shards),
+        allowed = any(
+            gate is None or gate(self.model, shard.name)
+            for shard in self.shards
+            if not shard.disabled
         )
+        if not (allowed and self.ready.put(batch)):
+            total = len(self.shards)
+            raise CircuitOpenError(self.model, open_shards=total, total_shards=total)
 
-    # ------------------------------------------------------------------ #
-    # Telemetry
-    # ------------------------------------------------------------------ #
     @property
-    def total_queue_depth(self) -> int:
-        return sum(shard.queue_depth for shard in self.shards)
-
-    def queue_depths(self) -> dict[str, int]:
-        return {shard.name: shard.queue_depth for shard in self.shards}
+    def idle(self) -> bool:
+        """No batch waiting in the ready queue or in flight on a shard."""
+        return not len(self.ready) and all(shard.idle for shard in self.shards)

@@ -155,9 +155,9 @@ def drive_streams(
     Each stream gets its own submitting thread (mirroring one socket per
     camera).  Backpressure arrives on two paths and both are handled as
     "retry later": :class:`ServiceOverloadedError` raised by ``submit``
-    (service pending budget full) and the same error re-raised from
-    ``result()`` when the request's whole batch was shed because every
-    shard queue was full.  The client backs off for
+    (service pending budget full) and its subclass ``CircuitOpenError``
+    re-raised from ``result()`` when every shard of the model was gated
+    off as the request's batch was cut.  The client backs off for
     ``backpressure_retry_s`` and retries, up to ``max_retries`` times per
     frame, after which the frame is dropped -- load shedding, exactly what
     the backpressure contract asks of callers.  Dropped frames are counted

@@ -40,6 +40,7 @@ from repro.serve import (
 )
 from repro.serve.batching import MicroBatch
 from repro.serve.request import ClassificationRequest
+from repro.signatures import packed_signature_words
 
 
 def _fit(X, y, *, n_neurons=16, seed=1, epochs=6, **kwargs):
@@ -50,7 +51,7 @@ def _fit(X, y, *, n_neurons=16, seed=1, epochs=6, **kwargs):
 
 def _direct_batch(model, signature, request_id=0):
     request = ClassificationRequest(
-        signature=np.asarray(signature, dtype=np.uint8),
+        packed=packed_signature_words(np.asarray(signature, dtype=np.uint8)),
         model=model,
         stream_id="cam",
         request_id=request_id,
@@ -121,7 +122,7 @@ class TestRegistrySwap:
         X, y = cluster_data
         old = _fit(X, y, seed=1)
         new = _fit(X, y, seed=9, n_neurons=24, epochs=10)
-        registry = ModelRegistry(n_shards=1, queue_capacity=16)
+        registry = ModelRegistry(n_shards=1)
         registry.register("m", old)
         requests = []
         for index in range(8):
@@ -337,7 +338,7 @@ class TestInFlightDedup:
 class TestEvictionFailsFutures:
     def test_registry_evict_fails_queued_batches(self, trained_bsom_classifier, cluster_data):
         X, _ = cluster_data
-        registry = ModelRegistry(n_shards=2, queue_capacity=8)
+        registry = ModelRegistry(n_shards=2)
         registry.register("m", trained_bsom_classifier)
         requests = []
         for index in range(6):

@@ -43,6 +43,7 @@ from repro.serve import (
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
+    ReadyQueue,
     RetryPolicy,
     ServiceConfig,
     ShardSupervisor,
@@ -698,17 +699,19 @@ class TestLeakAwareStop:
             specs=[FaultSpec(KERNEL_HANG, hang_s=0.4, max_fires=1)]
         )
         done = threading.Event()
+        ready = ReadyQueue()
         shard = WorkerShard(
             "m/0",
             classifier,
             lambda s, b, p: done.set(),
+            ready,
             fault_injector=injector,
         )
         shard.start()
         from tests.test_lifecycle import _direct_batch
 
         _, batch = _direct_batch("m", X[0])
-        assert shard.try_submit(batch)
+        assert ready.put(batch)
         time.sleep(0.05)  # let the worker enter the hung kernel
         with caplog.at_level("WARNING", logger="repro.serve.shard"):
             assert shard.stop(timeout=0.05) is False
@@ -719,7 +722,7 @@ class TestLeakAwareStop:
     def test_clean_stop_reports_no_leak(self, cluster_data):
         X, y = cluster_data
         classifier = _fit(X, y)
-        shard = WorkerShard("m/0", classifier, lambda s, b, p: None)
+        shard = WorkerShard("m/0", classifier, lambda s, b, p: None, ReadyQueue())
         shard.start()
         assert shard.stop(timeout=5.0) is True
         assert not shard.leaked

@@ -8,6 +8,8 @@ concurrent simulated camera streams (including the pipeline attachment).
 
 from __future__ import annotations
 
+import collections
+import sys
 import threading
 import time
 
@@ -16,15 +18,21 @@ import pytest
 
 from repro.core import BinarySom, SomClassifier, save_model
 from repro.errors import (
+    CircuitOpenError,
     ConfigurationError,
     DataError,
     ResultTimeoutError,
     ServiceError,
     ServiceOverloadedError,
+    ShardFailedError,
     UnknownModelError,
 )
 from repro.serve import (
+    KERNEL_HANG,
     CachedOutcome,
+    FaultInjector,
+    FaultSpec,
+    MicroBatch,
     MicroBatchScheduler,
     ModelRegistry,
     ServiceConfig,
@@ -40,7 +48,7 @@ from repro.serve.request import (
     PendingResult,
 )
 from repro.serve.shard import ShardGroup
-from repro.signatures import signature_key
+from repro.signatures import packed_signature_words, signature_key
 
 
 class FakeClock:
@@ -56,16 +64,25 @@ class FakeClock:
         self.now += seconds
 
 
-def _request(model: str = "m", bits: int = 16, fill: int = 0) -> ClassificationRequest:
-    signature = np.full(bits, fill % 2, dtype=np.uint8)
+def _request(
+    model: str = "m", fill: int = 0, signature: np.ndarray | None = None
+) -> ClassificationRequest:
+    if signature is None:
+        signature = np.full(16, fill % 2, dtype=np.uint8)
     return ClassificationRequest(
-        signature=signature,
+        packed=packed_signature_words(signature),
         model=model,
         stream_id="cam",
         request_id=fill,
         cache_key=bytes([fill % 256]),
         enqueued_at=0.0,
     )
+
+
+def _batch(signature: np.ndarray, index: int, model: str = "m") -> MicroBatch:
+    """A one-request batch, cut as if by size."""
+    request = _request(model, fill=index, signature=signature)
+    return MicroBatch(model, (request,), capacity=1, flushed_by="size")
 
 
 # --------------------------------------------------------------------- #
@@ -263,36 +280,87 @@ class TestModelRegistry:
         with pytest.raises(DataError):
             ModelRegistry().load("bare", path)
 
-    def test_round_robin_routing_spreads_batches(self, fitted):
-        registry = ModelRegistry(n_shards=2, policy="round_robin", queue_capacity=4)
+    def test_unstarted_group_queues_any_number_of_batches(self, fitted, cluster_data):
+        # 40 batches: more than two 8-deep per-shard queues used to hold.
+        X, _ = cluster_data
+        registry = ModelRegistry(n_shards=2)
         registry.register("m", fitted)
-        # Shards not started: batches stay queued, exposing the routing.
-        from repro.serve.batching import MicroBatch
+        batches = [_batch(X[index], index) for index in range(40)]
+        for batch in batches:
+            registry.submit(batch)
+        assert registry.queue_depths() == {"m": 40}
+        registry.start()
+        try:
+            labels = [batch.requests[0].pending.result(10.0).label for batch in batches]
+        finally:
+            registry.stop()
+        np.testing.assert_array_equal(labels, fitted.predict(X[:40]))
+        assert registry.queue_depths() == {"m": 0}
 
-        for index in range(4):
-            registry.submit(
-                MicroBatch("m", (_request(fill=index),), capacity=1, flushed_by="size")
+    def test_the_enabled_shard_answers_every_batch(self, fitted, cluster_data):
+        X, _ = cluster_data
+        answered = []
+        done = threading.Event()
+
+        def completion(shard, batch, outcome):
+            answered.append((shard.name, batch.requests[0].request_id, outcome.labels[0]))
+            if len(answered) == 12:
+                done.set()
+
+        group = ShardGroup("m", fitted, completion, n_shards=2)
+        group.start()
+        try:
+            # Disabled while its worker waits on the ready queue: the stale
+            # worker hands back whatever it reads to the enabled one.
+            group.shards[0].disable(ShardFailedError("m/0", "disabled"))
+            for index in range(12):
+                group.submit(_batch(X[index], index))
+            assert done.wait(10.0)
+        finally:
+            group.stop()
+        assert [name for name, *_ in answered] == ["m/1"] * 12
+        labels = dict(sorted((index, label) for _, index, label in answered))
+        assert list(labels.values()) == list(fitted.predict(X[:12]))
+
+    def test_each_batch_is_delivered_once_under_contention(self, fitted, cluster_data):
+        # Four workers and two submitters on two cores, a shard disabled
+        # mid-stream: a lost or doubled pop shows as a count other than 1.
+        X, _ = cluster_data
+        delivered = collections.Counter()
+        lock = threading.Lock()
+
+        def completion(shard, batch, outcome):
+            with lock:
+                delivered.update(request.request_id for request in batch.requests)
+
+        group = ShardGroup("m", fitted, completion, n_shards=4)
+        batches = [_batch(X[index % len(X)], index) for index in range(400)]
+        submitters = [
+            threading.Thread(
+                target=lambda part: [group.submit(batch) for batch in part],
+                args=(batches[offset::2],),
+                name=f"submitter-{offset}",
+                daemon=True,
             )
-        depths = registry.queue_depths()
-        assert depths == {"m/0": 2, "m/1": 2}
-
-    def test_least_loaded_routing_picks_emptier_shard(self, fitted):
-        registry = ModelRegistry(n_shards=2, policy="least_loaded", queue_capacity=4)
-        registry.register("m", fitted)
-        group = registry.group("m")
-        from repro.serve.batching import MicroBatch
-
-        def batch(i):
-            return MicroBatch("m", (_request(fill=i),), capacity=1, flushed_by="size")
-
-        group.shards[0].try_submit(batch(0))
-        group.shards[0].try_submit(batch(1))
-        chosen = group.submit(batch(2))
-        assert chosen is group.shards[1]
-
-    def test_invalid_policy_rejected(self, fitted):
-        with pytest.raises(ConfigurationError):
-            ShardGroup("m", fitted, lambda *a: None, policy="random")
+            for offset in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            group.start()
+            for thread in submitters:
+                thread.start()
+            group.shards[0].disable(ShardFailedError("m/0", "disabled"))
+            for thread in submitters:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in submitters)
+            deadline = time.monotonic() + 10.0
+            while sum(delivered.values()) < len(batches) and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            sys.setswitchinterval(interval)
+            group.stop()
+        assert delivered == collections.Counter(range(len(batches)))
 
     def test_evict_stops_and_forgets(self, fitted):
         registry = ModelRegistry(n_shards=1)
@@ -309,24 +377,41 @@ class TestModelRegistry:
 # Backpressure rejection paths
 # --------------------------------------------------------------------- #
 class TestBackpressure:
-    def test_shard_queues_saturate(self, trained_bsom_classifier):
-        group = ShardGroup(
-            "m",
-            trained_bsom_classifier,
-            lambda *a: None,
-            n_shards=2,
-            queue_capacity=1,
+    def test_disabling_the_last_enabled_shard_fails_the_ready_queue(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        injector = FaultInjector(specs=[FaultSpec(KERNEL_HANG, hang_s=0.3, max_fires=1)])
+        config = ServiceConfig(
+            batch_size=1, cache_capacity=0, supervisor=None, fault_injector=injector
         )
-        from repro.serve.batching import MicroBatch
-
-        def batch(i):
-            return MicroBatch("m", (_request(fill=i),), capacity=1, flushed_by="size")
-
-        group.submit(batch(0))
-        group.submit(batch(1))
-        with pytest.raises(ServiceOverloadedError) as excinfo:
-            group.submit(batch(2))  # both 1-deep queues full, workers stopped
-        assert excinfo.value.pending == 2 and excinfo.value.capacity == 2
+        service = StreamingInferenceService(config=config)
+        service.register_model("m", trained_bsom_classifier)
+        first, last = service.registry.group("m").shards
+        first.disable(ShardFailedError(first.name, "disabled"))  # never starts
+        with service:
+            wedged = service.submit(X[0], model="m")  # the one enabled worker hangs
+            deadline = time.monotonic() + 5.0
+            while last.busy_seconds(time.monotonic()) is None:
+                assert time.monotonic() < deadline, "the worker never took the batch"
+                time.sleep(0.005)
+            queued = service.submit_many(X[1:4], model="m")
+            assert service.registry.queue_depths() == {"m": 3}
+            error = ShardFailedError(last.name, "disabled")
+            last.disable(error)
+            for future in (wedged, *queued):
+                with pytest.raises(ShardFailedError) as excinfo:
+                    future.result(5.0)
+                assert excinfo.value is error
+            assert service.registry.queue_depths() == {"m": 0}
+            # No enabled shard left: the next cut batch sheds as an open
+            # circuit, and a plain ServiceOverloadedError never appears.
+            refused = service.submit(X[4], model="m")
+            with pytest.raises(CircuitOpenError):
+                refused.result(5.0)
+            reasons = [e.fields["reason"] for e in service.obs.events.events(kind="shed")]
+            assert reasons == ["circuit_open"]
+            assert service.pending_requests == 0
 
     def test_service_pending_budget(self, trained_bsom_classifier, cluster_data):
         X, _ = cluster_data
@@ -434,11 +519,9 @@ class TestServiceEndToEnd:
         X, y = cluster_data
         # Pre-warm the cache with the whole pool so the stream traffic hits
         # it deterministically (an in-flight repeat would otherwise race the
-        # completion of its first occurrence).  Chunks of 64 rows stay within
-        # what the two 8-deep shard queues buffer, so the warm-up itself is
-        # never shed.
-        for start in range(0, len(X), 64):
-            service.classify("m", X[start : start + 64])
+        # completion of its first occurrence).  One block: every row the
+        # pending budget admits is answered, however many batches it cuts.
+        service.classify("m", X)
         warm_hits = service.cache.hits
         streams = [
             SimulatedCameraStream(

@@ -1,18 +1,21 @@
 """The serve layer's one settle path.
 
 Regression tests for outcomes that used to end requests inconsistently
-(a leaked pending budget, a mislabelled shed, a refused submit counted as
-accepted, batches stranded behind a dead worker, a restarted service
-whose worker exited on a stale stop sentinel, a worker restarted on a
-shard group an eviction was tearing down, answers counted only after
-their callers saw them), then a hypothesis state machine that drives the
-service through submits, dedup, deadlines, swaps, evictions, rollouts,
-faults and stops, and checks the serve invariants after every step:
+(a leaked pending budget, a mislabelled shed, an admitted request shed
+for queue space, a refused submit counted as accepted, batches stranded
+behind a dead worker, a restarted service whose worker exited on a stale
+stop sentinel, a worker restarted on a shard group an eviction was
+tearing down, answers counted only after their callers saw them), then a
+hypothesis state machine that drives the service through submits, dedup,
+deadlines, swaps, evictions, rollouts, faults and stops, and checks the
+serve invariants after every step:
 
 * no future is settled twice,
 * the pending budget stays within ``[0, max_pending]``,
 * no live cache entry disagrees with the current model,
 * every dedup follower gets its primary's outcome,
+* no accepted future ends in a plain ``ServiceOverloadedError`` (the
+  pending budget is the one admission point),
 
 and, once the service is quiet, that every accepted future is settled
 and the request/response counters match what the callers saw.
@@ -66,6 +69,7 @@ from repro.serve import (
     StreamingInferenceService,
     SupervisorConfig,
 )
+from repro.signatures import packed_signature_words
 
 N_BITS = 128
 
@@ -127,8 +131,8 @@ def test_resolve_requests_answers_primaries_then_followers(trained_bsom_classifi
     def request(index: int, enqueued_at: float) -> ClassificationRequest:
         bits = signature(index)
         return ClassificationRequest(
-            signature=bits, model="m", stream_id="cam", request_id=index,
-            cache_key=bits.tobytes(), enqueued_at=enqueued_at,
+            packed=packed_signature_words(bits), model="m", stream_id="cam",
+            request_id=index, cache_key=bits.tobytes(), enqueued_at=enqueued_at,
         )
 
     primaries = [request(0, 1.0), request(1, 2.0)]
@@ -152,8 +156,8 @@ def test_standalone_registry_settles_on_its_own_clock(trained_bsom_classifier):
     registry.register("m", trained_bsom_classifier)
     bits = signature(0)
     request = ClassificationRequest(
-        signature=bits, model="m", stream_id="cam", request_id=0,
-        cache_key=bits.tobytes(), enqueued_at=4.0,
+        packed=packed_signature_words(bits), model="m", stream_id="cam",
+        request_id=0, cache_key=bits.tobytes(), enqueued_at=4.0,
     )
     registry.submit(MicroBatch("m", (request,), capacity=1, flushed_by="size"))
     registry.start()
@@ -246,7 +250,8 @@ def test_shed_reason_follows_the_error_type(trained_bsom_classifier):
         return [event.fields["reason"] for event in service.obs.events.events(kind="shed")]
 
     # Every shard out of service after admission: the dispatch raises
-    # CircuitOpenError, and the shed is an open circuit, not full queues.
+    # CircuitOpenError, the shed is an open circuit, and the batch that
+    # reached no shard is not counted as dispatched.
     service = _service(trained_bsom_classifier, n_shards=2)
     with service:
         future = service.submit(signature(0), model="m")
@@ -256,25 +261,31 @@ def test_shed_reason_follows_the_error_type(trained_bsom_classifier):
         with pytest.raises(CircuitOpenError):
             future.result(5.0)
         assert reasons(service) == ["circuit_open"]
-        assert service.metrics_snapshot().backpressure_rejections == 1
+        snapshot = service.metrics_snapshot()
+        assert snapshot.backpressure_rejections == 1
+        assert snapshot.batches_total == 0
 
-    # A wedged worker plus a one-deep queue: the third batch finds the
-    # queue full.
+    # A wedged worker holds one batch; the twelve one-row batches flushed
+    # behind it -- more than a shard queue used to hold -- wait in the
+    # ready queue and are answered once the hang ends, none shed.
     injector = FaultInjector(specs=[FaultSpec(KERNEL_HANG, hang_s=0.3, max_fires=1)])
     service = _service(
-        trained_bsom_classifier, injector=injector, shard_queue_capacity=1, supervisor=None
+        trained_bsom_classifier, injector=injector, batch_size=1, supervisor=None
     )
     with service:
-        futures = []
-        for index in range(3):
+        futures = [service.submit(signature(0), model="m")]
+        _, shard = service.registry.iter_shards()[0]
+        deadline = time.monotonic() + 5.0
+        while shard.busy_seconds(time.monotonic()) is None:
+            assert time.monotonic() < deadline, "the worker never took the batch"
+            time.sleep(0.005)
+        for index in range(1, 13):
             futures.append(service.submit(signature(index), model="m"))
             service.flush()
-            time.sleep(0.05)  # let the worker take the first batch into the hang
-        with pytest.raises(ServiceOverloadedError) as excinfo:
-            futures[2].result(5.0)
-        assert type(excinfo.value) is ServiceOverloadedError
-        assert reasons(service) == ["shard_queues"]
-        assert [future.result(5.0).cached for future in futures[:2]] == [False, False]
+        answers = [future.result(5.0) for future in futures]
+        assert [answer.cached for answer in answers] == [False] * 13
+        assert reasons(service) == []
+        assert service.metrics_snapshot().backpressure_rejections == 0
 
     # An expired deadline, then a full pending budget.
     clock = ManualClock()
@@ -506,7 +517,6 @@ class ServeMachine(RuleBasedStateMachine):
                 max_delay_ms=1e9,  # only size cuts and flushes form batches
                 cache_capacity=3,
                 n_shards=2,
-                shard_queue_capacity=2,
                 max_pending=MAX_PENDING,
                 trace_sample_every=1,
                 breaker=BreakerConfig(failure_threshold=1, reset_timeout_s=0.5),
@@ -542,6 +552,7 @@ class ServeMachine(RuleBasedStateMachine):
         try:
             self.service.stop()
             assert all(future.done() for future in self.accepted), "stop stranded a future"
+            self.no_admitted_request_shed_for_queue_space()
         finally:
             PendingResult._settle = self._real_settle
             service_module.resolve_requests = self._real_resolve
@@ -668,6 +679,7 @@ class ServeMachine(RuleBasedStateMachine):
         self._fresh_service()
 
     def _check_quiet(self) -> None:
+        self.no_admitted_request_shed_for_queue_space()
         assert self.service.pending_requests == 0
         assert _counter(self.service, "serve_requests_total") == len(self.accepted)
         assert _counter(self.service, "serve_responses_total") == sum(
@@ -699,6 +711,19 @@ class ServeMachine(RuleBasedStateMachine):
                 float(expected.distances[0]), bool(expected.rejected[0]),
                 float(expected.confidences[0]),
             )
+
+    @invariant()
+    def no_admitted_request_shed_for_queue_space(self):
+        # The pending budget is the one admission point: a plain
+        # ServiceOverloadedError refuses a submit, never an accepted
+        # future.  CircuitOpenError, its subclass, stays legal for a batch
+        # cut while every shard is gated off.
+        for future in self.accepted:
+            if future.done():
+                kind, *detail = _outcome(future)
+                assert not (kind == "error" and type(detail[0]) is ServiceOverloadedError), (
+                    "an admitted request was shed for queue space"
+                )
 
     @invariant()
     def followers_share_their_primary_outcome(self):
