@@ -18,6 +18,12 @@ A run that prints no JSON result line failed; its last stderr line is
 reported.  Exits 1 when a run failed or a metric is worse than its bound.
 Writes nothing: every run's output is read from its pipes.
 
+On ``serve_churn`` it also shows how close each side came to the keys the
+benchmark schedules per second of saturation (``SAT_KEYS_PER_S``, read
+from ``perfbench/endtoend.py``): a run that outpaces them dies with
+"saturation phase ran out of scheduled keys", so runs above
+``BUDGET_WARN`` of the budget are marked.
+
     python3 scripts/bench_pairs.py --workload serve_churn --pairs 10 \\
         --parent ../parent [--seed 1]
 
@@ -28,6 +34,7 @@ where ``../parent`` is a checkout of the parent commit, e.g. from
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import re
@@ -44,6 +51,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 _MEASURED_RATE = re.compile(r"^\s*sat_rps\b.*\(as measured ([0-9.]+)\)", re.MULTILINE)
+#: A run whose as-measured saturation rate passes this share of the
+#: scheduled keys per second is marked: the next speed-up may exhaust them.
+BUDGET_WARN = 0.85
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,34 @@ def reduce_pairs(
     return rows
 
 
+def scheduled_keys_per_s(source: Path = ROOT / "perfbench" / "endtoend.py") -> float:
+    """perfbench's ``SAT_KEYS_PER_S``, read from its source without running it."""
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and [
+            getattr(target, "id", None) for target in node.targets
+        ] == ["SAT_KEYS_PER_S"]:
+            return float(ast.literal_eval(node.value))
+    raise ValueError(f"no SAT_KEYS_PER_S in {source}")
+
+
+def budget_share(run: Run, keys_per_s: float) -> Optional[float]:
+    """The run's as-measured saturation rate as a share of the key budget."""
+    return None if run.measured_rate is None else run.measured_rate / keys_per_s
+
+
+def format_budget(runs: dict[str, Sequence[Run]], keys_per_s: float) -> list[str]:
+    """Each side's highest as-measured saturation rate against the budget."""
+    lines = []
+    for side, each in runs.items():
+        rates = [run.measured_rate for run in each if run.measured_rate is not None]
+        if rates:
+            share = max(rates) / keys_per_s
+            mark = f"  ABOVE {BUDGET_WARN:.0%}" if share > BUDGET_WARN else ""
+            lines.append(f"key budget {side}: peak {max(rates):.1f} req/s as measured = "
+                         f"{share:.1%} of {keys_per_s:.0f} scheduled keys/s{mark}")
+    return lines
+
+
 def format_rows(rows: Sequence[Row]) -> list[str]:
     lines = [f"{'metric':<12} {'unit':<6} {'parent q1 / median / q3':<30} "
              f"{'change q1 / median / q3':<30} {'wins':>6} {'change':>8} "
@@ -175,6 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[Run]] = {"parent": [], "change": []}
+    keys_per_s = scheduled_keys_per_s()
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, "
           f"{spec['run_seconds']} s per run")
     for pair in range(args.pairs):
@@ -187,11 +226,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 detail = f"FAILED: {run.failure}"
             else:
                 detail = " ".join(f"{k}={v:.4g}" for k, v in run.metrics.items())
-            if run.measured_rate is not None:
-                detail += f" (sat_rps as measured {run.measured_rate:.1f})"
+            share = budget_share(run, keys_per_s)
+            if share is not None:
+                detail += f" (sat_rps as measured {run.measured_rate:.1f}, {share:.0%} of keys"
+                detail += f", ABOVE {BUDGET_WARN:.0%})" if share > BUDGET_WARN else ")"
             print(f"pair {pair + 1} {side}: {detail}", flush=True)
     rows = reduce_pairs(spec["end_to_end"], runs["parent"], runs["change"])
-    print("\n".join(format_rows(rows)))
+    print("\n".join(format_rows(rows) + format_budget(runs, keys_per_s)))
     failed = {side: sum(run.metrics is None for run in each) for side, each in runs.items()}
     print(f"failed runs: parent {failed['parent']}, change {failed['change']}")
     return 1 if any(failed.values()) or any(row.worse_than_bound for row in rows) else 0

@@ -64,8 +64,10 @@ echo "=== resilience: chaos gate (deterministic fault injection, seed 7) ==="
 # Every fault class (raising/hung kernels, dying workers, failing swaps,
 # corrupt cache entries) with deadlines, retry, breakers and the shard
 # supervisor armed: every future terminal, zero hung futures or leaked
-# threads, throughput recovered to >= 90% of the pre-fault baseline, and
-# a fault pattern that replays exactly under the same seed.
+# threads, full recovery (every shard live, every breaker closed,
+# throughput >= 90% and every shard's kernel >= 75% of a never-faulted
+# twin's, measured in alternating rounds), and a fault pattern that
+# replays exactly under the same seed.
 python scripts/check_resilience.py --seed 7
 
 echo

@@ -20,16 +20,21 @@ Three metric kinds, deliberately mirroring the Prometheus data model:
   (:meth:`Histogram.quantile`) cost O(buckets) with **no raw samples
   stored** -- a long-running service's latency telemetry is O(1) memory.
 
-Recording is O(1) under a per-metric lock; the registry lock is only taken
-to create or look up metrics, which callers do once and cache.
+Recording is O(1) per value under a per-metric lock, taken once for a
+histogram's whole batch (:meth:`Histogram.observe_many`); the registry lock
+is only taken to create or look up metrics, which callers do once and
+cache.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import threading
 from bisect import bisect_left
+from collections import Counter as _Tally
+from functools import partial, reduce
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -228,11 +233,18 @@ class Histogram(Metric):
         self._count = 0
 
     def observe(self, value: float) -> None:
-        index = bisect_left(self.bounds, value)
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record every value in one lock section: the same bucket counts,
+        sum and count as one :meth:`observe` per value, in order."""
+        # The bucket search, tally and left-to-right sum run in C loops.
+        tally = _Tally(map(partial(bisect_left, self.bounds), values))
         with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
+            for index, count in tally.items():
+                self._counts[index] += count
+            self._sum = reduce(operator.add, values, self._sum)
+            self._count += len(values)
 
     @property
     def count(self) -> int:

@@ -27,25 +27,39 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
 from repro.serve.resilience import CACHE_CODEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.classifier import BatchPrediction
     from repro.serve.resilience import FaultInjector
 
 
-@dataclass(frozen=True)
-class CachedOutcome:
-    """The model-determined part of a classification, safe to memoise."""
+class CachedOutcome(NamedTuple):
+    """The model-determined part of a classification, safe to memoise.
+
+    An immutable named tuple, so a batch's outcomes are built from its
+    prediction arrays in C loops (:meth:`rows`) rather than one
+    ``__init__`` call per row.
+    """
 
     label: int
     neuron: int
     distance: float
     rejected: bool
     confidence: float
+
+    @classmethod
+    def rows(cls, prediction: "BatchPrediction") -> list["CachedOutcome"]:
+        """One outcome per row of a batch prediction, in row order."""
+        columns = (prediction.labels, prediction.neurons, prediction.distances,
+                   prediction.rejected, prediction.confidences)
+        return list(map(partial(tuple.__new__, cls),
+                        zip(*(column.tolist() for column in columns))))
 
 
 class SignatureLruCache:
@@ -56,15 +70,15 @@ class SignatureLruCache:
     capacity:
         Maximum number of entries; the least recently *used* entry is
         evicted when a new one would exceed it.  A capacity of 0 disables
-        the cache (every ``get`` misses, ``put`` is a no-op), which the
-        benchmarks use to isolate batching gains from caching gains.
+        the cache (every ``get`` misses, ``put_many`` is a no-op), which
+        the benchmarks use to isolate batching gains from caching gains.
     stale_capacity:
         Maximum number of entries in the stale (degradation) tier that
         evicted/invalidated entries demote into; defaults to ``capacity``.
         0 disables the tier.
     fault_injector:
         Optional :class:`~repro.serve.resilience.FaultInjector`; when armed
-        for the ``cache_codec`` site, ``get``/``put`` raise
+        for the ``cache_codec`` site, ``get``/``put_many`` raise
         :class:`~repro.errors.InjectedFaultError` (simulating a corrupt
         entry/codec bug) so tests can prove the service degrades a cache
         error to a miss instead of failing the request.
@@ -135,20 +149,35 @@ class SignatureLruCache:
             return outcome
 
     def put(self, model: str, key: bytes, outcome: CachedOutcome) -> None:
-        """Insert or refresh an entry, evicting the LRU one when full."""
+        """Insert or refresh one entry: a batch of one."""
+        self.put_many(model, (key,), (outcome,))
+
+    def put_many(
+        self, model: str, keys: Iterable[bytes], outcomes: Iterable[CachedOutcome]
+    ) -> None:
+        """Insert or refresh one model's entries in order, in one lock section.
+
+        Each row is written as a lone ``put`` would write it -- moved to the
+        most recent end, then the least recently used entry evicted while
+        over capacity -- so a batch leaves the same entries, order,
+        evictions and stale tier as writing its rows one at a time.  The
+        ``cache_codec`` fault fires once per call, before any row is written.
+        """
         if self.capacity == 0:
             return
         if self._injector is not None:
             self._injector.raise_if(CACHE_CODEC, op="put", model=model)
+        entries, capacity = self._entries, self.capacity
+        evictions = 0
         with self._lock:
-            full_key = (model, key)
-            if full_key in self._entries:
-                self._entries.move_to_end(full_key)
-            self._entries[full_key] = outcome
-            while len(self._entries) > self.capacity:
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self._demote_unlocked(evicted_key, evicted)
-                self.evictions += 1
+            for full_key, outcome in zip(zip(repeat(model), keys), outcomes):
+                if full_key in entries:
+                    entries.move_to_end(full_key)
+                entries[full_key] = outcome
+                if len(entries) > capacity:
+                    self._demote_unlocked(*entries.popitem(last=False))
+                    evictions += 1
+            self.evictions += evictions
 
     def invalidate_model(self, model: str) -> int:
         """Demote every live entry of one model to the stale tier.

@@ -424,8 +424,11 @@ class ModelRegistry:
         request is where a drain can see it.  The pin is taken under the
         same lock :meth:`clear_route` takes, so after the route is cleared
         :meth:`pinned` counts every request already resolved to the version
-        and can only fall.
+        and can only fall.  An unrouted name takes no lock: one dict read is
+        atomic, and a split set while it runs applies from the next call.
         """
+        if name not in self._routes:
+            return name
         with self._lock:
             route = self._routes.get(name)
             if route is None:
@@ -458,11 +461,12 @@ class ModelRegistry:
             return group
 
     def classifier(self, name: str) -> SomClassifier:
-        with self._lock:
-            classifier = self._classifiers.get(name)
-            if classifier is None:
+        # One dict read is atomic; the lock only guards listing the names.
+        classifier = self._classifiers.get(name)
+        if classifier is None:
+            with self._lock:
                 raise UnknownModelError(name, tuple(self._classifiers))
-            return classifier
+        return classifier
 
     def submit(self, batch: MicroBatch) -> None:
         """Queue a cut micro-batch on its model's ready queue.

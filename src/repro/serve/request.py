@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from functools import partial
+from itertools import compress, repeat
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,16 +33,18 @@ from repro.serve.cache import CachedOutcome
 Outcome = Union[BatchPrediction, CachedOutcome, BaseException]
 
 # Makes the settled check and the settle one step, so two threads racing
-# to settle one future cannot both succeed.
+# to settle one future cannot both succeed.  Taken once per batch.
 _settle_lock = threading.Lock()
 
 # Trace attributes of a dedup follower's answer.
 _FOLLOWER = {"deduplicated": True}
 
 
-@dataclass(frozen=True)
-class ClassificationResponse:
+class ClassificationResponse(NamedTuple):
     """The service's answer to one classification request.
+
+    An immutable named tuple with value equality: a batch's responses are
+    built from its arrays in C loops, with no per-row ``__init__`` call.
 
     Attributes
     ----------
@@ -103,43 +108,44 @@ class PendingResult:
     It settles exactly once: a second ``set_result``/``set_exception``
     raises :class:`~repro.errors.ServiceError` instead of overwriting the
     answer, and it cannot be cancelled half-way through a shard's resolve
-    loop.  Every request builds one, so it is kept to one lock (the
-    *latch*) and a settled flag, where ``concurrent.futures.Future`` or a
-    ``threading.Event`` builds a condition, its lock and a waiter list, and
-    notifies under the condition lock on every settle.  The latch is held
-    from construction until the settle releases it; a waiter on an
-    unsettled future blocks acquiring it and releases it at once for the
-    next waiter, so every waiter wakes.
+    loop.  Both are batches of one for the one settle primitive, which
+    :func:`resolve_requests` takes once per batch.  Every request builds
+    one, so it is kept to one lock (the *latch*) and a settled flag, where
+    ``concurrent.futures.Future`` or a ``threading.Event`` builds a
+    condition, its lock and a waiter list, and notifies under the
+    condition lock on every settle.  The latch is held from construction
+    until the settle releases it; a waiter on an unsettled future blocks
+    acquiring it and releases it at once for the next waiter, so every
+    waiter wakes.
     """
 
     __slots__ = ("_latch", "_settled", "_response", "_error")
 
     def __init__(self) -> None:
-        self._latch = threading.Lock()
-        self._latch.acquire()
+        # _response and _error are first written by the settle.
+        self._latch = latch = threading.Lock()
+        latch.acquire()
         self._settled = False
-        self._response: Optional[ClassificationResponse] = None
-        self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
         """Whether a response (or error) has been delivered."""
         return self._settled
 
     def set_result(self, response: ClassificationResponse) -> None:
-        self._settle(response, None)
+        _settle_futures(((self, response, None),))
 
     def set_exception(self, error: BaseException) -> None:
-        self._settle(None, error)
+        _settle_futures(((self, None, error),))
 
     def _settle(
         self, response: Optional[ClassificationResponse], error: Optional[BaseException]
     ) -> None:
-        with _settle_lock:
-            if self._settled:
-                raise ServiceError("request already settled; a future settles once")
-            self._response = response
-            self._error = error
-            self._settled = True
+        # The caller holds _settle_lock (see _settle_futures).
+        if self._settled:
+            raise ServiceError("request already settled; a future settles once")
+        self._response = response
+        self._error = error
+        self._settled = True
         self._latch.release()
 
     def result(self, timeout: Optional[float] = None) -> ClassificationResponse:
@@ -174,9 +180,9 @@ class ClassificationRequest:
     ``generation`` stamps the model generation current at submit time (the
     service bumps it on every hot-swap/evict) so the settle step never
     memoises a prediction that might predate a swap.  ``followers`` holds
-    deduplicated requests with an identical in-flight packed signature:
-    they never reach a shard; the one kernel execution of this (primary)
-    request resolves them all.
+    deduplicated requests with an identical in-flight packed signature
+    (``None`` until the first one attaches): they never reach a shard; the
+    one kernel execution of this (primary) request resolves them all.
 
     ``trace`` rides along when the request was sampled: the scheduler, the
     worker shard and the settle step each stamp their stage spans onto
@@ -198,7 +204,7 @@ class ClassificationRequest:
     enqueued_at: float
     pending: PendingResult = field(default_factory=PendingResult)
     generation: int = 0
-    followers: list["ClassificationRequest"] = field(default_factory=list)
+    followers: Optional[list["ClassificationRequest"]] = field(default=None, init=False)
     trace: Optional[Trace] = None
     deadline_at: Optional[float] = None
 
@@ -209,6 +215,19 @@ class ClassificationRequest:
     @property
     def trace_id(self) -> Optional[int]:
         return self.trace.trace_id if self.trace is not None else None
+
+
+def _settle_futures(
+    settles: Iterable[
+        tuple[PendingResult, Optional[ClassificationResponse], Optional[BaseException]]
+    ],
+) -> None:
+    """The one settle primitive: deliver each ``(future, response, error)``
+    in one ``_settle_lock`` section.  A future settled before raises
+    :class:`~repro.errors.ServiceError`, leaving those after it unsettled."""
+    with _settle_lock:
+        for future, response, error in settles:
+            future._settle(response, error)
 
 
 def resolve_requests(
@@ -230,81 +249,82 @@ def resolve_requests(
     when ``shed`` names one, else ``"error"``.  Followers share their
     primary's answer, marked ``deduplicated``, or its error.
 
-    Every response is built before the first future is set, so a fault
-    while building leaves the batch unsettled for the caller to fail.  The
-    traces are finished, and ``record`` (when given) is called with the
-    responses, before the futures are set, so a caller woken by
-    ``result()`` can retrieve its complete trace and finds its answer
-    counted.  Returns the responses built: the primaries in request
-    order, then the followers.
+    One pass: every response is built before the first future is set, so a
+    fault while building leaves the batch unsettled for the caller to
+    fail.  The traces are finished, and ``record`` (when given) is called
+    with the responses, before the futures are set in one section, so a
+    caller woken by ``result()`` can retrieve its complete trace and finds
+    its answer counted.  Returns the responses built: the primaries in
+    request order, then the followers.
     """
     now = clock()
+    led = list(compress(range(len(requests)), map(_FOLLOWERS, requests)))
+    followers = [follower for row in led for follower in requests[row].followers]
+    everyone = [*requests, *followers]
     if isinstance(outcome, BaseException):
         status = "error" if shed is None else "shed"
         attrs = {"error": type(outcome).__name__}
         if shed is not None:
             attrs["reason"] = shed
-        for request in requests:
-            for each in (request, *request.followers):
-                if each.trace is not None:
-                    each.trace.finish(status, **attrs)
-                each.pending.set_exception(outcome)
+        for trace in filter(None, map(_TRACE, everyone)):
+            trace.finish(status, **attrs)
+        _settle_futures(zip(map(_PENDING, everyone), repeat(None), repeat(outcome)))
         return []
     cached = not isinstance(outcome, BatchPrediction)
+    answers = [outcome] * len(requests) if cached else CachedOutcome.rows(outcome)
+    responses = _respond(requests, answers, now, cached=cached, stale=stale)
+    if followers:
+        shared = [answers[row] for row in led for _ in requests[row].followers]
+        responses += _respond(followers, shared, now, deduplicated=True)
     if cached:
-        rows = [(outcome.label, outcome.neuron, outcome.distance, outcome.rejected,
-                 outcome.confidence)] * len(requests)
         attrs = {"cached": True, "stale": True} if stale else {"cached": True}
     else:
-        rows = list(zip(outcome.labels.tolist(), outcome.neurons.tolist(),
-                        outcome.distances.tolist(), outcome.rejected.tolist(),
-                        outcome.confidences.tolist()))
         attrs = {}
-    settled = [
-        (request, attrs, _response(request, row, now, cached=cached, stale=stale))
-        for request, row in zip(requests, rows)
-    ]
-    settled += [
-        (follower, _FOLLOWER, _response(follower, row, now, deduplicated=True))
-        for request, row in zip(requests, rows)
-        for follower in request.followers
-    ]
-    for request, attrs, response in settled:
-        if request.trace is not None:
-            if cached:
-                request.trace.span("cache", start=request.enqueued_at, end=now, hit=True,
-                                   **({"stale": True} if stale else {}))
-            request.trace.finish("ok", label=response.label, **attrs)
-    responses = [response for *_, response in settled]
+    for request, response in compress(zip(everyone, responses), map(_TRACE, everyone)):
+        if response.deduplicated:
+            request.trace.finish("ok", label=response.label, **_FOLLOWER)
+            continue
+        if cached:
+            request.trace.span("cache", start=request.enqueued_at, end=now, hit=True,
+                               **({"stale": True} if stale else {}))
+        request.trace.finish("ok", label=response.label, **attrs)
     if record is not None:
         record(responses)
-    for request, _, response in settled:
-        request.pending.set_result(response)
+    _settle_futures(zip(map(_PENDING, everyone), responses, repeat(None)))
     return responses
 
 
-def _response(
-    request: ClassificationRequest,
-    row: tuple,
+_FOLLOWERS = attrgetter("followers")
+_TRACE = attrgetter("trace")
+_PENDING = attrgetter("pending")
+_RESPONSE_FIELDS = attrgetter("model", "stream_id", "request_id", "enqueued_at", "trace")
+#: A response from its thirteen field values, in field order.
+_new_response = partial(tuple.__new__, ClassificationResponse)
+
+
+def _respond(
+    requests: Sequence[ClassificationRequest],
+    answers: Sequence[CachedOutcome],
     now: float,
     *,
     cached: bool = False,
     stale: bool = False,
     deduplicated: bool = False,
-) -> ClassificationResponse:
-    label, neuron, distance, rejected, confidence = row
-    return ClassificationResponse(
-        label=int(label),
-        neuron=int(neuron),
-        distance=float(distance),
-        rejected=bool(rejected),
-        confidence=float(confidence),
-        model=request.model,
-        stream_id=request.stream_id,
-        request_id=request.request_id,
-        cached=cached,
-        latency_s=max(0.0, now - request.enqueued_at),
-        deduplicated=deduplicated,
-        stale=stale,
-        trace_id=request.trace_id,
-    )
+) -> list[ClassificationResponse]:
+    """The responses answering ``requests[i]`` with ``answers[i]``.
+
+    Built column-wise with ``map``/``zip``, so the per-row work runs in C
+    loops: one answer tuple joined to the request's own fields.
+    """
+    if not requests:
+        return []
+    models, streams, ids, enqueued, traces = zip(*map(_RESPONSE_FIELDS, requests))
+    latencies = [now - enqueued_at for enqueued_at in enqueued]
+    if min(latencies) < 0.0:  # stamped on another clock than this settle's
+        latencies = [max(0.0, latency) for latency in latencies]
+    trace_ids: list[Optional[int]] = [None] * len(requests)
+    for index in compress(range(len(requests)), traces):
+        trace_ids[index] = traces[index].trace_id
+    own = zip(models, streams, ids, repeat(cached), latencies, repeat(deduplicated),
+              repeat(stale), trace_ids)
+    return list(map(_new_response, map(tuple.__add__, answers, own)))

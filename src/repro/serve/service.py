@@ -52,6 +52,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
@@ -320,19 +322,20 @@ class StreamingInferenceService:
             fn=lambda: float(self.pending_requests),
             help="Admitted-but-unresolved requests (live, read at collection)",
         )
-        self._pending = 0
-        self._pending_lock = threading.Lock()
         # In-flight dedup table: (model, packed-signature key) -> the
         # primary request whose kernel execution will answer the group.
+        # Its lock also guards the pending budget, which admission reserves
+        # in the same section as it dedups.
         self._inflight: dict[tuple[str, bytes], ClassificationRequest] = {}
+        self._pending = 0
         self._inflight_lock = threading.Lock()
         # Per-model generation counters, bumped on swap/evict; completion
         # only memoises outcomes whose request generation is still current,
         # so a hot-swap can never leave a superseded prediction in the cache.
+        # Its lock also hands out request ids.
         self._generations: dict[str, int] = {}
-        self._gen_lock = threading.Lock()
         self._next_request_id = 0
-        self._id_lock = threading.Lock()
+        self._gen_lock = threading.Lock()
         self._running = False
         # Guards the running flag against the admission path: stop() flips
         # it under this lock, and admission enqueues under it, so no request can
@@ -554,7 +557,6 @@ class StreamingInferenceService:
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         deadline_at = None if deadline_s is None else self._clock() + deadline_s
-        policy = self.config.retry
         attempt = 0
         while True:
             if not self._running:
@@ -575,15 +577,17 @@ class StreamingInferenceService:
                 return self._admit_routed(X, version, versions, stream_id, deadline_at)
             except ServiceOverloadedError:
                 attempt += 1
+                policy = self.config.retry
                 if policy is None or attempt >= policy.max_attempts:
                     raise
                 delay = policy.delay_s(attempt)
                 if deadline_at is not None and self._clock() + delay >= deadline_at:
                     raise  # the backoff would outlive the deadline
             finally:
-                for drawn in (version,) if versions is None else versions:
-                    if drawn != model:
-                        self.registry.release(drawn)
+                if version != model:  # a routed draw pinned its version
+                    for drawn in (version,) if versions is None else versions:
+                        if drawn != model:
+                            self.registry.release(drawn)
             self._retries.inc()
             time.sleep(delay)
 
@@ -596,77 +600,62 @@ class StreamingInferenceService:
         deadline_at: Optional[float],
     ) -> list[ClassificationRequest]:
         """Admit ``X``, served by ``version``, or row i by ``versions[i]``."""
-        widths = {
-            name: self.registry.classifier(name).som.n_bits  # UnknownModelError
-            for name in ((version,) if versions is None else dict.fromkeys(versions))
-        }
+        names = (version,) if versions is None else tuple(dict.fromkeys(versions))
+        classifiers = list(map(self.registry.classifier, names))  # UnknownModelError
         # Validate and pack the block once: row i's uint64 words are both
         # request i's cache key (their bytes) and its distance-kernel input.
         words = packed_signature_words(X)
-        n_rows, n_bits = X.shape
-        for name, width in widths.items():
-            if n_bits != width:
-                raise ConfigurationError(
-                    f"model {name!r} expects {width}-bit signatures, got {n_bits} bits"
-                )
+        n_bits = X.shape[1]
+        for name, classifier in zip(names, classifiers):
+            if classifier.som.n_bits != n_bits:
+                raise ConfigurationError(f"model {name!r} expects "
+                    f"{classifier.som.n_bits}-bit signatures, got {n_bits} bits")
         now = self._clock()
-        with self._id_lock:
-            first_id = self._next_request_id
-            self._next_request_id += n_rows
-        # A settle memoises only outcomes of the current generation, so a
-        # swap landing after this read costs a cache fill, never a stale one.
+        # One section hands out the block's request ids and reads the
+        # generations its settle checks before memoising: a swap landing
+        # after this read costs a cache fill, never a stale one.
         with self._gen_lock:
+            first_id = self._next_request_id
+            self._next_request_id = first_id + len(words)
             generations = self._generations.copy()
         start_trace, get = self.obs.tracer.start, self.cache.get
         requests: list[ClassificationRequest] = []
-        hits: list[tuple[ClassificationRequest, CachedOutcome]] = []
         misses: list[ClassificationRequest] = []
-        for row in range(n_rows):
-            name = version if versions is None else versions[row]
-            request_id = first_id + row
-            packed = words[row]
+        hits: list[tuple[ClassificationRequest, CachedOutcome]] = []
+        cache_errors = 0
+        for request_id, packed in enumerate(words, first_id):
+            name = version if versions is None else versions[request_id - first_id]
+            key = packed.tobytes()
             request = ClassificationRequest(
-                model=name,
-                stream_id=stream_id,
-                request_id=request_id,
-                cache_key=packed.tobytes(),
-                enqueued_at=now,
-                packed=packed,
+                packed, name, stream_id, request_id, key, now,
                 generation=generations.get(name, 0),
-                trace=start_trace(
-                    t=now, model=name, stream_id=stream_id, request_id=request_id
-                ),
+                trace=start_trace(t=now, model=name, stream_id=stream_id,
+                                  request_id=request_id),
                 deadline_at=deadline_at,
             )
             requests.append(request)
             try:
-                outcome = get(name, request.cache_key)
+                outcome = get(name, key)
             except Exception:
                 # A corrupt entry / codec bug degrades to a miss, not a failed
                 # request: the SOM can re-derive the answer.  Counted.
-                self._cache_errors.inc()
+                cache_errors += 1
                 outcome = None
             if outcome is None:
                 misses.append(request)
             else:
                 hits.append((request, outcome))
-        primaries, stale = self._reserve(requests, misses, now) if misses else ([], [])
-        if hits or stale:
-            self._requests.inc(len(hits) + len(stale))
-            self._cache_hits.inc(len(hits))
-            self._stale_hits.inc(len(stale))
-            for request, outcome in hits:
-                self._settle(None, _block([request]), outcome, admitted=False)
-            for request, outcome in stale:
-                self.obs.events.emit(
-                    "stale_hit", model=request.model, request_id=request.request_id
-                )
-                self._settle(None, _block([request]), outcome, admitted=False, stale=True)
+        if cache_errors:
+            self._cache_errors.inc(cache_errors)
+        primaries, stale = self._reserve(requests, misses, now) if misses else ((), ())
+        if hits:
+            self._answer_at_admission(hits)
+        if stale:
+            self._answer_at_admission(stale, stale=True)
         if not primaries:
             return requests
-        for request in primaries:
-            if request.trace is not None:
-                request.trace.begin("queue", t=now)
+        for trace in filter(None, map(_TRACE, primaries)):
+            trace.begin("queue", t=now)
         with self._state_lock:
             admitted = self._running
             if admitted:
@@ -689,6 +678,19 @@ class StreamingInferenceService:
             self._wake.set()  # only a block that opens a lane starts a deadline
         return requests
 
+    def _answer_at_admission(
+        self, answers: list[tuple[ClassificationRequest, CachedOutcome]], stale: bool = False
+    ) -> None:
+        """Count and settle cache (or stale-tier) answers, each as a batch of one."""
+        self._requests.inc(len(answers))
+        (self._stale_hits if stale else self._cache_hits).inc(len(answers))
+        for request, outcome in answers:
+            if stale:
+                self.obs.events.emit(
+                    "stale_hit", model=request.model, request_id=request.request_id
+                )
+            self._settle(None, _block([request]), outcome, admitted=False, stale=stale)
+
     def _reserve(
         self,
         requests: list[ClassificationRequest],
@@ -701,14 +703,15 @@ class StreamingInferenceService:
         A miss equal to a request in flight or an earlier miss follows it;
         with its model's breakers all open it takes a stale answer or
         refuses the block; else it is a primary.  Only an admitted block
-        touches the dedup table; a refusal settles ``requests`` and raises.
+        leaves entries in the dedup table; a refusal settles ``requests``
+        and raises.
         """
         open_models: Collection[str] = ()
         if self._board is not None:
             allow = self._board.would_allow_any
             models = {request.model for request in misses}
             open_models = {m for m in models if not allow(m, self.registry.shard_names(m))}
-        primaries: dict[tuple[str, bytes], ClassificationRequest] = {}
+        primaries: list[ClassificationRequest] = []
         followers: list[tuple[ClassificationRequest, ClassificationRequest]] = []
         stale: list[tuple[ClassificationRequest, CachedOutcome]] = []
         refusal: Optional[ServiceOverloadedError] = None
@@ -716,44 +719,52 @@ class StreamingInferenceService:
         with self._inflight_lock:
             for request in misses:
                 key = (request.model, request.cache_key)
-                primary = primaries.get(key) or inflight.get(key)
-                if primary is not None:
+                # An entry made here lets an equal later row follow this one.
+                primary = inflight.setdefault(key, request)
+                if primary is not request:
                     followers.append((primary, request))
                 elif request.model not in open_models:
-                    primaries[key] = request
-                elif (outcome := self.cache.get_stale(*key)) is not None:
-                    stale.append((request, outcome))
+                    primaries.append(request)
                 else:
-                    # No stale answer either: shed, so the retry policy backs
-                    # off until a half-open probe closes a breaker.
-                    shards = len(self.registry.shard_names(request.model))
-                    refusal = CircuitOpenError(
-                        request.model, open_shards=shards, total_shards=shards
-                    )
-                    break
-            if primaries and refusal is None:
-                with self._pending_lock:
-                    if self._pending + len(primaries) <= self.config.max_pending:
-                        self._pending += len(primaries)
-                    else:
-                        refusal = ServiceOverloadedError("service pending budget",
-                            pending=self._pending, capacity=self.config.max_pending)
-            if refusal is None:
+                    del inflight[key]
+                    outcome = self.cache.get_stale(*key)
+                    if outcome is None:
+                        # No stale answer either: shed, so the retry policy
+                        # backs off until a half-open probe closes a breaker.
+                        shards = len(self.registry.shard_names(request.model))
+                        refusal = CircuitOpenError(
+                            request.model, open_shards=shards, total_shards=shards
+                        )
+                        break
+                    stale.append((request, outcome))
+            if refusal is None and primaries:
+                pending = self._pending + len(primaries)
+                if pending <= self.config.max_pending:
+                    self._pending = pending
+                else:
+                    refusal = ServiceOverloadedError("service pending budget",
+                        pending=self._pending, capacity=self.config.max_pending)
+            if refusal is not None:
+                for request in primaries:
+                    del inflight[(request.model, request.cache_key)]
+            elif followers:
                 # Followers count as accepted now: their primary may settle
                 # them once the lock is released.
-                if followers:
-                    self._requests.inc(len(followers))
-                    self._dedup_hits.inc(len(followers))
+                self._requests.inc(len(followers))
+                self._dedup_hits.inc(len(followers))
                 for primary, follower in followers:
                     if follower.trace is not None:  # a coalesce span, linked to the kernel's
                         span = follower.trace.span("dedup", start=now, end=self._clock(),
                                                    primary_request_id=primary.request_id)
                         if primary.trace is not None:
                             span.add_link(trace_id=primary.trace.trace_id, span="kernel")
-                    # Append last: once visible to the settle step, the
-                    # follower's trace must be final.
-                    primary.followers.append(follower)
-                inflight.update(primaries)
+                    # Attach last: once visible to the settle step, the
+                    # follower's trace must be final.  A primary's list is
+                    # made when its first follower attaches.
+                    if primary.followers is None:
+                        primary.followers = [follower]
+                    else:
+                        primary.followers.append(follower)
         if refusal is not None:
             # Every row, cache hits included, is shed, not a request.
             self._settle(None, _block(requests), refusal, admitted=False)
@@ -761,7 +772,7 @@ class StreamingInferenceService:
         for primary, follower in followers:
             self.obs.events.emit("dedup", model=follower.model, request_id=follower.request_id,
                                  primary_request_id=primary.request_id)
-        return list(primaries.values()), stale
+        return primaries, stale
 
     def flush(self) -> None:
         """Force-dispatch every buffered lane (bounded-latency barrier)."""
@@ -803,13 +814,12 @@ class StreamingInferenceService:
         if live is None:
             return
         batch = live
-        for request in batch.requests:
-            if request.trace is not None:
-                # The batch-cut timestamp is the queue/batch boundary: the
-                # request stopped waiting for peers and started waiting for
-                # a shard.  The shard ends the batch span at kernel start.
-                request.trace.end("queue", t=batch.cut_at)
-                request.trace.begin("batch", t=batch.cut_at)
+        for trace in filter(None, map(_TRACE, batch.requests)):
+            # The batch-cut timestamp is the queue/batch boundary: the
+            # request stopped waiting for peers and started waiting for a
+            # shard.  The shard ends the batch span at kernel start.
+            trace.end("queue", t=batch.cut_at)
+            trace.begin("batch", t=batch.cut_at)
         try:
             self.registry.submit(batch)
         except Exception as error:
@@ -831,7 +841,8 @@ class StreamingInferenceService:
         admitted: bool = True,
         stale: bool = False,
     ) -> None:
-        """End every request of ``batch``: the one path that does so.
+        """End every request of ``batch`` in one pass: the one path that
+        does so.
 
         ``outcome`` is the shard's prediction, a cached outcome (cache or
         stale-tier hit), or the error that ended the batch.  ``shard`` is
@@ -840,20 +851,24 @@ class StreamingInferenceService:
         ``admitted`` batches hold pending-budget slots and
         dedup entries; requests answered or refused at admission hold
         neither.  A fault while answering fails the batch with that fault
-        rather than stranding it.
+        rather than stranding it.  Each step takes its lock once for the
+        whole batch: the dedup table and budget, the futures (in
+        :func:`~repro.serve.request.resolve_requests`), the latency
+        histogram and the cache write.
         """
+        requests = batch.requests
         if admitted:
             # Retire the dedup entries first (identity-checked: a racing
             # twin may own the key): once an entry is gone no new follower
             # can attach, so each request's follower list is final by the
-            # time it is settled below.
+            # time it is settled below.  The budget goes back in the same
+            # section.
+            inflight = self._inflight
             with self._inflight_lock:
-                for request in batch.requests:
-                    key = (request.model, request.cache_key)
-                    if self._inflight.get(key) is request:
-                        del self._inflight[key]
-            with self._pending_lock:
-                self._pending -= len(batch)
+                for key, request in zip(map(_DEDUP_KEY, requests), requests):
+                    if inflight.get(key) is request:
+                        del inflight[key]
+                self._pending -= len(requests)
         if (
             shard is not None
             and self._board is not None
@@ -865,7 +880,7 @@ class StreamingInferenceService:
         if not isinstance(outcome, BaseException):
             try:
                 responses = resolve_requests(
-                    batch.requests,
+                    requests,
                     outcome,
                     clock=self._clock,
                     stale=stale,
@@ -885,10 +900,11 @@ class StreamingInferenceService:
                 self.obs.events.emit(
                     "shed", model=batch.model, reason=reason, count=len(batch)
                 )
-            resolve_requests(batch.requests, outcome, clock=self._clock, shed=reason)
+            resolve_requests(requests, outcome, clock=self._clock, shed=reason)
             return
         if shard is None:
             return  # a cache or stale-tier answer: nothing to memoise or mirror
+        outcomes = CachedOutcome.rows(outcome)
         # Memoise under the generation lock: a request stamped with the
         # model's current generation was classified by the current map (a
         # swap bumps the generation only after the shards have flipped), so
@@ -896,25 +912,17 @@ class StreamingInferenceService:
         # written after swap_model's cache invalidation ran.
         with self._gen_lock:
             current = self._generations.get(batch.model, 0)
-            for request, response in zip(batch.requests, responses):
-                if request.generation != current:
-                    continue
-                try:
-                    self.cache.put(
-                        request.model,
-                        request.cache_key,
-                        CachedOutcome(
-                            label=response.label,
-                            neuron=response.neuron,
-                            distance=response.distance,
-                            rejected=response.rejected,
-                            confidence=response.confidence,
-                        ),
-                    )
-                except Exception:
-                    # A cache write fault loses a memoisation, nothing
-                    # else: the response was already delivered above.
-                    self._cache_errors.inc()
+            fresh = list(map(current.__eq__, map(_GENERATION, requests)))
+            try:
+                self.cache.put_many(
+                    batch.model,
+                    compress(map(_CACHE_KEY, requests), fresh),
+                    compress(outcomes, fresh),
+                )
+            except Exception:
+                # A cache write fault loses the batch's memoisation, nothing
+                # else: the responses were already delivered above.
+                self._cache_errors.inc()
         if self._rollout is not None:
             # Shadow mirroring runs dead last: every caller already has its
             # answer, so a slow (or crashing) candidate cannot touch the
@@ -927,8 +935,7 @@ class StreamingInferenceService:
     def _count_responses(self, responses: list[ClassificationResponse]) -> None:
         """Count answers and their latencies before their futures are set."""
         self._responses.inc(len(responses))
-        for response in responses:
-            self._latency.observe(response.latency_s)
+        self._latency.observe_many(list(map(_LATENCY, responses)))
 
     def _on_shard_restart(self, model: str, shard_name: str, reason: str) -> None:
         """Supervisor hook: a dead/wedged worker was replaced."""
@@ -974,14 +981,25 @@ class StreamingInferenceService:
     # ------------------------------------------------------------------ #
     @property
     def pending_requests(self) -> int:
-        """Admitted requests not yet resolved (cache hits excluded)."""
-        with self._pending_lock:
-            return self._pending
+        """Admitted requests not yet resolved (cache hits excluded).
+
+        Read without a lock: one int read is atomic, and the gauge that
+        calls this must not wait on the admission section, which counts
+        requests while it holds ``_inflight_lock``.
+        """
+        return self._pending
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Current counters, read from ``obs.registry``, plus a live
         per-model ready-queue depth sample."""
         return MetricsSnapshot.read(self.obs.registry, self.registry.queue_depths())
+
+
+_DEDUP_KEY = attrgetter("model", "cache_key")
+_CACHE_KEY = attrgetter("cache_key")
+_GENERATION = attrgetter("generation")
+_TRACE = attrgetter("trace")
+_LATENCY = attrgetter("latency_s")
 
 
 def _block(requests: Sequence[ClassificationRequest]) -> MicroBatch:

@@ -92,3 +92,22 @@ def test_a_median_worse_than_its_bound_is_flagged_and_failed_runs_are_skipped():
     assert rows["throughput"].worse_than_bound  # -28% against a 24% bound
     assert rows["p50_ms"].worse_than_bound  # +36% against a 24% bound
     assert all("WORSE THAN BOUND" in line for line in bench_pairs.format_rows(rows.values())[1:3])
+
+
+def test_the_key_budget_is_read_from_perfbench_and_near_misses_are_marked(tmp_path):
+    # The budget comes from perfbench's own source, never a copy of it.
+    endtoend = _PATH.parent.parent / "perfbench" / "endtoend.py"
+    assert f"SAT_KEYS_PER_S = {bench_pairs.scheduled_keys_per_s():.0f}" in endtoend.read_text()
+    source = tmp_path / "endtoend.py"
+    source.write_text("RATE_RPS = 1000.0\nSAT_KEYS_PER_S = 20000\n")
+    assert bench_pairs.scheduled_keys_per_s(source) == 20000.0
+    parent = [_run(9000.0, 4.0), _run(10000.0, 4.0)]  # as measured: 8100, 9000
+    change = [_run(16000.0, 4.0), bench_pairs.Run(None, "no result line")]  # 14400
+    assert bench_pairs.budget_share(parent[1], 20000.0) == pytest.approx(0.45)
+    assert bench_pairs.budget_share(change[1], 20000.0) is None
+    lines = bench_pairs.format_budget({"parent": parent, "change": change}, 16000.0)
+    assert lines == [
+        "key budget parent: peak 9000.0 req/s as measured = 56.2% of 16000 scheduled keys/s",
+        "key budget change: peak 14400.0 req/s as measured = 90.0% of 16000 scheduled keys/s"
+        "  ABOVE 85%",
+    ]

@@ -176,6 +176,25 @@ class TestHistogram:
         assert 2.0 < p99 <= 4.0
         assert hist.quantile(0.0) <= p50 <= p99 <= hist.quantile(1.0)
 
+    def test_a_batch_update_equals_one_observe_per_value(self):
+        # Values on a bucket edge land in that bucket (upper bounds are
+        # inclusive); values past the last edge land in +Inf.
+        values = [0.1, 1.0, 1.0, 1.7, 2.0, 3.9, 4.0, 4.0000001, 9.5, 1e9, 0.3, 2.2]
+        one_at_a_time = Histogram("lat", (), buckets=(1.0, 2.0, 4.0, 8.0))
+        for value in [0.25, *values]:
+            one_at_a_time.observe(value)
+        batched = Histogram("lat", (), buckets=(1.0, 2.0, 4.0, 8.0))
+        batched.observe(0.25)
+        batched.observe_many(values[:5])
+        batched.observe_many(values[5:])
+        batched.observe_many([])
+        assert batched.bucket_counts() == one_at_a_time.bucket_counts() == (5, 2, 3, 1, 2)
+        total = 0.25
+        for value in values:
+            total += value
+        assert batched.sum == one_at_a_time.sum == total  # the same additions, in order
+        assert batched.count == one_at_a_time.count == 13
+
     def test_empty_histogram_quantile_is_zero(self):
         hist = Histogram("lat", (), buckets=(1.0, 2.0))
         assert hist.quantile(0.5) == 0.0

@@ -517,6 +517,27 @@ class TestCacheResilience:
         finally:
             service.stop()
 
+    def test_cache_write_fault_loses_only_the_memoisation(self, cluster_data):
+        X, y = cluster_data
+        classifier = _fit(X, y)
+        injector = FaultInjector()
+        service = _service(classifier, injector=injector)
+        try:
+            futures = service.submit_many(X[:6], model="m")
+            injector.arm(FaultSpec(CACHE_CODEC, max_fires=1))  # the batch's one write
+            service.flush()
+            labels = [future.result(10.0).label for future in futures]
+            assert labels == classifier.predict(X[:6]).tolist()
+            assert injector.fired(CACHE_CODEC) == 1
+            assert service.metrics_snapshot().cache_errors == 1
+            assert len(service.cache) == 0 and service.pending_requests == 0
+            again = service.submit_many(X[:6], model="m")
+            service.flush()  # the kernel answers again, and the answers are memoised
+            assert [future.result(10.0).cached for future in again] == [False] * 6
+            assert len(service.cache) == 6
+        finally:
+            service.stop()
+
     def test_lru_eviction_demotes_to_stale_tier(self):
         cache = SignatureLruCache(capacity=1, stale_capacity=4)
         outcome = CachedOutcome(1, 2, 3.0, False, 0.9)

@@ -229,6 +229,35 @@ class TestSignatureLruCache:
         for row in range(16):
             assert packed[row].tobytes() == signature_key(X[row])
 
+    @pytest.mark.parametrize("capacity", [0, 16, 3], ids=["disabled", "below", "across"])
+    def test_a_batch_write_leaves_what_one_write_per_row_leaves(self, capacity):
+        def state(cache):
+            with cache._lock:
+                return list(cache._entries.items()), list(cache._stale.items()), cache.evictions
+
+        # Rows 0-5, one of them already live and one written twice.
+        keys = [bytes([i]) for i in (0, 1, 2, 3, 1, 4, 5)]
+        outcomes = [self._outcome(label) for label in range(len(keys))]
+        batched, one_by_one = (SignatureLruCache(capacity, stale_capacity=2) for _ in "ab")
+        for cache in (batched, one_by_one):
+            cache.put("m", b"\x03", self._outcome(90))
+            cache.put("other", b"\x00", self._outcome(91))
+        batched.put_many("m", keys, outcomes)
+        for key, outcome in zip(keys, outcomes):
+            one_by_one.put("m", key, outcome)
+        assert state(batched) == state(one_by_one)
+        entries, stale, evictions = state(batched)
+        if capacity == 0:
+            assert entries == stale == [] and evictions == 0
+        elif capacity == 16:
+            assert [key for key, _ in entries] == [
+                ("other", b"\x00"), *(("m", bytes([i])) for i in (0, 2, 3, 1, 4, 5))
+            ]
+            assert stale == [] and evictions == 0
+        else:
+            assert [key for key, _ in entries] == [("m", bytes([i])) for i in (1, 4, 5)]
+            assert len(stale) == 2 and evictions == 5
+
     def test_zero_capacity_disables(self):
         cache = SignatureLruCache(capacity=0)
         cache.put("m", b"a", self._outcome(1))
@@ -798,6 +827,29 @@ class TestBlockAdmission:
                 time.sleep(0.005)
             assert service.pending_requests == 0
             assert [_counter(service, name) for name in names] == before
+
+    def test_a_nan_row_admits_and_counts_nothing(self, trained_bsom_classifier, cluster_data):
+        X, _ = cluster_data
+        block = X[:4].astype(np.float64)
+        block[2] = np.nan
+        names = (
+            "serve_requests_total",
+            "serve_cache_hits_total",
+            "serve_cache_misses_total",
+            "serve_dedup_hits_total",
+            "serve_responses_total",
+            "serve_backpressure_rejections_total",
+        )
+        with self._service(trained_bsom_classifier, max_delay_ms=1e6) as service:
+            warm = service.submit(X[0], model="m")
+            service.flush()
+            warm.result(10.0)  # row 0 is a cache hit, were the block admitted
+            before = [_counter(service, name) for name in names]
+            with pytest.raises(DataError):
+                service.submit_many(block, model="m")
+            assert [_counter(service, name) for name in names] == before
+            assert service.pending_requests == 0
+            assert service.scheduler.pending_count() == 0
 
     def test_block_rows_draw_the_canary_split_in_order(
         self, trained_bsom_classifier, cluster_data

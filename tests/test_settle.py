@@ -137,7 +137,7 @@ def test_resolve_requests_answers_primaries_then_followers(trained_bsom_classifi
 
     primaries = [request(0, 1.0), request(1, 2.0)]
     follower = request(2, 3.0)
-    primaries[0].followers.append(follower)
+    primaries[0].followers = [follower]  # made when the first follower attaches
     prediction = trained_bsom_classifier.predict_batch(
         np.stack([signature(0), signature(1)])
     )
@@ -147,6 +147,62 @@ def test_resolve_requests_answers_primaries_then_followers(trained_bsom_classifi
     assert [r.deduplicated for r in responses] == [False, False, True]
     assert responses[2].label == responses[0].label == int(prediction.labels[0])
     assert [each.pending.result(0.0) for each in (*primaries, follower)] == responses
+
+
+def test_a_batch_settles_in_one_pass_with_every_answer_field(
+    trained_bsom_classifier, monkeypatch
+):
+    # A cache answer, three primaries, a follower of an earlier row of the
+    # block and a follower of a request in flight; every other request
+    # sampled.  The expected fields are those one response per row carried.
+    returned = []
+    real = service_module.resolve_requests
+
+    def recording(requests, outcome, **kwargs):
+        responses = real(requests, outcome, **kwargs)
+        returned.append(responses)
+        return responses
+
+    monkeypatch.setattr(service_module, "resolve_requests", recording)
+    service = _service(trained_bsom_classifier, trace_sample_every=2)
+    with service:
+        warm = service.submit(signature(0), model="m")  # request 0, then cached
+        service.flush()
+        warm.result(5.0)
+        indices = [0, 1, 2, 1, 3]  # requests 1-5
+        futures = service.submit_many(np.stack([signature(i) for i in indices]),
+                                      model="m", stream_id="cam")
+        late = service.submit(signature(2), model="m", stream_id="late")  # request 6
+        service.flush()
+        responses = [future.result(5.0) for future in (*futures, late)]
+        traces = {r.request_id: service.obs.trace(r.trace_id) for r in responses if r.trace_id}
+    prediction = trained_bsom_classifier.predict_batch(
+        np.stack([signature(i) for i in (*indices, 2)])
+    )
+    for row, response in enumerate(responses):
+        assert (response.label, response.neuron, response.distance, response.rejected,
+                response.confidence) == (
+            int(prediction.labels[row]), int(prediction.neurons[row]),
+            float(prediction.distances[row]), bool(prediction.rejected[row]),
+            float(prediction.confidences[row]),
+        )
+        assert list(map(type, response[:5])) == [int, int, float, bool, float]
+        assert isinstance(response.latency_s, float) and response.latency_s >= 0.0
+    assert [r.request_id for r in responses] == [1, 2, 3, 4, 5, 6]
+    assert [r.model for r in responses] == ["m"] * 6
+    assert [r.stream_id for r in responses] == ["cam"] * 5 + ["late"]
+    assert [r.cached for r in responses] == [True, False, False, False, False, False]
+    assert [r.deduplicated for r in responses] == [False, False, False, True, False, True]
+    assert not any(r.stale for r in responses)
+    # Every other request is sampled: requests 2, 4 and 6 of these.
+    assert sorted(traces) == [2, 4, 6]
+    assert all(trace.root.attrs["request_id"] == rid for rid, trace in traces.items())
+    # The kernel batch's settle answered its primaries first, then followers.
+    kernel = returned[-1]
+    assert [(r.request_id, r.deduplicated) for r in kernel] == [
+        (2, False), (3, False), (5, False), (4, True), (6, True)
+    ]
+    assert kernel == [responses[i] for i in (1, 2, 4, 3, 5)]
 
 
 def test_standalone_registry_settles_on_its_own_clock(trained_bsom_classifier):
@@ -414,13 +470,14 @@ def test_responses_are_counted_before_their_futures_are_set(
     service = _service(trained_bsom_classifier, batch_size=4)
     latency = service.obs.registry.get("serve_request_latency_seconds")
     seen = []
-    real = PendingResult.set_result
+    real = PendingResult._settle
 
-    def reading_set_result(pending, response):
+    def reading_settle(pending, response, error):
+        # Each future's step inside the batch's one settle section.
         seen.append((_counter(service, "serve_responses_total"), latency.count))
-        real(pending, response)
+        real(pending, response, error)
 
-    monkeypatch.setattr(PendingResult, "set_result", reading_set_result)
+    monkeypatch.setattr(PendingResult, "_settle", reading_settle)
     with service:
         # The fourth submit fills the batch and dispatches it.
         futures = [service.submit(signature(i), model="m") for i in range(4)]

@@ -15,6 +15,7 @@ from repro.signatures import (
     image_to_signature,
     mean_threshold,
     pack_bits,
+    packed_signature_words,
     rgb_histogram,
     signature_to_image,
     unpack_bits,
@@ -174,6 +175,65 @@ class TestPacking:
     def test_non_binary_rejected(self):
         with pytest.raises(DataError):
             pack_bits(np.array([0, 1, 2], dtype=np.uint8))
+
+
+#: The signature rule, per dtype: (dtype, zero, one, odd value, the bit the
+#: odd value stands for or None when the rule rejects it).  Every admitted
+#: signature passes through it, and a faster check must keep this table.
+SIGNATURE_RULE = [
+    pytest.param(bool, False, True, True, 1, id="bool"),
+    pytest.param(np.uint8, 0, 1, 1, 1, id="uint8"),
+    pytest.param(np.float16, 0.0, 1.0, 1.0, 1, id="float16-0/1"),
+    pytest.param(np.float64, 0.0, 1.0, -0.0, 0, id="float64-negative-zero"),
+    pytest.param(np.complex128, 0, 1, 1 + 0j, 1, id="complex-1+0j"),
+    pytest.param(object, 0, 1, 1, 1, id="object-ints"),
+    pytest.param(np.int8, 0, 1, -1, None, id="int8-minus-1"),
+    pytest.param(np.int64, 0, 1, 2, None, id="int64-2"),
+    pytest.param(np.float64, 0.0, 1.0, 0.5, None, id="float64-0.5"),
+    pytest.param(np.float32, 0.0, 1.0, np.nan, None, id="float32-nan"),
+    pytest.param(np.float64, 0.0, 1.0, np.inf, None, id="float64-inf"),
+    pytest.param(np.complex128, 0, 1, 1j, None, id="complex-1j"),
+    pytest.param(np.uint64, 0, 1, 2**63, None, id="uint64-2**63"),
+    pytest.param(str, "0", "1", "1", None, id="strings-0/1"),
+    pytest.param(object, 0, 1, 0.5, None, id="object-0.5"),
+]
+
+
+class TestSignatureRule:
+    """What ``packed_signature_words`` accepts, in every dtype, as a 1-D row
+    and as a 2-D block with the odd value in its first, middle or last row."""
+
+    PATTERN = np.array([[0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1],
+                        [1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1],
+                        [0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0]], dtype=np.uint8)
+    COLUMN = 6  # where the odd value goes
+
+    def _signatures(self, dtype, zero, one, odd):
+        """(signature, row of the odd value; None for the 1-D row) of each shape."""
+        def typed(bits):
+            return np.array([[one if bit else zero for bit in row] for row in bits], dtype=dtype)
+
+        row = typed(self.PATTERN[:1])[0]
+        row[self.COLUMN] = odd
+        yield row, None
+        for odd_row in range(len(self.PATTERN)):
+            block = typed(self.PATTERN)
+            block[odd_row, self.COLUMN] = odd
+            yield block, odd_row
+
+    @pytest.mark.parametrize("dtype,zero,one,odd,bit", SIGNATURE_RULE)
+    def test_the_rule_holds_per_dtype_for_rows_and_blocks(self, dtype, zero, one, odd, bit):
+        for signature, odd_row in self._signatures(dtype, zero, one, odd):
+            if bit is None:
+                with pytest.raises(DataError):
+                    packed_signature_words(signature)
+                continue
+            expected = self.PATTERN.copy()
+            expected[odd_row or 0, self.COLUMN] = bit
+            np.testing.assert_array_equal(
+                packed_signature_words(signature),
+                packed_signature_words(expected[0] if odd_row is None else expected),
+            )
 
 
 class TestBinarySignature:
