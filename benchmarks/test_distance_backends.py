@@ -1,20 +1,18 @@
-"""Distance-backend benchmark grid: float32 GEMM vs packed uint64 vs naive.
+"""Distance-kernel benchmark grid: the packed uint64 kernel against the oracle.
 
 Sweeps map sizes (16-1024 neurons) and batch sizes (1-4096 signatures) at
-the paper's 768-bit signature width, asserting *bit-exact* agreement of all
-three backends on every cell and timing the two production kernels for the
-report (the naive oracle is timed only on cells where it finishes in
-reasonable time; its exactness is asserted everywhere via a row subsample).
+the paper's 768-bit signature width, asserting *bit-exact* agreement of the
+packed kernel with the naive oracle (``tests/oracles/distance.py``) on
+every cell, over a row subsample, and timing the kernel for the report.
 The timings gate nothing here: a wall-clock floor fails on a loaded host
 whatever the code does, and the repository benchmark (``perfbench/``,
 ``core.kernel_us_per_row``) times the kernel on a pinned CPU with noise
 bounds.
 
 Results go to ``BENCH_distance.json`` at the repository root.  That file
-is committed: the module docstring of :mod:`repro.core.distance` and the
-hybrid routing thresholds in :mod:`repro.core.backends` cite its crossover
-points, and ``scripts/ci_check.sh`` uses its recorded 256-neuron/1024-batch
-cell as the baseline for the packed-backend perf-regression guard.  To
+is committed: ``scripts/ci_check.sh`` uses its recorded
+256-neuron/1024-batch cell as the baseline for the packed-kernel
+perf-regression guard (``scripts/check_backends.py``).  To
 keep that baseline an actual *baseline*, a plain test run only writes the
 file when it is missing; regenerate it deliberately (after kernel changes)
 with::
@@ -34,12 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backends import (
-    HAS_BITWISE_COUNT,
-    GemmBackend,
-    NaiveBackend,
-    PackedBackend,
-)
+from oracles.distance import NaiveBackend
+from repro.core.backends import HAS_BITWISE_COUNT, PackedBackend
 from repro.core.tristate import DONT_CARE
 
 N_BITS = 768
@@ -47,13 +41,8 @@ NEURON_SIZES = (16, 64, 256, 1024)
 BATCH_SIZES = (1, 8, 64, 1024, 4096)
 TIMED_REPEATS = 3
 
-#: The naive oracle is only *timed* on cells up to this neurons x batch
-#: product; larger cells would dominate the suite's runtime without adding
-#: information (it loses by orders of magnitude everywhere).
-NAIVE_TIMING_MAX_PRODUCT = 256 * 1024
-
 #: Bit-exactness against the oracle is asserted on every cell over at most
-#: this many batch rows (the kernels are row-independent, so a subsample
+#: this many batch rows (the kernel is row-independent, so a subsample
 #: proves the same arithmetic the full batch uses).
 PARITY_MAX_ROWS = 512
 
@@ -70,11 +59,11 @@ def _make_weights(rng: np.random.Generator, n_neurons: int) -> np.ndarray:
     return weights
 
 
-def _best_of(fn, repeats: int = TIMED_REPEATS) -> float:
+def _best_of(fn) -> float:
     """Best-of-N wall-clock seconds (min is the standard noise filter)."""
-    fn()  # warm-up: page in operands, trigger any lazy BLAS init
+    fn()  # warm-up: page in operands and the chunk buffer
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(TIMED_REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -83,11 +72,10 @@ def _best_of(fn, repeats: int = TIMED_REPEATS) -> float:
 
 def test_backend_grid_bit_exact_and_emit_bench():
     rng = np.random.default_rng(20100607)
-    gemm, packed, naive = GemmBackend(), PackedBackend(), NaiveBackend()
+    packed, naive = PackedBackend(), NaiveBackend()
     cells = []
     for n_neurons in NEURON_SIZES:
         weights = _make_weights(rng, n_neurons)
-        gemm_ops = gemm.prepare(weights)
         packed_ops = packed.prepare(weights)
         naive_ops = naive.prepare(weights)
         for batch in BATCH_SIZES:
@@ -96,33 +84,20 @@ def test_backend_grid_bit_exact_and_emit_bench():
             # --- bit-exactness on every cell (subsampled rows) ---------- #
             sample = inputs[: min(batch, PARITY_MAX_ROWS)]
             oracle = naive.pairwise(naive_ops, sample)
-            gemm_result = gemm.pairwise(gemm_ops, sample)
-            packed_result = packed.pairwise(packed_ops, sample)
-            assert np.array_equal(gemm_result, oracle)
-            assert np.array_equal(packed_result, oracle)
+            assert np.array_equal(packed.pairwise(packed_ops, sample), oracle)
             # The paper's all-# neuron edge case: distance 0 to everything.
             assert not oracle[:, 0].any()
 
             # --- timing ------------------------------------------------- #
-            gemm_s = _best_of(lambda: gemm.pairwise(gemm_ops, inputs))
             packed_s = _best_of(lambda: packed.pairwise(packed_ops, inputs))
-            naive_s = (
-                _best_of(lambda: naive.pairwise(naive_ops, inputs), repeats=1)
-                if n_neurons * batch <= NAIVE_TIMING_MAX_PRODUCT
-                else None
-            )
             cells.append(
                 {
                     "n_neurons": n_neurons,
                     "batch": batch,
-                    "gemm_ms": round(gemm_s * 1e3, 4),
                     "packed_ms": round(packed_s * 1e3, 4),
-                    "naive_ms": None if naive_s is None else round(naive_s * 1e3, 4),
-                    "speedup_packed_vs_gemm": round(gemm_s / packed_s, 2),
                 }
             )
 
-    best = max(cells, key=lambda cell: cell["speedup_packed_vs_gemm"])
     baseline = next(
         cell
         for cell in cells
@@ -138,16 +113,7 @@ def test_backend_grid_bit_exact_and_emit_bench():
             "timed_repeats": TIMED_REPEATS,
         },
         "cells": cells,
-        "best_speedup_packed_vs_gemm": {
-            "n_neurons": best["n_neurons"],
-            "batch": best["batch"],
-            "speedup": best["speedup_packed_vs_gemm"],
-        },
-        "baseline": {
-            **BASELINE_CELL,
-            "packed_ms": baseline["packed_ms"],
-            "gemm_ms": baseline["gemm_ms"],
-        },
+        "baseline": {**BASELINE_CELL, "packed_ms": baseline["packed_ms"]},
     }
     if os.environ.get("REPRO_WRITE_BENCH") or not BENCH_PATH.exists():
         BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")

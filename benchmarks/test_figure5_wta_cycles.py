@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backends import NaiveBackend
+from oracles.distance import NaiveBackend
 from repro.hw import FpgaBsomConfig, FpgaBsomDesign
 from repro.hw.blocks import HammingDistanceUnit, WinnerTakeAllUnit
 

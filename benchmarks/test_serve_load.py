@@ -116,12 +116,8 @@ def run_bench():
     signatures, labels = make_signature_clusters(
         POOL_IDENTITIES, POOL_SAMPLES, n_bits=N_BITS, seed=7
     )
-    primary = api.train(
-        signatures, labels, n_neurons=16, epochs=6, seed=1, backend="packed"
-    )
-    alternate = api.train(
-        signatures, labels, n_neurons=24, epochs=8, seed=2, backend="packed"
-    )
+    primary = api.train(signatures, labels, n_neurons=16, epochs=6, seed=1)
+    alternate = api.train(signatures, labels, n_neurons=24, epochs=8, seed=2)
     service = api.serve({"hall": api.snapshot(primary)}, config=bench_config())
     try:
         run = run_workload(

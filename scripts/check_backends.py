@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""CI gate: distance-backend parity smoke + packed-kernel perf guard.
+"""CI gate: distance-kernel parity smoke + packed-kernel perf guard.
 
 Run by ``scripts/ci_check.sh`` after the test suite:
 
 1. *Parity smoke* -- randomized tri-state weights x binary inputs across a
    few shapes (including an all-``#`` neuron and a non-word-aligned bit
-   width); every backend must agree bit-exactly with the naive oracle.
-2. *Perf-regression guard* -- re-times the packed uint64 backend on the
+   width); the packed kernel, on native and lookup-table popcount, must
+   agree bit-exactly with the naive oracle in ``tests/oracles/distance.py``.
+2. *Perf-regression guard* -- re-times the packed uint64 kernel on the
    256-neuron / 1024-batch cell and fails if it is more than 2x slower
    than the baseline recorded in the committed ``BENCH_distance.json``.
    A plain test run never rewrites that file once it exists, so the
@@ -41,13 +42,10 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
-from repro.core.backends import (  # noqa: E402
-    GemmBackend,
-    HybridBackend,
-    NaiveBackend,
-    PackedBackend,
-)
+from oracles.distance import NaiveBackend  # noqa: E402
+from repro.core.backends import PackedBackend  # noqa: E402
 from repro.core.tristate import DONT_CARE  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_distance.json"
@@ -58,33 +56,31 @@ GUARD_REPEATS = 5
 def parity_smoke() -> None:
     rng = np.random.default_rng(1234)
     oracle = NaiveBackend()
-    backends = [
-        GemmBackend(),
-        PackedBackend(),
-        PackedBackend(use_native_popcount=False),
-        HybridBackend(),
-    ]
+    kernels = {
+        "packed": PackedBackend(),
+        "packed (lookup-table popcount)": PackedBackend(use_native_popcount=False),
+    }
     for n_neurons, n_samples, n_bits in ((40, 64, 768), (17, 33, 100), (8, 200, 64)):
         weights = rng.integers(0, 3, size=(n_neurons, n_bits), dtype=np.int8)
         weights[0] = DONT_CARE  # the paper's all-# edge case
         inputs = rng.integers(0, 2, size=(n_samples, n_bits), dtype=np.int8)
         expected = oracle.pairwise(oracle.prepare(weights), inputs)
         assert not expected[:, 0].any(), "all-# neuron must be distance 0"
-        for backend in backends:
-            prepared = backend.prepare(weights)
-            got = backend.pairwise(prepared, inputs)
+        for name, kernel in kernels.items():
+            prepared = kernel.prepare(weights)
+            got = kernel.pairwise(prepared, inputs)
             if not np.array_equal(got, expected):
                 raise SystemExit(
-                    f"parity FAILED: backend {backend.name!r} disagrees with the "
+                    f"parity FAILED: {name} kernel disagrees with the "
                     f"naive oracle on {n_neurons}x{n_bits}, batch {n_samples}"
                 )
-            got_one = backend.batch_one(prepared, inputs[0])
+            got_one = kernel.batch_one(prepared, inputs[0])
             if not np.array_equal(got_one, expected[0]):
                 raise SystemExit(
-                    f"parity FAILED: backend {backend.name!r} batch_one disagrees "
+                    f"parity FAILED: {name} kernel batch_one disagrees "
                     f"on {n_neurons}x{n_bits}"
                 )
-    print("backend parity smoke: OK")
+    print("kernel parity smoke: OK")
 
 
 def perf_guard() -> None:
@@ -102,27 +98,27 @@ def perf_guard() -> None:
     rng = np.random.default_rng(20100607)
     weights = rng.integers(0, 3, size=(n_neurons, n_bits), dtype=np.int8)
     inputs = rng.integers(0, 2, size=(batch, n_bits), dtype=np.int8)
-    backend = PackedBackend()
-    prepared = backend.prepare(weights)
-    backend.pairwise(prepared, inputs)  # warm-up
+    kernel = PackedBackend()
+    prepared = kernel.prepare(weights)
+    kernel.pairwise(prepared, inputs)  # warm-up
     best = float("inf")
     for _ in range(GUARD_REPEATS):
         start = time.perf_counter()
-        backend.pairwise(prepared, inputs)
+        kernel.pairwise(prepared, inputs)
         best = min(best, time.perf_counter() - start)
     current_ms = best * 1e3
     slowdown = current_ms / baseline_ms
     print(
-        f"packed backend {n_neurons}x{batch} cell: {current_ms:.3f} ms "
+        f"packed kernel {n_neurons}x{batch} cell: {current_ms:.3f} ms "
         f"(baseline {baseline_ms:.3f} ms, ratio {slowdown:.2f}x, "
         f"limit {SLOWDOWN_LIMIT}x)"
     )
     if slowdown > SLOWDOWN_LIMIT:
         raise SystemExit(
-            f"perf guard FAILED: packed backend is {slowdown:.2f}x slower than "
+            f"perf guard FAILED: packed kernel is {slowdown:.2f}x slower than "
             f"the recorded baseline (limit {SLOWDOWN_LIMIT}x)"
         )
-    print("backend perf guard: OK")
+    print("kernel perf guard: OK")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ Exercises the acceptance surface of the unified lifecycle API end to end:
 
 1. train two bSOM identifiers (v1 and v2) on well-separated clusters,
 2. round-trip v1 through the format-v2 archive (``api.save`` /
-   ``api.load``), asserting the distance-backend selection and
-   weights-version counter survive,
+   ``api.load``), asserting the weights-version counter survives and the
+   restored classifier answers exactly like v1,
 3. stand up a streaming service from the loaded snapshot and drive
    concurrent submitter threads whose traffic deliberately repeats
    signatures (the cache is disabled, so repeats must coalesce through the
@@ -50,17 +50,16 @@ def main() -> int:
         shared_bits=15,
         seed=7,
     )
-    v1 = api.train(X, y, n_neurons=16, epochs=6, seed=1, backend="packed")
-    v2 = api.train(X, y, n_neurons=24, epochs=12, seed=2, backend="packed")
+    v1 = api.train(X, y, n_neurons=16, epochs=6, seed=1)
+    v2 = api.train(X, y, n_neurons=24, epochs=12, seed=2)
 
-    # --- persistence round-trip: backend + weights version survive -------
+    # --- persistence round-trip: the weights version survives ------------
     with tempfile.TemporaryDirectory() as tmp:
         path = api.save(v1, Path(tmp) / "hall.npz")
         snapshot = api.load(path)
-        assert snapshot.backend == "packed", snapshot.backend
         assert snapshot.weights_version == v1.som.weights_version
         restored = snapshot.to_classifier()
-        assert restored.som.backend.name == "packed"
+        assert restored.som.weights_version == v1.som.weights_version
         assert np.array_equal(restored.predict(X), v1.predict(X))
         print(f"round-trip ok: {snapshot}")
 

@@ -73,7 +73,7 @@ def build_classifier():
         shared_bits=15,
         seed=11,
     )
-    return api.train(X, y, n_neurons=16, epochs=6, seed=3, backend="packed"), X
+    return api.train(X, y, n_neurons=16, epochs=6, seed=3), X
 
 
 def check_trace_completeness(classifier, X) -> list[str]:

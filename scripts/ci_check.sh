@@ -30,10 +30,11 @@ echo "=== tier-1: pytest (tests/ + benchmarks/) ==="
 python -m pytest -x -q "$@"
 
 echo
-echo "=== backend parity smoke + perf-regression guard ==="
-# Bit-exact agreement of all distance backends with the naive oracle, then
-# the packed uint64 kernel re-timed on the 256-neuron/1024-batch cell
-# against the baseline committed in BENCH_distance.json (fail if >2x slower).
+echo "=== kernel parity smoke + perf-regression guard ==="
+# Bit-exact agreement of the packed distance kernel (native and lookup-table
+# popcount) with the naive oracle in tests/oracles/distance.py, then the
+# kernel re-timed on the 256-neuron/1024-batch cell against the baseline
+# committed in BENCH_distance.json (fail if >2x slower).
 python scripts/check_backends.py
 
 echo
@@ -45,8 +46,8 @@ python scripts/check_vision.py
 
 echo
 echo "=== lifecycle smoke: save -> load -> serve -> swap under load ==="
-# The unified lifecycle API end to end: format-v2 round-trip (backend +
-# weights-version preserved), serving from a snapshot, a hot-swap issued
+# The unified lifecycle API end to end: format-v2 round-trip (weights
+# version preserved), serving from a snapshot, a hot-swap issued
 # while concurrent submitters are mid-flight (zero dropped requests), and
 # the in-flight dedup counter moving.
 python scripts/check_lifecycle.py
@@ -65,9 +66,10 @@ echo "=== resilience: chaos gate (deterministic fault injection, seed 7) ==="
 # corrupt cache entries) with deadlines, retry, breakers and the shard
 # supervisor armed: every future terminal, zero hung futures or leaked
 # threads, full recovery (every shard live, every breaker closed,
-# throughput >= 90% and every shard's kernel >= 75% of a never-faulted
-# twin's, measured in alternating rounds), and a fault pattern that
-# replays exactly under the same seed.
+# throughput >= 90% and every shard's scoring step, the one its worker runs
+# per batch, >= 90% of a never-faulted twin's speed, measured in
+# alternating rounds), and a fault pattern that replays exactly under the
+# same seed.
 python scripts/check_resilience.py --seed 7
 
 echo

@@ -10,8 +10,8 @@ currency everything exchanges:
     Fit a bSOM (or cSOM) identifier on labelled binary signatures.
 ``save`` / ``load``
     Move snapshots to and from self-describing ``.npz`` archives (format
-    v2: backend selection, weights version and update-rule config all
-    round-trip; legacy v1 archives still load).
+    v2: weights version and update-rule config round-trip; legacy v1
+    archives still load).
 ``serve``
     Stand up a :class:`~repro.serve.StreamingInferenceService` -- micro-
     batching, sharding, signature cache, in-flight dedup, telemetry --
@@ -93,7 +93,6 @@ def train(
     update_rule: Optional[BsomUpdateRule] = None,
     rejection_percentile: Optional[float] = None,
     rejection_margin: float = 1.0,
-    backend=None,
     seed: SeedLike = None,
     shuffle: bool = True,
 ) -> SomClassifier:
@@ -119,9 +118,6 @@ def train(
         (``update_rule`` is bSOM-only).
     rejection_percentile, rejection_margin:
         "Unknown" rejection calibration; ``None`` disables rejection.
-    backend:
-        Distance-backend selection (``"packed"``, ``"gemm"``, ``"auto"``,
-        ...); carried into snapshots and restored on load.
     seed:
         Seed for weight initialisation and presentation order.
     shuffle:
@@ -159,7 +155,6 @@ def train(
         map_instance,
         rejection_percentile=rejection_percentile,
         rejection_margin=rejection_margin,
-        backend=backend,
     )
     return classifier.fit(X, y, epochs=epochs, shuffle=shuffle, seed=seed)
 

@@ -6,9 +6,9 @@ conventional Kohonen SOM (cSOM) it is benchmarked against in Table I:
 
 * :mod:`repro.core.tristate` -- the {0, 1, #} weight representation,
 * :mod:`repro.core.distance` -- Hamming distances with don't-care masking,
-* :mod:`repro.core.backends` -- pluggable distance kernels (float32 GEMM,
-  packed uint64 popcount, naive oracle) with version-invalidated operand
-  caching,
+* :mod:`repro.core.backends` -- the distance kernel: masked Hamming
+  distance over packed ``uint64`` care/value words, with
+  version-invalidated operand caching,
 * :mod:`repro.core.topology` -- neuron topologies and the shrinking
   neighbourhood schedule of section V-D,
 * :mod:`repro.core.bsom` -- the tri-state training rules,
@@ -32,16 +32,7 @@ from repro.core.tristate import (
     tristate_from_binary,
 )
 from repro.core.distance import hamming_distance, masked_hamming_distance
-from repro.core.backends import (
-    DistanceBackend,
-    GemmBackend,
-    HybridBackend,
-    NaiveBackend,
-    PackedBackend,
-    PreparedOperandCache,
-    calibrate_backend,
-    resolve_backend,
-)
+from repro.core.backends import DistanceBackend, PackedBackend, PreparedOperandCache
 from repro.core.topology import (
     Topology,
     LinearTopology,
@@ -85,13 +76,8 @@ __all__ = [
     "hamming_distance",
     "masked_hamming_distance",
     "DistanceBackend",
-    "GemmBackend",
-    "HybridBackend",
     "PackedBackend",
-    "NaiveBackend",
     "PreparedOperandCache",
-    "resolve_backend",
-    "calibrate_backend",
     "Topology",
     "LinearTopology",
     "RingTopology",

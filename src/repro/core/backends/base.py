@@ -1,26 +1,24 @@
-"""The pluggable distance-backend interface.
+"""The distance-kernel interface.
 
-A *distance backend* computes masked Hamming distances between tri-state
-neuron weights and binary inputs (equation 3 of the paper) in one of several
-internal representations.  The split mirrors the paper's hardware design:
-the FPGA stores each neuron as two BlockRAM bit-planes and a dedicated
-Hamming unit consumes them bit-parallel, while the software reproduction
-can choose between a float32 GEMM, a packed-``uint64`` popcount kernel, or
-a naive comparison oracle, all producing bit-identical integers.
+A *distance kernel* computes masked Hamming distances between tri-state
+neuron weights and binary inputs (equation 3 of the paper) over operands
+it derives from the weights.  The split mirrors the paper's hardware
+design: the FPGA stores each neuron as two BlockRAM bit-planes and a
+dedicated Hamming unit consumes them bit-parallel.  The production kernel
+(:class:`~repro.core.backends.packed.PackedBackend`) and the naive oracle
+it is tested against (``tests/oracles/distance.py``) share this surface,
+so a test runs either through the same calls and compares the integers:
 
-Every backend exposes the same three-operation surface:
-
-* :meth:`DistanceBackend.prepare` -- derive the backend's internal operands
-  from a tri-state weight matrix (GEMM operand matrices, packed bit-planes,
-  or a plain reference).  Preparation is the expensive, per-weights step
+* :meth:`DistanceBackend.prepare` -- derive the kernel's operands from a
+  tri-state weight matrix.  Preparation is the expensive, per-weights step
   that the SOM caches keyed on its weights-version counter.
 * :meth:`DistanceBackend.pairwise` -- ``(n_samples, n_neurons)`` distances
-  for a whole input batch (the serving layer's hot path).
+  for a whole input batch.
 * :meth:`DistanceBackend.batch_one` -- ``(n_neurons,)`` distances for a
   single input.
 
 Prepared operands are a snapshot of one weights version: training runs on
-its own packed planes and, at the end of each pass, drops every cached
+its own packed planes and, at the end of each pass, drops the cached
 snapshot, so the next query prepares afresh.
 """
 
@@ -35,18 +33,14 @@ import numpy as np
 class DistanceBackend(ABC):
     """Abstract masked-Hamming distance kernel over prepared weight operands.
 
-    Concrete backends are stateless: all per-weights state lives in the
-    prepared-operand object returned by :meth:`prepare`, so one backend
-    instance can serve any number of maps and the SOM-side cache can key
-    entries on :attr:`name` alone.
+    Kernels are stateless: all per-weights state lives in the prepared
+    operands returned by :meth:`prepare`, so one kernel instance can serve
+    any number of maps.
     """
-
-    #: Stable identifier used for selection and operand-cache keys.
-    name: str = "abstract"
 
     @abstractmethod
     def prepare(self, weights: np.ndarray) -> Any:
-        """Derive this backend's operands from a tri-state weight matrix.
+        """Derive this kernel's operands from a tri-state weight matrix.
 
         Parameters
         ----------
@@ -66,6 +60,3 @@ class DistanceBackend(ABC):
     @abstractmethod
     def batch_one(self, prepared: Any, x: np.ndarray) -> np.ndarray:
         """``(n_neurons,)`` ``int64`` distances for one binary input vector."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"

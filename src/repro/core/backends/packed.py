@@ -1,4 +1,4 @@
-"""The packed ``uint64`` popcount distance backend.
+"""The packed ``uint64`` popcount distance kernel.
 
 This is the software twin of the paper's Hamming-distance unit: the FPGA
 stores each tri-state neuron as two BlockRAM bit-planes (a *value* plane
@@ -11,12 +11,8 @@ mismatch of 64 components collapses to three word operations::
 
 Don't-care components have ``care == 0`` and drop out of the AND -- as does
 the zero padding in the final word, so any ``n_bits`` works, not just
-multiples of 64.  A 768-bit signature is 12 words instead of 768 float32
-lanes; per the measured grid in ``BENCH_distance.json`` that wins over the
-GEMM backend exactly where memory traffic (not BLAS throughput) dominates:
-single-signature queries and small batches against large maps -- the
-FPGA-shaped workload of classifying one silhouette at a time.  The bSOM's
-training pass keeps the same planes neuron-major and updates them in place
+multiples of 64.  A 768-bit signature is 12 words.  The bSOM's training
+pass keeps the same planes neuron-major and updates them in place
 (:mod:`repro.core.bsom`).
 
 The planes are stored *word-major* (``(n_words, n_neurons)``): NumPy
@@ -132,14 +128,18 @@ class PackedOperands:
 
 
 class PackedBackend(DistanceBackend):
-    """Masked Hamming distances via XOR/AND over packed words + popcount."""
+    """Masked Hamming distances via XOR/AND over packed words + popcount.
 
-    name = "packed"
+    ``use_native_popcount`` forces (``True``) or forbids (``False``)
+    :func:`numpy.bitwise_count`; ``None`` uses it where NumPy has it.
+    """
 
     def __init__(self, *, use_native_popcount: bool | None = None):
         self._use_native = use_native_popcount
 
-    def prepare(self, weights: np.ndarray) -> PackedOperands:
+    @staticmethod
+    def prepare(weights: np.ndarray) -> PackedOperands:
+        """The word-major care/value planes of a tri-state matrix."""
         weights = np.asarray(weights, dtype=np.int8)
         care = weights != DONT_CARE
         value = care & (weights == 1)

@@ -76,13 +76,11 @@ import numpy as np
 
 from repro._rng import SeedLike, as_generator
 from repro.core.backends import (
-    BackendSpec,
-    DistanceBackend,
     PackedBackend,
+    PackedOperands,
     PreparedOperandCache,
     pack_bits_to_words,
     popcount_words,
-    resolve_backend,
     unpack_words_to_bits,
 )
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
@@ -104,6 +102,8 @@ _VALID_WINNER_RULES = ("full", "commit")
 _VALID_NEIGHBOUR_RULES = ("stochastic", "full", "commit")
 #: The full rule's selection: every bit of a packed word.
 _ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
+#: The distance kernel every map scores queries with.
+_KERNEL = PackedBackend()
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,10 @@ class BsomUpdateRule:
 class BinarySom(SelfOrganisingMap):
     """Tri-state binary Self-Organising Map.
 
+    Queries are scored by masked Hamming distance over packed care/value
+    words (:class:`~repro.core.backends.PackedBackend`), the layout the
+    training pass updates.
+
     Parameters
     ----------
     n_neurons:
@@ -167,12 +171,6 @@ class BinarySom(SelfOrganisingMap):
         weight-initialisation block).
     seed:
         Seed or generator used for weight initialisation.
-    backend:
-        Distance backend: a name (``"gemm"``, ``"packed"``, ``"naive"``,
-        ``"auto"``), a :class:`~repro.core.backends.DistanceBackend`
-        instance, or ``None`` for ``"auto"``, the hybrid router that picks
-        a kernel per call by batch shape.  All backends are bit-exact, so
-        the choice affects speed only.
 
     Examples
     --------
@@ -195,7 +193,6 @@ class BinarySom(SelfOrganisingMap):
         update_rule: BsomUpdateRule | None = None,
         dont_care_probability: float = 0.0,
         seed: SeedLike = None,
-        backend: BackendSpec = None,
     ):
         super().__init__(n_neurons, n_bits)
         self.topology = topology or LinearTopology(n_neurons)
@@ -220,11 +217,6 @@ class BinarySom(SelfOrganisingMap):
         self._neighbourhood_cache: dict[
             tuple[int, int], tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._backend = resolve_backend(backend)
-        # Fallback packed kernel for pre-packed (uint64 word) queries from
-        # the serving layer when the main backend cannot take them
-        # directly; created lazily, shares the version-keyed operand cache.
-        self._fallback_packed: PackedBackend | None = None
         self._operand_cache = PreparedOperandCache()
 
     # ------------------------------------------------------------------ #
@@ -250,45 +242,21 @@ class BinarySom(SelfOrganisingMap):
         self._note_weights_changed(1)
 
     # ------------------------------------------------------------------ #
-    # Distance backend
+    # Prepared kernel operands
     # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> DistanceBackend:
-        """The distance backend answering this map's queries."""
-        return self._backend
-
-    def set_backend(self, backend: BackendSpec) -> None:
-        """Switch distance backends (bit-exact; affects speed only).
-
-        Prepared operands of the previous backend stay cached -- they are
-        version-keyed, so switching back reuses them as long as the weights
-        have not changed.
-        """
-        self._backend = resolve_backend(backend)
-
-    def _operands(self, backend: DistanceBackend | None = None):
-        """Version-checked prepared operands of ``backend`` (default: current)."""
-        backend = backend or self._backend
-        return self._operand_cache.operands(
-            backend, self._weights, self._weights_version
-        )
+    def _operands(self) -> PackedOperands:
+        """The packed care/value planes of the current weights version."""
+        return self._operand_cache.operands(self._weights, self._weights_version)
 
     def warm_operands(self) -> None:
-        """Eagerly derive and cache every operand the serving paths need.
+        """Eagerly derive and cache the planes the queries score against.
 
         The registry's hot-swap calls this *before* flipping shards to a
         new map, so the first micro-batch on the new weights scores against
         already-prepared operands instead of paying the ``prepare`` cost
-        inside a worker's critical path.  Warms both the configured
-        backend and, when that backend cannot take pre-packed ``uint64``
-        queries, the packed fallback kernel behind
-        :meth:`distance_matrix_packed`.
+        inside a worker's critical path.
         """
         self._operands()
-        if not hasattr(self._backend, "pairwise_packed"):
-            if self._fallback_packed is None:
-                self._fallback_packed = PackedBackend()
-            self._operands(self._fallback_packed)
 
     def _note_weights_changed(self, updates: int) -> None:
         """Advance the weights version by ``updates``; drop cached operands."""
@@ -300,11 +268,11 @@ class BinarySom(SelfOrganisingMap):
     # ------------------------------------------------------------------ #
     def distances(self, x: np.ndarray) -> np.ndarray:
         x = self._validate_input(x)
-        return self._backend.batch_one(self._operands(), x)
+        return _KERNEL.batch_one(self._operands(), x)
 
     def distance_matrix(self, X: np.ndarray, *, validate: bool = True) -> np.ndarray:
         X = validate_binary_matrix(X, self.n_bits, validate=validate)
-        return self._backend.pairwise(self._operands(), X)
+        return _KERNEL.pairwise(self._operands(), X)
 
     def distance_matrix_packed(self, input_words: np.ndarray) -> np.ndarray:
         """Distances for signatures already packed into ``uint64`` words.
@@ -313,16 +281,8 @@ class BinarySom(SelfOrganisingMap):
         (producing the cache key and these words); this entry point scores
         the packed batch against the cached bit-planes without ever
         re-materialising the unpacked bits -- the zero-copy hot path.
-        Runs on the configured backend when it accepts packed words
-        (packed, hybrid) and otherwise on a dedicated packed kernel; the
-        results are bit-identical either way.
         """
-        backend = self._backend
-        if not hasattr(backend, "pairwise_packed"):
-            if self._fallback_packed is None:
-                self._fallback_packed = PackedBackend()
-            backend = self._fallback_packed
-        return backend.pairwise_packed(self._operands(backend), np.asarray(input_words))
+        return _KERNEL.pairwise_packed(self._operands(), np.asarray(input_words))
 
     # ------------------------------------------------------------------ #
     # Training

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro._rng import SeedLike
-from repro.core.backends import BackendSpec, unpack_words_to_bits
+from repro.core.backends import unpack_words_to_bits
 from repro.core.labelling import LabelledMap, NodeLabeller
 from repro.core.novelty import calibrate_rejection_threshold
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
@@ -118,12 +118,6 @@ class SomClassifier:
         accuracy protocol of Table I where all test objects are known).
     rejection_margin:
         Multiplicative margin on the calibrated threshold.
-    backend:
-        Distance-backend selection forwarded to the SOM when it supports
-        pluggable backends (the bSOM does; the real-valued cSOM computes
-        Euclidean distances and ignores it).  A name (``"gemm"``,
-        ``"packed"``, ``"naive"``, ``"auto"``) or a
-        :class:`~repro.core.backends.DistanceBackend` instance.
 
     Examples
     --------
@@ -144,15 +138,12 @@ class SomClassifier:
         *,
         rejection_percentile: Optional[float] = None,
         rejection_margin: float = 1.0,
-        backend: BackendSpec = None,
     ):
         if rejection_percentile is not None and not 0.0 < rejection_percentile <= 100.0:
             raise ConfigurationError(
                 f"rejection_percentile must lie in (0, 100], got {rejection_percentile}"
             )
         self.som = som
-        if backend is not None and hasattr(som, "set_backend"):
-            som.set_backend(backend)
         self.rejection_percentile = rejection_percentile
         self.rejection_margin = float(rejection_margin)
         self.labelling: Optional[LabelledMap] = None
@@ -245,8 +236,8 @@ class SomClassifier:
     def predict_batch(self, X: np.ndarray, *, validate: bool = True) -> BatchPrediction:
         """Classify every row of ``X`` in one vectorised pass.
 
-        A single ``distance_matrix`` call (one distance-backend kernel
-        invocation for the bSOM) scores the whole batch against every
+        A single ``distance_matrix`` call (one packed-kernel invocation
+        for the bSOM) scores the whole batch against every
         neuron at once; the winner, rejection and label lookups are then
         pure array operations.  Semantically identical to calling
         :meth:`predict_one` per row -- the regression tests assert exact

@@ -8,45 +8,12 @@ calls out explicitly, and one the node-labelling stage has to cope with.
 
 The functions here score one input against one weight vector on plain
 numpy arrays: the scalar statement of equation 3, which the property tests
-check the naive batch backend against.
+check the naive batch oracle (``tests/oracles/distance.py``) against.
 
-Backend selection
------------------
-Batches are scored by the pluggable backends in :mod:`repro.core.backends`:
-a packed-``uint64`` popcount kernel, a float32 GEMM, their shape-routed
-hybrid, and the naive broadcast-and-count oracle, each with cached,
-version-invalidated operands.  All backends are bit-exact; the choice only
-affects speed.  Measured on the benchmark grid (768-bit signatures,
-single-threaded BLAS; see ``BENCH_distance.json``, regenerated by
-``benchmarks/test_distance_backends.py``):
-
-========================  =======================================================
-backend                   when it wins
-========================  =======================================================
-``packed`` (uint64)       memory-traffic-bound shapes: single-signature queries
-                          and small batches against large maps (3.7x over GEMM
-                          at 1024 neurons x batch 1, 3.3x at 1024 x 8, 2.1x at
-                          256 x 8) -- the FPGA-shaped workload, and the training
-                          loop's winner search.
-``gemm`` (float32 BLAS)   compute-bound shapes: large batches, where BLAS
-                          register blocking runs near peak FLOPs (2.5-4x over
-                          packed from batch 64 up).
-``hybrid`` (= ``auto``)   both operand sets prepared and cached together; calls
-                          routed conservatively by shape: packed for pairwise
-                          at >= 512 neurons with <= 16 rows and for single
-                          queries at >= 256 neurons, GEMM otherwise (the
-                          2.1x packed win at 256 x 8 is a non-monotonic BLAS
-                          island the rule deliberately leaves to GEMM; see
-                          ``repro.core.backends.hybrid``).  The default.
-``naive`` (oracle)        never on speed -- kept as the correctness oracle
-                          the others are asserted bit-exact against.
-========================  =======================================================
-
-A map's backend is chosen in one place: the model's own ``backend=``
-argument or :meth:`~repro.core.bsom.BinarySom.set_backend`, else
-``"auto"``.  Re-measure with :func:`repro.core.backends.calibrate_backend`
-on hosts whose BLAS/popcount balance differs (e.g. a multi-threaded
-wide-SIMD BLAS shifts the crossover toward ``gemm``).
+Batches are scored by the one kernel in :mod:`repro.core.backends`: the
+paper's datapath, masked Hamming distance over packed ``uint64``
+care/value words with a vectorised popcount, on operands cached per
+weights version.  It is asserted bit-exact against that oracle.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Models are stored as ``.npz`` archives with a JSON header describing the
 model class and its configuration.  The format stores everything a deployed
 identification system needs to resume: the weight matrix (tri-state or
 real), the node labels, the win-frequency table, the rejection threshold,
-and -- new in format v2 -- the distance-backend selection and the map's
-weights-version counter, so a loaded model serves exactly like the one that
-was saved.  This mirrors the paper's deployment story: the map is trained
+and -- new in format v2 -- the map's weights-version counter, so a loaded
+model serves exactly like the one that was saved.  This mirrors the paper's deployment story: the map is trained
 off-line on a PC and the resulting weights/labels are what actually lives
 in the FPGA's BlockRAM.
 
@@ -23,8 +22,10 @@ The module is organised around two ideas:
   codec -- no ``isinstance`` chain to extend.
 
 Format-v1 archives (written before the codec layer existed) remain
-loadable; they simply come back with ``backend=None`` and
-``weights_version=None``.  Schedules without a registered codec are
+loadable; they simply come back with ``weights_version=None``.  Archives
+and deltas written while maps had selectable distance kernels name one in
+a ``backend`` header field; readers ignore it, as every map scores on the
+one packed kernel.  Schedules without a registered codec are
 collapsed to a constant-radius stepwise schedule, with an explicit
 :class:`LossySerializationWarning` so the loss is never silent.
 """
@@ -250,8 +251,6 @@ def _build_bsom(snapshot: ModelSnapshot) -> BinarySom:
         update_rule=BsomUpdateRule(**snapshot.config["update_rule"]),
     )
     som.set_weights(np.asarray(snapshot.weights).astype(np.int8))
-    if snapshot.backend is not None:
-        som.set_backend(snapshot.backend)
     return som
 
 
@@ -301,11 +300,6 @@ register_som_codec(
 # --------------------------------------------------------------------------- #
 # Live model <-> snapshot
 # --------------------------------------------------------------------------- #
-def _backend_name(som) -> Optional[str]:
-    backend = getattr(som, "backend", None)
-    return getattr(backend, "name", None)
-
-
 def _raw_weights(som) -> np.ndarray:
     weights = som.weights
     # The bSOM's `weights` property wraps the matrix in TriStateWeights.
@@ -369,7 +363,6 @@ def snapshot_model(
         schedule=_encode_schedule(inner.schedule),
         config=dict(codec.encode(inner)),
         weights_version=inner.weights_version,
-        backend=_backend_name(inner),
         classifier=classifier,
         rejection_percentile=rejection_percentile,
         rejection_margin=rejection_margin,
@@ -387,8 +380,8 @@ def build_model(
     Returns the bare map for map snapshots and a
     :class:`~repro.core.classifier.SomClassifier` (with its labelling and
     rejection state restored) for classifier snapshots.  The map's
-    weights-version counter and distance-backend selection are restored
-    when the snapshot recorded them (format v2).
+    weights-version counter is restored when the snapshot recorded it
+    (format v2).
     """
     codec = SOM_CODECS.codec_for_kind(snapshot.kind)
     if codec is None:
@@ -494,7 +487,6 @@ def save_model(
         "schedule": dict(snapshot.schedule),
         "config": dict(snapshot.config),
         "weights_version": snapshot.weights_version,
-        "backend": snapshot.backend,
         "classifier": snapshot.classifier,
         "metadata": dict(snapshot.metadata),
     }
@@ -540,7 +532,6 @@ def save_delta(delta: DeltaSnapshot, path: PathLike) -> Path:
         "topology": dict(delta.topology),
         "schedule": dict(delta.schedule),
         "config": dict(delta.config),
-        "backend": delta.backend,
         "classifier": delta.classifier,
         "metadata": dict(delta.metadata),
     }
@@ -583,7 +574,6 @@ def _snapshot_from_v2(header: dict, archive) -> ModelSnapshot:
         schedule=header["schedule"],
         config=header["config"],
         weights_version=header.get("weights_version"),
-        backend=header.get("backend"),
         classifier=bool(header.get("classifier")),
         rejection_percentile=rejection.get("percentile"),
         rejection_margin=rejection.get("margin", 1.0),
@@ -597,9 +587,8 @@ def _snapshot_from_v2(header: dict, archive) -> ModelSnapshot:
 def _snapshot_from_v1(header: dict, archive) -> ModelSnapshot:
     """Translate a legacy (format-v1) archive into a snapshot.
 
-    v1 recorded neither the backend nor the weights version; both come back
-    as ``None`` and :func:`build_model` leaves the loaded map's defaults in
-    force.
+    v1 did not record the weights version; it comes back as ``None`` and
+    :func:`build_model` leaves the loaded map's counter in force.
     """
     kind = header["som"]
     if kind == "BinarySom":
@@ -629,7 +618,6 @@ def _snapshot_from_v1(header: dict, archive) -> ModelSnapshot:
         schedule=header["schedule"],
         config=config,
         weights_version=None,
-        backend=None,
         classifier=classifier,
         rejection_percentile=header.get("rejection_percentile"),
         rejection_margin=header.get("rejection_margin", 1.0),
@@ -767,7 +755,6 @@ def load_delta(path: PathLike, *, fault_injector=None) -> DeltaSnapshot:
         topology=header["topology"],
         schedule=header["schedule"],
         config=header["config"],
-        backend=header.get("backend"),
         classifier=bool(header.get("classifier")),
         rejection_percentile=rejection.get("percentile"),
         rejection_margin=rejection.get("margin", 1.0),

@@ -85,11 +85,6 @@ class ModelSnapshot:
         restored on :meth:`to_model` so operand-cache bookkeeping and
         telemetry survive a save/load round-trip.  ``None`` for snapshots
         read from format-v1 archives, which did not record it.
-    backend:
-        Distance-backend name in force at snapshot time (``"packed"``,
-        ``"gemm"``, ``"hybrid"``, ...); restored on :meth:`to_model`.
-        ``None`` when the map has no pluggable backend (cSOM) or the
-        snapshot predates format v2.
     classifier:
         Whether the snapshot carries classifier state (rejection config and
         possibly a labelling) on top of the bare map.
@@ -116,7 +111,6 @@ class ModelSnapshot:
     schedule: Mapping[str, Any]
     config: Mapping[str, Any] = field(default_factory=dict)
     weights_version: Optional[int] = None
-    backend: Optional[str] = None
     classifier: bool = False
     rejection_percentile: Optional[float] = None
     rejection_margin: float = 1.0
@@ -189,7 +183,7 @@ class ModelSnapshot:
         fitted = "fitted" if self.is_fitted else ("classifier" if self.classifier else "map")
         return (
             f"ModelSnapshot({self.kind}, {self.n_neurons}x{self.n_bits}, {fitted}, "
-            f"backend={self.backend!r}, weights_version={self.weights_version}, "
+            f"weights_version={self.weights_version}, "
             f"v{self.format_version})"
         )
 
@@ -229,7 +223,6 @@ class DeltaSnapshot:
     topology: Mapping[str, Any]
     schedule: Mapping[str, Any]
     config: Mapping[str, Any] = field(default_factory=dict)
-    backend: Optional[str] = None
     classifier: bool = False
     rejection_percentile: Optional[float] = None
     rejection_margin: float = 1.0
@@ -300,7 +293,6 @@ class DeltaSnapshot:
             topology=current.topology,
             schedule=current.schedule,
             config=current.config,
-            backend=current.backend,
             classifier=current.classifier,
             rejection_percentile=current.rejection_percentile,
             rejection_margin=current.rejection_margin,
@@ -354,7 +346,6 @@ class DeltaSnapshot:
             schedule=self.schedule,
             config=self.config,
             weights_version=self.weights_version,
-            backend=self.backend,
             classifier=self.classifier,
             rejection_percentile=self.rejection_percentile,
             rejection_margin=self.rejection_margin,

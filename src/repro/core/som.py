@@ -224,10 +224,9 @@ class SelfOrganisingMap(ABC):
     def weights_version(self) -> int:
         """Monotonic counter bumped on every weight update.
 
-        Distance backends cache their prepared operands (packed bit-planes,
-        GEMM matrices) keyed on this counter, so the cache invalidates
-        exactly when training or ``set_weights`` touches the weights and on
-        nothing else.  Mutating the weight storage behind the map's back
+        The bSOM caches its prepared operands (packed bit-planes) keyed on
+        this counter, so the cache invalidates exactly when training or
+        ``set_weights`` touches the weights and on nothing else.  Mutating the weight storage behind the map's back
         (rather than through ``set_weights``/``partial_fit``/``fit``)
         bypasses the counter and is unsupported.
         """

@@ -4,7 +4,7 @@ A surveillance feed is massively repetitive: the same person produces the
 same (or bit-identical, after mean-threshold binarisation) 768-bit signature
 for many consecutive frames.  Since the bSOM is deterministic at inference
 time, a signature's classification can be memoised outright -- keyed on the
-raw bytes of the packed ``uint64`` words the distance backend consumes
+raw bytes of the packed ``uint64`` words the distance kernel consumes
 (:func:`repro.signatures.packing.packed_signature_words`; 96 bytes for a
 768-bit signature) plus the model name, so two models never share entries.
 The service packs each signature exactly once at submit time and reuses the
@@ -20,7 +20,9 @@ Entries dropped from the live tier -- by LRU eviction or
 rather than discarded.  Stale entries never answer normal lookups; the
 service consults them (``get_stale``) only while every shard circuit
 breaker of a model is open, trading freshness for availability and
-flagging the response ``stale=True``.
+flagging the response ``stale=True``.  A service without breakers never
+reads the tier, so it builds its cache without one (``stale_capacity=0``)
+and an eviction or invalidation then just drops the entry.
 """
 
 from __future__ import annotations
@@ -111,9 +113,8 @@ class SignatureLruCache:
         self.stale_hits = 0
 
     def _demote_unlocked(self, full_key: tuple[str, bytes], outcome: CachedOutcome):
-        # Caller holds the lock.  Most-recent demotion wins the slot.
-        if self.stale_capacity == 0:
-            return
+        # Caller holds the lock and has a stale tier.  Most-recent
+        # demotion wins the slot.
         self._stale[full_key] = outcome
         self._stale.move_to_end(full_key)
         while len(self._stale) > self.stale_capacity:
@@ -168,6 +169,7 @@ class SignatureLruCache:
         if self._injector is not None:
             self._injector.raise_if(CACHE_CODEC, op="put", model=model)
         entries, capacity = self._entries, self.capacity
+        demote = self._demote_unlocked if self.stale_capacity else None
         evictions = 0
         with self._lock:
             for full_key, outcome in zip(zip(repeat(model), keys), outcomes):
@@ -175,12 +177,15 @@ class SignatureLruCache:
                     entries.move_to_end(full_key)
                 entries[full_key] = outcome
                 if len(entries) > capacity:
-                    self._demote_unlocked(*entries.popitem(last=False))
+                    evicted = entries.popitem(last=False)
                     evictions += 1
+                    if demote is not None:
+                        demote(*evicted)
             self.evictions += evictions
 
     def invalidate_model(self, model: str) -> int:
-        """Demote every live entry of one model to the stale tier.
+        """Demote every live entry of one model to the stale tier (drop it
+        when there is none); returns how many left the live tier.
 
         Used on hot-swap and eviction: the outcomes may no longer match the
         serving weights, so they must not answer normal lookups -- but they
@@ -190,7 +195,9 @@ class SignatureLruCache:
         with self._lock:
             dropped = [k for k in self._entries if k[0] == model]
             for k in dropped:
-                self._demote_unlocked(k, self._entries.pop(k))
+                outcome = self._entries.pop(k)
+                if self.stale_capacity:
+                    self._demote_unlocked(k, outcome)
             return len(dropped)
 
     def clear(self) -> None:

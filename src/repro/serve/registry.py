@@ -227,7 +227,7 @@ class ModelRegistry:
         return model
 
     def _prepare_for_serving(self, classifier: SomClassifier) -> SomClassifier:
-        """Pre-warm the operands of the model's own distance backend.
+        """Pre-warm the prepared operands of the model's distance kernel.
 
         Shared by :meth:`register` and :meth:`swap` so neither path pays
         the operand-preparation cost inside a worker's critical path: the

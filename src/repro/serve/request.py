@@ -232,7 +232,7 @@ def _settle_futures(
 
 def resolve_requests(
     requests: Sequence[ClassificationRequest],
-    outcome: Outcome,
+    outcome: Union[Outcome, list[CachedOutcome]],
     *,
     clock: Callable[[], float],
     stale: bool = False,
@@ -242,12 +242,15 @@ def resolve_requests(
     """Settle every request of a batch, and its dedup followers, once.
 
     ``outcome`` is a :class:`~repro.core.classifier.BatchPrediction` whose
-    rows answer ``requests`` in order, a
-    :class:`~repro.serve.cache.CachedOutcome` answering every request (a
-    cache hit; ``stale`` marks the stale tier), or an error delivered to
-    every future -- its traces then finish ``"shed"`` with ``reason=shed``
-    when ``shed`` names one, else ``"error"``.  Followers share their
-    primary's answer, marked ``deduplicated``, or its error.
+    rows answer ``requests`` in order, the list of those rows when the
+    caller has built it already (:meth:`CachedOutcome.rows
+    <repro.serve.cache.CachedOutcome.rows>`; the service's settle writes
+    the same list to the cache), a :class:`~repro.serve.cache.CachedOutcome`
+    answering every request (a cache hit; ``stale`` marks the stale tier),
+    or an error delivered to every future -- its traces then finish
+    ``"shed"`` with ``reason=shed`` when ``shed`` names one, else
+    ``"error"``.  Followers share their primary's answer, marked
+    ``deduplicated``, or its error.
 
     One pass: every response is built before the first future is set, so a
     fault while building leaves the batch unsettled for the caller to
@@ -270,8 +273,13 @@ def resolve_requests(
             trace.finish(status, **attrs)
         _settle_futures(zip(map(_PENDING, everyone), repeat(None), repeat(outcome)))
         return []
-    cached = not isinstance(outcome, BatchPrediction)
-    answers = [outcome] * len(requests) if cached else CachedOutcome.rows(outcome)
+    cached = isinstance(outcome, CachedOutcome)
+    if cached:
+        answers = [outcome] * len(requests)
+    elif isinstance(outcome, BatchPrediction):
+        answers = CachedOutcome.rows(outcome)
+    else:
+        answers = outcome
     responses = _respond(requests, answers, now, cached=cached, stale=stale)
     if followers:
         shared = [answers[row] for row in led for _ in requests[row].followers]

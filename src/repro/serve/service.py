@@ -58,7 +58,7 @@ from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
-from repro.core.classifier import SomClassifier
+from repro.core.classifier import BatchPrediction, SomClassifier
 from repro.core.serialization import PathLike
 from repro.errors import (
     CircuitOpenError,
@@ -235,8 +235,12 @@ class StreamingInferenceService:
             max_delay_s=self.config.max_delay_ms / 1e3,
             clock=clock,
         )
+        # Only breakers read the stale tier (get_stale), so without them
+        # the cache keeps none and an eviction just drops its entry.
         self.cache = SignatureLruCache(
-            self.config.cache_capacity, fault_injector=self.config.fault_injector
+            self.config.cache_capacity,
+            stale_capacity=None if self.config.breaker is not None else 0,
+            fault_injector=self.config.fault_injector,
         )
         registry = self.obs.registry
         self._requests = registry.counter(
@@ -879,6 +883,10 @@ class StreamingInferenceService:
             )
         if not isinstance(outcome, BaseException):
             try:
+                if isinstance(outcome, BatchPrediction):
+                    # The rows answer the futures and fill the cache below:
+                    # built once.
+                    outcome = CachedOutcome.rows(outcome)
                 responses = resolve_requests(
                     requests,
                     outcome,
@@ -904,7 +912,6 @@ class StreamingInferenceService:
             return
         if shard is None:
             return  # a cache or stale-tier answer: nothing to memoise or mirror
-        outcomes = CachedOutcome.rows(outcome)
         # Memoise under the generation lock: a request stamped with the
         # model's current generation was classified by the current map (a
         # swap bumps the generation only after the shards have flipped), so
@@ -917,7 +924,7 @@ class StreamingInferenceService:
                 self.cache.put_many(
                     batch.model,
                     compress(map(_CACHE_KEY, requests), fresh),
-                    compress(outcomes, fresh),
+                    compress(outcome, fresh),
                 )
             except Exception:
                 # A cache write fault loses the batch's memoisation, nothing

@@ -473,9 +473,7 @@ class WorkerShard:
         )
         if traced:
             kernel_end = self._clock()
-            som = classifier.som
-            weights_version = getattr(som, "weights_version", None)
-            backend = getattr(getattr(som, "backend", None), "name", None)
+            weights_version = getattr(classifier.som, "weights_version", None)
             for trace in traced:
                 trace.end("batch", t=kernel_start)
                 trace.span(
@@ -486,7 +484,6 @@ class WorkerShard:
                     model=batch.model,
                     batch_size=len(batch),
                     weights_version=weights_version,
-                    backend=backend,
                 )
         return prediction
 

@@ -100,7 +100,7 @@ def packed_signature_words(bits: np.ndarray) -> np.ndarray:
     One ``np.unique`` checks the whole block and one
     :func:`~repro.core.backends.pack_bits_to_words` call packs it.  The
     serving layer derives *both* artefacts it needs from this one call: row
-    ``i``'s words feed the packed distance backend
+    ``i``'s words feed the packed distance kernel
     (:meth:`repro.core.BinarySom.distance_matrix_packed`), and their raw
     bytes are its LRU cache key.
     """

@@ -2,5 +2,6 @@
 
 Test modules import these as ``oracles.<module>``: ``tests/conftest.py``
 and ``benchmarks/conftest.py`` put the ``tests/`` directory on
-``sys.path``, and ``scripts/check_vision.py`` does the same.
+``sys.path``, and ``scripts/check_vision.py`` and
+``scripts/check_backends.py`` do the same.
 """

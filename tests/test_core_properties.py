@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.backends import NaiveBackend
+from oracles.distance import NaiveBackend
 from repro.core.bsom import BinarySom
 from repro.core.distance import hamming_distance, masked_hamming_distance
 from repro.core.topology import LinearTopology, RingTopology, StepwiseNeighbourhoodSchedule

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.distance import NaiveBackend
 from repro.core import BinarySom
-from repro.core.backends import NaiveBackend
 from repro.core.distance import hamming_distance, masked_hamming_distance
 from repro.core.tristate import DONT_CARE
 from repro.errors import DataError, DimensionMismatchError

@@ -1,10 +1,12 @@
-"""Property-style tests for the pluggable distance backends.
+"""Property-style tests for the packed distance kernel.
 
 Randomised tri-state weight matrices times binary inputs, asserting that
-the GEMM, packed-uint64, naive and hybrid backends agree *bit-exactly* --
+the packed-``uint64`` kernel -- on native and lookup-table popcount, in
+``pairwise``, ``pairwise_packed`` and ``batch_one`` -- agrees
+*bit-exactly* with the naive oracle in ``tests/oracles/distance.py``,
 including the all-``#`` neuron edge case the paper calls out (distance 0
-to everything) -- plus the weights-version operand cache: incremental
-row refresh during training must leave the cached operands identical to a
+to everything), plus the weights-version operand cache: incremental row
+refresh during training must leave the cached operands identical to a
 fresh ``prepare``, and train-then-predict must return the same labels with
 and without the cache.
 """
@@ -14,33 +16,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.distance import NaiveBackend
 from repro.core import BinarySom, KohonenSom, SomClassifier
+from repro.core import bsom as bsom_module
 from repro.core.backends import (
     HAS_BITWISE_COUNT,
-    GemmBackend,
-    HybridBackend,
-    NaiveBackend,
     PackedBackend,
-    calibrate_backend,
-    make_backend,
     pack_bits_to_words,
     popcount_words,
-    resolve_backend,
     unpack_words_to_bits,
     words_per_vector,
 )
 from repro.core.tristate import DONT_CARE
-from repro.errors import ConfigurationError, DataError
+from repro.errors import DataError
 
 
-def _all_backends():
-    return [
-        GemmBackend(),
-        PackedBackend(),
-        PackedBackend(use_native_popcount=False),
-        NaiveBackend(),
-        HybridBackend(),
-    ]
+def _kernels():
+    """The packed kernel on both popcount paths."""
+    return [PackedBackend(), PackedBackend(use_native_popcount=False)]
+
+
+def _assert_matches_oracle(kernel, weights, inputs):
+    """``pairwise``, ``pairwise_packed`` and ``batch_one`` against the oracle."""
+    oracle = NaiveBackend()
+    expected = oracle.pairwise(oracle.prepare(weights), inputs)
+    prepared = kernel.prepare(weights)
+    words = pack_bits_to_words(inputs.astype(np.uint8))
+    assert np.array_equal(kernel.pairwise(prepared, inputs), expected)
+    assert np.array_equal(kernel.pairwise_packed(prepared, words), expected)
+    assert np.array_equal(kernel.batch_one(prepared, inputs[0]), expected[0])
+    return expected
 
 
 def _random_case(rng, n_neurons, n_samples, n_bits):
@@ -55,18 +60,12 @@ class TestBackendParity:
     @pytest.mark.parametrize("n_bits", [5, 63, 64, 100, 300, 768])
     def test_randomized_parity_with_oracle(self, n_bits):
         rng = np.random.default_rng(n_bits)
-        oracle = NaiveBackend()
         for trial in range(3):
             n_neurons = int(rng.integers(1, 70))
             n_samples = int(rng.integers(1, 130))
             weights, inputs = _random_case(rng, n_neurons, n_samples, n_bits)
-            expected = oracle.pairwise(oracle.prepare(weights), inputs)
-            for backend in _all_backends():
-                prepared = backend.prepare(weights)
-                assert np.array_equal(backend.pairwise(prepared, inputs), expected)
-                assert np.array_equal(
-                    backend.batch_one(prepared, inputs[0]), expected[0]
-                )
+            for kernel in _kernels():
+                _assert_matches_oracle(kernel, weights, inputs)
 
     def test_all_dont_care_neuron_has_distance_zero_to_everything(self):
         # The paper's edge case: a neuron whose weight vector is all '#'
@@ -74,8 +73,8 @@ class TestBackendParity:
         rng = np.random.default_rng(7)
         weights, inputs = _random_case(rng, 12, 40, 768)
         weights[3] = DONT_CARE
-        for backend in _all_backends():
-            distances = backend.pairwise(backend.prepare(weights), inputs)
+        for kernel in _kernels():
+            distances = _assert_matches_oracle(kernel, weights, inputs)
             assert not distances[:, 3].any()
 
     def test_fully_committed_weights_match_plain_hamming(self):
@@ -83,23 +82,20 @@ class TestBackendParity:
         weights = rng.integers(0, 2, size=(9, 129), dtype=np.int8)  # no '#'
         inputs = rng.integers(0, 2, size=(17, 129), dtype=np.int8)
         expected = (inputs[:, None, :] != weights[None, :, :]).sum(axis=2)
-        for backend in _all_backends():
-            distances = backend.pairwise(backend.prepare(weights), inputs)
-            assert np.array_equal(distances, expected)
+        for kernel in _kernels():
+            assert np.array_equal(
+                _assert_matches_oracle(kernel, weights, inputs), expected
+            )
 
-    # (33, 65): the hybrid routes packed words through the GEMM (unpack
-    # path); (512, 2): through the packed kernel -- both must be exact.
+    # A many-row batch against a small map, and a two-row batch against a
+    # large one.
     @pytest.mark.parametrize("n_neurons,n_samples", [(33, 65), (512, 2)])
     def test_pairwise_packed_matches_unpacked(self, n_neurons, n_samples):
         rng = np.random.default_rng(3)
         weights, inputs = _random_case(rng, n_neurons, n_samples, 200)
-        words = pack_bits_to_words(inputs.astype(np.uint8))
-        for backend in (PackedBackend(), HybridBackend()):
-            prepared = backend.prepare(weights)
-            assert np.array_equal(
-                backend.pairwise_packed(prepared, words),
-                backend.pairwise(prepared, inputs),
-            )
+        for kernel in _kernels():
+            # pairwise_packed and pairwise each equal the oracle.
+            _assert_matches_oracle(kernel, weights, inputs)
 
 
 class TestPackingHelpers:
@@ -130,39 +126,6 @@ class TestPackingHelpers:
         )
 
 
-class TestSelection:
-    def test_make_backend_names(self):
-        for name in ("gemm", "packed", "naive", "hybrid"):
-            assert make_backend(name).name == name
-        with pytest.raises(ConfigurationError):
-            make_backend("simd")
-
-    def test_resolve_default_is_auto(self):
-        assert isinstance(resolve_backend(None), HybridBackend)
-        assert isinstance(resolve_backend("auto"), HybridBackend)
-        assert resolve_backend(" GEMM ").name == "gemm"
-        assert isinstance(BinarySom(8, 32, seed=0).backend, HybridBackend)
-
-    def test_explicit_instance_is_kept(self):
-        backend = PackedBackend()
-        assert resolve_backend(backend) is backend
-
-    def test_som_constructor_and_set_backend(self):
-        som = BinarySom(8, 32, seed=0, backend="gemm")
-        assert som.backend.name == "gemm"
-        som.set_backend("packed")
-        assert som.backend.name == "packed"
-
-    def test_classifier_forwards_backend(self):
-        som = BinarySom(8, 32, seed=0)
-        SomClassifier(som, backend="naive")
-        assert som.backend.name == "naive"
-
-    def test_calibrate_backend_returns_candidate(self):
-        backend = calibrate_backend(16, 64, batch_size=8, repeats=1)
-        assert backend.name in ("gemm", "packed")
-
-
 class TestOperandCache:
     def test_training_bumps_weights_version(self):
         rng = np.random.default_rng(0)
@@ -177,15 +140,18 @@ class TestOperandCache:
         csom.partial_fit(X[0], 0, 1)
         assert csom.weights_version == 1
 
-    @pytest.mark.parametrize("backend", ["gemm", "packed", "hybrid"])
-    def test_incremental_refresh_equals_fresh_prepare(self, backend):
+    @pytest.mark.parametrize("use_native", [None, False], ids=["packed", "packed_lut"])
+    def test_incremental_refresh_equals_fresh_prepare(self, use_native, monkeypatch):
         # Train step by step, querying between steps: each step drops the
         # cached operands and the query re-prepares them.  Distances from
         # the cache must equal a fresh naive prepare on the current
-        # weights at every step.
+        # weights at every step, on either popcount path.
+        monkeypatch.setattr(
+            bsom_module, "_KERNEL", PackedBackend(use_native_popcount=use_native)
+        )
         rng = np.random.default_rng(5)
         X = rng.integers(0, 2, size=(30, 96), dtype=np.int8)
-        som = BinarySom(10, 96, seed=3, backend=backend)
+        som = BinarySom(10, 96, seed=3)
         oracle = NaiveBackend()
         for step, row in enumerate(X):
             som.partial_fit(row, 0, 1)
@@ -195,23 +161,23 @@ class TestOperandCache:
     def test_cache_entry_reused_across_queries(self):
         rng = np.random.default_rng(9)
         X = rng.integers(0, 2, size=(16, 64), dtype=np.int8)
-        som = BinarySom(8, 64, seed=0, backend="packed")
+        som = BinarySom(8, 64, seed=0)
         som.distance_matrix(X)
         first = som._operands()
         assert som._operands() is first  # same version -> same object
         som.partial_fit(X[0], 0, 1)
-        assert som._operand_cache.cached_versions() == {}
+        assert som._operand_cache.cached_version is None
         som.distance_matrix(X)
         # Re-prepared at the new version, not migrated in place.
         second = som._operands()
         assert second is not first
-        assert som._operand_cache.cached_versions() == {"packed": som.weights_version}
+        assert som._operand_cache.cached_version == som.weights_version
         assert som._operands() is second
 
     def test_set_weights_invalidates_cache(self):
         rng = np.random.default_rng(2)
         X = rng.integers(0, 2, size=(8, 64), dtype=np.int8)
-        som = BinarySom(4, 64, seed=0, backend="packed")
+        som = BinarySom(4, 64, seed=0)
         som.distance_matrix(X)
         stale = som._operands()
         new_weights = rng.integers(0, 3, size=(4, 64), dtype=np.int8)

@@ -5,8 +5,8 @@ import copy
 import numpy as np
 import pytest
 
+from oracles.distance import NaiveBackend
 from repro.core.bsom import BsomUpdateRule
-from repro.core.backends import NaiveBackend
 from repro.core.tristate import TriStateWeights, random_tristate
 from repro.errors import ConfigurationError, DimensionMismatchError, HardwareModelError
 from repro.hw import ClockDomain

@@ -385,11 +385,11 @@ class TestEvictionFailsFutures:
 class TestApiFacade:
     def test_train_save_load_serve_swap_roundtrip(self, tmp_path, cluster_data):
         X, y = cluster_data
-        classifier = api.train(X, y, n_neurons=16, epochs=6, seed=0, backend="packed")
+        classifier = api.train(X, y, n_neurons=16, epochs=6, seed=0)
         assert classifier.score(X, y) > 0.9
         path = api.save(classifier, tmp_path / "hall.npz")
         snapshot = api.load(path)
-        assert snapshot.backend == "packed"
+        assert snapshot.weights_version == classifier.som.weights_version
 
         improved = api.train(X, y, n_neurons=24, epochs=10, seed=0)
         service = api.serve(

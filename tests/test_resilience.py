@@ -538,6 +538,28 @@ class TestCacheResilience:
         finally:
             service.stop()
 
+    @pytest.mark.parametrize("with_breakers", [False, True], ids=["no_breakers", "breakers"])
+    def test_only_a_service_with_breakers_keeps_a_stale_tier(self, cluster_data, with_breakers):
+        # Only breakers read the stale tier (get_stale), so without them an
+        # eviction or a swap's invalidation drops the entry instead.
+        X, y = cluster_data
+        classifier = _fit(X, y)
+        breaker = BreakerConfig(failure_threshold=3, reset_timeout_s=60.0)
+        service = _service(
+            classifier, cache_capacity=4, breaker=breaker if with_breakers else None
+        )
+        try:
+            futures = service.submit_many(X[:10], model="m")
+            service.flush()
+            assert [f.result(10.0).label for f in futures] == classifier.predict(X[:10]).tolist()
+            assert service.cache.evictions == 6  # ten rows through four slots
+            service.swap_model("m", classifier)
+            assert len(service.cache) == 0
+            # With breakers the tier holds its capacity: the last demotions.
+            assert len(service.cache._stale) == (4 if with_breakers else 0)
+        finally:
+            service.stop()
+
     def test_lru_eviction_demotes_to_stale_tier(self):
         cache = SignatureLruCache(capacity=1, stale_capacity=4)
         outcome = CachedOutcome(1, 2, 3.0, False, 0.9)

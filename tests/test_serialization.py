@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import (
     BinarySom,
     DeltaSnapshot,
@@ -20,6 +21,7 @@ from repro.core import (
     save_model,
     snapshot_model,
 )
+from repro.core.backends import pack_bits_to_words
 from repro.core.bsom import BsomUpdateRule
 from repro.core.topology import (
     ConstantNeighbourhoodSchedule,
@@ -95,52 +97,46 @@ class TestSaveLoadClassifier:
 
 
 # --------------------------------------------------------------------- #
-# Format v2: backend + weights-version persistence (the PR-2 regression)
+# Format v2: weights-version persistence (the PR-2 regression)
 # --------------------------------------------------------------------- #
 class TestBackendAndVersionPersistence:
     def test_packed_backend_and_version_survive_roundtrip(self, tmp_path, cluster_data):
         X, y = cluster_data
-        classifier = SomClassifier(
-            BinarySom(16, X.shape[1], seed=0, backend="packed")
-        ).fit(X, y, epochs=4, seed=1)
+        classifier = SomClassifier(BinarySom(16, X.shape[1], seed=0)).fit(
+            X, y, epochs=4, seed=1
+        )
         version = classifier.som.weights_version
         assert version > 0  # training bumped it
 
-        loaded = load_model(save_model(classifier, tmp_path / "clf.npz"))
-        assert loaded.som.backend.name == "packed"
+        path = save_model(classifier, tmp_path / "clf.npz")
+        assert "backend" not in _read_header(path)
+        loaded = load_model(path)
         assert loaded.som.weights_version == version
         np.testing.assert_array_equal(loaded.predict(X), classifier.predict(X))
-
-    def test_gemm_and_hybrid_backends_roundtrip(self, tmp_path, cluster_data):
-        X, _ = cluster_data
-        for backend in ("gemm", "hybrid"):
-            som = BinarySom(8, X.shape[1], seed=0, backend=backend)
-            loaded = load_model(save_model(som, tmp_path / f"{backend}.npz"))
-            assert loaded.backend.name == backend
 
     def test_loaded_operand_cache_keys_match_restored_version(self, tmp_path, cluster_data):
         # The restored counter keys freshly-prepared operands, so queries
         # right after load() warm the cache at the persisted version and
         # later queries reuse it rather than re-preparing from scratch.
         X, y = cluster_data
-        classifier = SomClassifier(
-            BinarySom(16, X.shape[1], seed=0, backend="packed")
-        ).fit(X, y, epochs=2, seed=1)
+        classifier = SomClassifier(BinarySom(16, X.shape[1], seed=0)).fit(
+            X, y, epochs=2, seed=1
+        )
         loaded = load_model(save_model(classifier, tmp_path / "clf.npz"))
         loaded.predict(X[:4])
-        cached = loaded.som._operand_cache.cached_versions()
-        assert cached == {"packed": classifier.som.weights_version}
-        before = dict(cached)
+        cache = loaded.som._operand_cache
+        assert cache.cached_version == classifier.som.weights_version
+        operands = loaded.som._operands()
         loaded.predict(X[:4])  # no weight change: same entry, same version
-        assert loaded.som._operand_cache.cached_versions() == before
+        assert cache.cached_version == classifier.som.weights_version
+        assert loaded.som._operands() is operands
 
-    def test_snapshot_records_backend_and_version(self, cluster_data):
+    def test_snapshot_records_weights_version(self, cluster_data):
         X, y = cluster_data
-        classifier = SomClassifier(
-            BinarySom(8, X.shape[1], seed=0, backend="naive")
-        ).fit(X, y, epochs=1, seed=1)
+        classifier = SomClassifier(BinarySom(8, X.shape[1], seed=0)).fit(
+            X, y, epochs=1, seed=1
+        )
         snapshot = ModelSnapshot.of(classifier)
-        assert snapshot.backend == "naive"
         assert snapshot.weights_version == classifier.som.weights_version
         assert snapshot.is_fitted
 
@@ -204,6 +200,11 @@ class TestTopologyScheduleMatrix:
 # --------------------------------------------------------------------- #
 # Legacy format-v1 archives stay loadable
 # --------------------------------------------------------------------- #
+def _read_header(path):
+    with np.load(path) as archive:
+        return json.loads(archive["header"].tobytes().decode("utf-8"))
+
+
 def _write_v1_archive(path, classifier):
     """Replicate the pre-codec v1 writer byte layout."""
     som = classifier.som
@@ -257,7 +258,7 @@ class TestV1Compatibility:
         path = _write_v1_archive(tmp_path / "legacy.npz", classifier)
         snapshot = load_snapshot(path)
         assert snapshot.format_version == 1
-        assert snapshot.backend is None
+        assert not hasattr(snapshot, "backend")
         assert snapshot.weights_version is None
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -268,6 +269,60 @@ class TestV1Compatibility:
         )
         with pytest.raises(DataError, match="format version"):
             load_model(tmp_path / "future.npz")
+
+
+# --------------------------------------------------------------------- #
+# Archives that name a distance backend still load, and answer the same
+# --------------------------------------------------------------------- #
+def _name_backend(path, backend):
+    """Rewrite an archive's header as the v2 writer did while maps had
+    selectable kernels: with a ``"backend"`` field (the recorded
+    checksums cover the arrays, not the header)."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(arrays["header"].tobytes().decode("utf-8"))
+    header["backend"] = backend
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+class TestLegacyArchives:
+    def test_archives_naming_any_backend_answer_identically(self, tmp_path, cluster_data):
+        X, y = cluster_data
+        classifier = SomClassifier(
+            BinarySom(16, X.shape[1], seed=0), rejection_percentile=90.0
+        ).fit(X, y, epochs=4, seed=1)
+        words = pack_bits_to_words(X.astype(np.uint8))
+        expected = classifier.predict_batch(X)
+        assert expected.rejected.any() and not expected.rejected.all()
+        paths = [_write_v1_archive(tmp_path / "v1.npz", classifier)] + [
+            _name_backend(save_model(classifier, tmp_path / f"v2-{name}.npz"), name)
+            for name in ("gemm", "hybrid", "naive", "packed")
+        ]
+        for path in paths:
+            for loaded in (load_model(path), api.load(path).to_classifier()):
+                for got in (loaded.predict_batch(X), loaded.predict_batch_packed(words)):
+                    for field in ("labels", "neurons", "distances", "rejected", "confidences"):
+                        np.testing.assert_array_equal(
+                            getattr(got, field), getattr(expected, field),
+                            err_msg=f"{path.name}: {field}",
+                        )
+
+    def test_a_delta_naming_a_backend_applies(self, tmp_path, cluster_data):
+        X, y = cluster_data
+        classifier = SomClassifier(BinarySom(8, X.shape[1], seed=0)).fit(
+            X, y, epochs=1, seed=1
+        )
+        base = snapshot_model(classifier)
+        classifier.som.partial_fit(X[0], 0, 1)
+        current = snapshot_model(classifier)
+        path = save_delta(DeltaSnapshot.between(base, current), tmp_path / "d.npz")
+        applied = load_delta(_name_backend(path, "gemm")).apply(base)
+        np.testing.assert_array_equal(applied.weights, current.weights)
+        np.testing.assert_array_equal(
+            applied.to_classifier().predict(X), classifier.predict(X)
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -69,6 +69,7 @@ from repro.serve import (
     StreamingInferenceService,
     SupervisorConfig,
 )
+from repro.serve.cache import CachedOutcome
 from repro.signatures import packed_signature_words
 
 N_BITS = 128
@@ -203,6 +204,25 @@ def test_a_batch_settles_in_one_pass_with_every_answer_field(
         (2, False), (3, False), (5, False), (4, True), (6, True)
     ]
     assert kernel == [responses[i] for i in (1, 2, 4, 3, 5)]
+
+
+def test_a_kernel_batch_builds_its_outcome_rows_once(trained_bsom_classifier, monkeypatch):
+    # The same rows answer the futures and fill the cache.
+    built = []
+    rows = CachedOutcome.rows.__func__
+
+    def counting(cls, prediction):
+        built.append(len(prediction.labels))
+        return rows(cls, prediction)
+
+    monkeypatch.setattr(CachedOutcome, "rows", classmethod(counting))
+    service = _service(trained_bsom_classifier)
+    with service:
+        futures = service.submit_many(np.stack([signature(i) for i in range(4)]), model="m")
+        service.flush()
+        answers = sorted(tuple(future.result(5.0)[:5]) for future in futures)
+    assert built == [4]
+    assert sorted(service.cache._entries.values()) == answers
 
 
 def test_standalone_registry_settles_on_its_own_clock(trained_bsom_classifier):
