@@ -5,9 +5,8 @@ constants directly under any pytest import mode -- ``conftest.py`` puts
 this directory on ``sys.path`` and re-exports everything for fixtures.
 
 The thread pinning runs at import time, before numpy spins up its BLAS /
-OpenMP pools, so BENCH numbers (and the GEMM-vs-packed crossover points in
-``BENCH_distance.json``) are reproducible across hosts instead of scaling
-with whatever core count the CI machine happens to have.  ``setdefault``
+OpenMP pools, so the cSOM's float BLAS sums and the suite's run time do
+not depend on the core count of the machine that runs it.  ``setdefault``
 keeps an explicit operator override (e.g. ``OMP_NUM_THREADS=8`` for a
 scaling study) in force.
 """

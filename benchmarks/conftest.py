@@ -23,7 +23,7 @@ from pathlib import Path
 # repo-configured mode; prepend did it implicitly), then pull in the shared
 # constants.  Importing bench_constants also pins the BLAS/OpenMP thread
 # pools to 1 -- it must happen here, before numpy spins them up, or the
-# BENCH numbers scale with the host's core count.  tests/ goes on the path
+# cSOM's float sums depend on the host's core count.  tests/ goes on the path
 # too: the seed oracles the benchmarks compare against live in
 # tests/oracles/.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))

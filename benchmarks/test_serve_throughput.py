@@ -1,19 +1,18 @@
-"""Serving-layer throughput: micro-batched and cached vs one-at-a-time.
+"""Serving layer: micro-batched, cached multi-stream serving answers every frame.
 
 The paper's FPGA wins its throughput by scoring one signature against all
-neurons in parallel (figure 6 / Table IV); the software serving layer wins
-its own by scoring *many signatures* against all neurons in one
-``pairwise_masked_hamming`` GEMM, and by memoising repeated silhouettes in
-the signature LRU cache.  These benchmarks quantify both levers on the
-reduced surveillance protocol, following the conventions of
-``test_figure6_throughput.py``.
+neurons in parallel (figure 6 / Table IV); the software serving layer
+scores *many signatures* against all neurons in one packed-kernel call
+per micro-batch, and memoises repeated silhouettes in the signature LRU
+cache.  This benchmark drives both levers on the reduced surveillance
+protocol and checks their telemetry.  Nothing here is timed: the
+repository benchmark (``perfbench/``, workload ``serve_churn``) times
+the service, and ``tests/test_predict_batch.py`` pins the batch path
+against ``predict_one`` row by row.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
 import pytest
 
 from repro.core import BinarySom, SomClassifier
@@ -34,10 +33,6 @@ from bench_constants import (
     BENCH_TRAIN_SEED,
 )
 
-#: Signatures per throughput measurement (the issue's acceptance size).
-SERVE_SIGNATURES = 1000
-#: Acceptance floor: vectorised predict_batch vs looped predict_one.
-SERVE_BATCH_SPEEDUP_FLOOR = 5.0
 #: Simulated camera fan-in for the service benchmark.
 SERVE_STREAMS = 4
 SERVE_FRAMES_PER_STREAM = 250
@@ -56,43 +51,6 @@ def serve_classifier(bench_dataset):
         epochs=10,
         seed=BENCH_TRAIN_SEED,
     )
-
-
-@pytest.fixture(scope="module")
-def signature_block(bench_dataset):
-    """Exactly SERVE_SIGNATURES test signatures (tiled when the set is smaller)."""
-    signatures = bench_dataset.test_signatures
-    repeats = -(-SERVE_SIGNATURES // signatures.shape[0])
-    return np.tile(signatures, (repeats, 1))[:SERVE_SIGNATURES]
-
-
-def _best_of(callable_, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_predict_batch_speedup_over_looped(serve_classifier, signature_block, benchmark):
-    """One vectorised batch call beats 1k looped predict_one calls >= 5x."""
-    looped_s = _best_of(
-        lambda: [serve_classifier.predict_one(row) for row in signature_block]
-    )
-    batched_s = _best_of(lambda: serve_classifier.predict_batch(signature_block))
-    batch = benchmark.pedantic(
-        serve_classifier.predict_batch, args=(signature_block,), rounds=3, iterations=1
-    )
-    assert len(batch) == SERVE_SIGNATURES
-    speedup = looped_s / batched_s
-    assert speedup >= SERVE_BATCH_SPEEDUP_FLOOR, (
-        f"batched path only {speedup:.1f}x faster than looped "
-        f"({batched_s * 1e3:.1f} ms vs {looped_s * 1e3:.1f} ms)"
-    )
-    # Both paths agree bit-for-bit (the regression tests pin this per-row).
-    looped_labels = [serve_classifier.predict_one(row).label for row in signature_block]
-    np.testing.assert_array_equal(batch.labels, looped_labels)
 
 
 def test_service_throughput_and_cache_hit_rate(

@@ -73,6 +73,12 @@ from repro.signatures import packed_signature_words  # noqa: E402
 WAVE = 400  # requests per fault wave
 THROUGHPUT_WAVE = 1000  # requests per throughput-measurement round
 THROUGHPUT_ROUNDS = 6  # first round is warm-up; median of the rest counts
+#: Alternating pairs of rounds (recovered service, twin) that count, after
+#: one warm-up pair; an even number, so each side goes first equally often.
+#: Two healthy services read 0.85-1.06 of each other over 5 pairs (24 fresh
+#: processes), reaching into the 10% the floor allows, 0.82-1.05 over 12
+#: and 0.95-1.03 over 60 (20 processes).
+RECOVERY_PAIRS = 60
 N_BITS = 128
 RESULT_TIMEOUT_S = 15.0  # a future unresolved past this counts as hung
 RECOVERY_FLOOR = 0.9  # recovered throughput and scoring must reach 90% of the twin's
@@ -168,14 +174,15 @@ def measure_recovery(service, twin, seed: int, stream_id: str) -> float:
     """The faulted service's throughput as a share of the twin's.
 
     Rounds alternate between the two services, each pair in alternating
-    order, and the share is the median of the per-pair ratios, first pair
-    discarded.  Single rounds on a shared machine swing by tens of percent
-    as the host drifts (two back-to-back medians of five rounds on one
-    healthy service read 87-108% of each other); adjacent rounds see the
-    same host, so the drift cancels in each ratio.
+    order, and the share is the median of the per-pair ratios over
+    ``RECOVERY_PAIRS`` pairs after a warm-up pair.  Single rounds on a
+    shared machine swing by tens of percent as the host drifts (two
+    back-to-back medians of five rounds on one healthy service read
+    87-108% of each other); adjacent rounds see the same host, so the
+    drift cancels in each ratio.
     """
     ratios = []
-    for index in range(THROUGHPUT_ROUNDS):
+    for index in range(RECOVERY_PAIRS + 1):
         round_id = f"{stream_id}-{index}"
         if index % 2:
             twin_rate = fault_free_rate(twin, seed, f"twin-{round_id}")

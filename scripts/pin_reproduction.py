@@ -13,7 +13,8 @@ equality:
 * the ``bsom_scores`` of every row of the reduced Table I that
   ``benchmarks/test_table1_accuracy.py`` computes (cSOM scores stay out:
   their float BLAS sums may differ between hosts, while the bSOM's
-  float32 GEMM only adds 0/1 products, exactly).
+  distances are integer popcounts of packed care/value words, exact
+  everywhere).
 
 ``tests/test_golden_training.py`` recomputes everything but Table I, whose
 check reuses the benchmark's module fixture.  A change that is meant to

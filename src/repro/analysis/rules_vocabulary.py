@@ -1,9 +1,9 @@
 """Vocabulary rules: the metric and event names are a checked contract.
 
 The observability layer's value rests on one stable vocabulary: the
-``serve_*`` / ``pipeline_*`` registry names that ``BENCH_serve.json``
-will commit, that ``scripts/check_*.py`` assert against, and that the
-README tables document.  Renaming a metric in code without updating the
+``serve_*`` / ``pipeline_*`` registry names that the exporters write,
+that ``scripts/check_*.py`` assert against, and that the README tables
+document.  Renaming a metric in code without updating the
 docs (or vice versa) used to be an unreviewable silent drift; these rules
 make it a CI failure:
 

@@ -8,8 +8,8 @@ on a small thread pool, driving hot-swaps, evictions and rollout cycles
 mid-load during soak; :func:`aggregate_run` reduces the per-phase metric
 snapshots to windowed deltas on the existing observability vocabulary;
 :func:`render_report` prints the result.  ``benchmarks/test_serve_load.py``
-commits the aggregate as ``BENCH_serve.json`` and
-``scripts/check_serve.py`` guards it in CI::
+asserts the harness's exact contracts (zero drop, per-phase accounting,
+the soak phase's lifecycle churn) on every test run::
 
     from repro import api
     from repro.loadgen import built_in_specs, run_workload, aggregate_run

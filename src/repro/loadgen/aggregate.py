@@ -11,8 +11,8 @@ p50/p99/p999), ``serve_requests_total`` / ``serve_responses_total``
 ``serve_deadline_exceeded_total`` (shed), ``serve_dedup_hits_total``,
 ``serve_cache_hits_total``, ``serve_model_swaps_total``, and the
 ``serve_shard_queue_depth{model}`` gauges.  Nothing here registers or
-invents a metric name; ``BENCH_serve.json`` is a projection of the
-registry, not a parallel schema.
+invents a metric name; the aggregate is a projection of the registry,
+not a parallel schema.
 """
 
 from __future__ import annotations

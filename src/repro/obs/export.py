@@ -3,9 +3,9 @@
 Two render targets over one :class:`~repro.obs.metrics.MetricRegistry`:
 
 * :class:`JsonlExporter` appends self-contained JSON records (metrics +
-  incremental events) to a file -- the format the upcoming load harness
-  aggregates into ``BENCH_serve.json``, and what the examples write behind
-  their ``--metrics-out`` flags, and
+  incremental events) to a file -- the format :mod:`repro.loadgen`
+  aggregates per phase, and what the examples write behind their
+  ``--metrics-out`` flags, and
 * :func:`render_prometheus` emits the Prometheus text exposition format
   (``# TYPE`` headers, cumulative ``_bucket{le=...}`` histogram series,
   ``_sum``/``_count``), with :func:`parse_prometheus` as the matching

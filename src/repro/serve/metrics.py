@@ -16,11 +16,14 @@ Every counter and the latency histogram live in the service's
 seconds -- milliseconds appear only in rendered snapshots): the service
 registers them once and increments them directly, and
 :meth:`MetricsSnapshot.read` reads them back through
-:meth:`~repro.obs.MetricRegistry.get`.  The JSONL and Prometheus
+:meth:`~repro.obs.MetricRegistry.get`.  The ready-queue depth gauges are
+callbacks the model registry registers per model
+(:meth:`~repro.serve.registry.ModelRegistry.bind_metrics`), read live at
+collection.  The JSONL and Prometheus
 exporters in :mod:`repro.obs.export` therefore see the service's telemetry
 without any serve-specific glue.
 
-Registry metric names (the vocabulary ``BENCH_serve.json`` will commit):
+Registry metric names (the vocabulary every exporter writes):
 
 ==========================================  =========  =======================
 ``serve_requests_total``                    counter    requests accepted
@@ -143,18 +146,9 @@ class MetricsSnapshot:
     def read(
         cls, registry: MetricRegistry, queue_depths: dict[str, int]
     ) -> "MetricsSnapshot":
-        """Read a service's ``serve_*`` metrics from ``registry``.
-
-        ``queue_depths`` (batches waiting per model, sampled by the caller)
-        is also published as the ``serve_shard_queue_depth`` gauges.
+        """Read a service's ``serve_*`` metrics from ``registry``, with
+        ``queue_depths`` (batches waiting per model, sampled by the caller).
         """
-        for model, depth in queue_depths.items():
-            registry.gauge(
-                "serve_shard_queue_depth",
-                labels={"model": model},
-                help="Micro-batches waiting in each model's ready queue",
-            ).set(depth)
-
         def count(name: str) -> int:
             return int(registry.get(name).value)
 

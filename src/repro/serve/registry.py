@@ -43,6 +43,7 @@ from repro.errors import (
     UnknownModelError,
 )
 from repro.obs.events import EventLog
+from repro.obs.metrics import MetricRegistry
 from repro.serve.batching import MicroBatch
 from repro.serve.request import Outcome, resolve_requests
 from repro.serve.resilience import SWAP_FAILURE, FaultInjector
@@ -131,6 +132,7 @@ class ModelRegistry:
         self._injector = fault_injector
         self._breaker_gate: Optional[BreakerGate] = None
         self._events: Optional[EventLog] = None
+        self._metrics: Optional[MetricRegistry] = None
         self._lock = threading.Lock()
         self._groups: dict[str, ShardGroup] = {}
         self._classifiers: dict[str, SomClassifier] = {}
@@ -191,6 +193,28 @@ class ModelRegistry:
         the registry directly rather than through a bound service.
         """
         self._events = events
+
+    def bind_metrics(self, metrics: MetricRegistry) -> None:
+        """Publish each model's live ready-queue depth in ``metrics``.
+
+        Registers a ``serve_shard_queue_depth{model}`` callback gauge for
+        every registered model and every later registration, so exporters
+        read the depth at collection time.  The gauge reads the queue by
+        model name: a model evicted and registered again reports its new
+        queue, and an evicted one reads 0.
+        """
+        self._metrics = metrics
+        for name in self.names():
+            self._publish_queue_depth(name)
+
+    def _publish_queue_depth(self, name: str) -> None:
+        if self._metrics is not None:
+            self._metrics.gauge(
+                "serve_shard_queue_depth",
+                labels={"model": name},
+                fn=lambda: float(self.queue_depth(name)),
+                help="Micro-batches waiting in each model's ready queue",
+            )
 
     def _emit(self, kind: str, **fields) -> None:
         if self._events is not None:
@@ -264,6 +288,7 @@ class ModelRegistry:
             self._classifiers[name] = classifier
             if self._started:
                 group.start()
+        self._publish_queue_depth(name)
         self._emit(
             "model_registered",
             model=name,
@@ -535,3 +560,9 @@ class ModelRegistry:
         with self._lock:
             groups = list(self._groups.items())
         return {name: len(group.ready) for name, group in groups}
+
+    def queue_depth(self, name: str) -> int:
+        """Batches waiting in ``name``'s ready queue; 0 when not registered."""
+        with self._lock:
+            group = self._groups.get(name)
+        return 0 if group is None else len(group.ready)

@@ -229,6 +229,7 @@ class StreamingInferenceService:
         )
         self.registry.bind_completion(self._settle, self._on_model_retired)
         self.registry.bind_events(self.obs.events)
+        self.registry.bind_metrics(self.obs.registry)
         self._clock = clock
         self.scheduler = MicroBatchScheduler(
             batch_size=self.config.batch_size,

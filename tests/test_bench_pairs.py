@@ -1,4 +1,5 @@
-"""The reduction of ``scripts/bench_pairs.py``, from canned run output."""
+"""The reduction and the record of ``scripts/bench_pairs.py``, from canned
+run output: no benchmark runs here."""
 
 from __future__ import annotations
 
@@ -22,15 +23,22 @@ END_TO_END = [
 ]
 
 
-def _stdout(throughput: float, p50_ms: float, ok_ratio: float = 1.0) -> str:
+HOST = {"nproc": 2, "cpus": [0], "python": "3.11.7"}
+
+
+def _stdout(throughput: float, p50_ms: float, ok_ratio: float = 1.0,
+            host: dict = HOST) -> str:
     metrics = {
         "throughput": {"value": throughput, "unit": "1/s"},
         "p50_ms": {"value": p50_ms, "unit": "ms"},
         "ok_ratio": {"value": ok_ratio, "unit": "ratio"},
+        # An untraced run never carries a per-layer metric; this one does
+        # to show that the per-layer rows ignore it.
+        "core.kernel_us_per_row": {"value": 999.0, "unit": "us"},
     }
     result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
     return "\n".join([
-        'host: {"cpus": 2}',
+        f"host: {json.dumps(host)}",
         "end-to-end (serve_churn)",
         f"  sat_rps {throughput:>12.4f} req/s n=9 at the reference speed "
         f"(as measured {throughput * 0.9:.1f})",
@@ -44,8 +52,10 @@ def _run(throughput: float, p50_ms: float) -> "bench_pairs.Run":
 
 def test_a_run_is_read_from_its_last_json_line():
     run = _run(7000.0, 3.9)
-    assert run.metrics == {"throughput": 7000.0, "p50_ms": 3.9, "ok_ratio": 1.0}
+    assert run.metrics == {"throughput": 7000.0, "p50_ms": 3.9, "ok_ratio": 1.0,
+                           "core.kernel_us_per_row": 999.0}
     assert run.measured_rate == 6300.0
+    assert run.host == HOST
 
 
 def test_a_run_without_a_result_line_failed_with_its_last_stderr_line():
@@ -111,3 +121,182 @@ def test_the_key_budget_is_read_from_perfbench_and_near_misses_are_marked(tmp_pa
         "key budget change: peak 14400.0 req/s as measured = 90.0% of 16000 scheduled keys/s"
         "  ABOVE 85%",
     ]
+
+
+# --------------------------------------------------------------------- #
+# The record: one per invocation, appended to the trajectory file
+# --------------------------------------------------------------------- #
+PER_LAYER = [
+    {"name": "core.kernel_us_per_row", "unit": "us", "better": "lower"},
+    {"name": "vision.background.ms", "unit": "ms", "better": "lower"},
+    {"name": "serve.cache.hit_ratio", "unit": "ratio", "better": "higher"},
+]
+
+
+def _traced_stdout(kernel_us: float, hit_ratio: float) -> str:
+    metrics = {
+        "vision.background.ms": {"value": 0.0, "unit": "ms"},
+        "core.kernel_us_per_row": {"value": kernel_us, "unit": "us"},
+        "serve.cache.hit_ratio": {"value": hit_ratio, "unit": "ratio"},
+    }
+    result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+    return "\n".join([
+        f"host: {json.dumps(HOST)}",
+        "per-layer (serve_churn, traced 5 s; spans in perfbench/out/x.jsonl.gz)",
+        f"  {'vision.background.ms':<36} {0.0:>12.4f} {'ms':<6} n={0:<7} "
+        "BackgroundSubtractor.apply CPU per frame (median)  (not on this workload's path)",
+        f"  {'core.kernel_us_per_row':<36} {kernel_us:>12.4f} {'us':<6} n={812:<7} "
+        "predict_batch_packed CPU per row",
+        f"  {'serve.cache.hit_ratio':<36} {hit_ratio:>12.4f} {'ratio':<6} n={4000:<7} hits",
+        json.dumps(result),
+    ]) + "\n"
+
+
+class FakeBench:
+    """Stands in for ``run_once``: canned runs, handed out per side in order."""
+
+    def __init__(self, parent_dir, untraced, traced):
+        self.parent_dir = parent_dir
+        self.runs = {(side, trace): list(runs[side])
+                     for trace, runs in ((0, untraced), (1, traced)) for side in runs}
+
+    def __call__(self, checkout, command, workload, seed, seconds, trace):
+        side = "parent" if checkout == self.parent_dir else "change"
+        return self.runs[side, trace].pop(0)
+
+
+@pytest.fixture()
+def bench(tmp_path, monkeypatch):
+    """Runs ``main`` on canned runs and a trajectory file under ``tmp_path``."""
+    parent_dir = tmp_path / "parent"
+    (parent_dir / "src").mkdir(parents=True)
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    monkeypatch.setattr(bench_pairs, "TRAJECTORY", trajectory)
+    spec = tmp_path / "BENCHMARK.json"
+    spec.write_text(json.dumps({"command": ["perfbench"], "run_seconds": 45,
+                                "end_to_end": END_TO_END, "per_layer": PER_LAYER}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", spec)
+
+    def run(untraced, traced, workload="serve_churn"):
+        monkeypatch.setattr(bench_pairs, "run_once", FakeBench(parent_dir, untraced, traced))
+        pairs = len(untraced["parent"])
+        return bench_pairs.main(["--workload", workload, "--pairs", str(pairs),
+                                 "--parent", str(parent_dir), "--seed", "7"])
+
+    run.trajectory = trajectory
+    return run
+
+
+def _canned(parent_throughputs, change_throughputs, host=HOST):
+    untraced = {
+        "parent": [bench_pairs.parse_run(_stdout(t, 4.0, host=host), "")
+                   for t in parent_throughputs],
+        "change": [bench_pairs.parse_run(_stdout(t, 3.9), "") for t in change_throughputs],
+    }
+    traced = {
+        "parent": [bench_pairs.parse_run(_traced_stdout(k, 0.1), "") for k in (2.0, 2.2, 2.4)],
+        "change": [bench_pairs.parse_run(_traced_stdout(k, 0.1), "") for k in (1.0, 1.1, 3.0)],
+    }
+    return untraced, traced
+
+
+def test_a_record_holds_the_rows_reduce_pairs_gives(bench):
+    untraced, traced = _canned((7000, 7100, 7200, 7000, 7050), (8800, 8900, 9000, 7000, 8850))
+    assert bench(untraced, traced) == 0
+    (record,) = json.loads(bench.trajectory.read_text())
+    rows = bench_pairs.reduce_pairs(END_TO_END, untraced["parent"], untraced["change"])
+    assert record["end_to_end"] == [
+        {"name": row.name, "unit": row.unit, "better": row.better, "bound": row.bound,
+         "parent": list(row.parent), "change": list(row.change), "wins": row.wins,
+         "pairs": row.pairs, "relative": row.relative, "verdict": row.verdict}
+        for row in rows
+    ]
+    assert [row["verdict"] for row in record["end_to_end"]] == [
+        "within bound", "within bound", "within bound"]
+    assert (record["workload"], record["seed"], record["run_seconds"]) == ("serve_churn", 7, 45)
+    assert record["host"] == HOST
+    assert (record["pairs"], record["traced_pairs"]) == (5, bench_pairs.TRACED_PAIRS)
+    assert record["failed"] == {"parent": 0, "change": 0}
+    assert record["peak_key_share"] == {"parent": pytest.approx(7200 * 0.9 / 16000),
+                                        "change": pytest.approx(9000 * 0.9 / 16000)}
+    parent, change = record["sides"]["parent"], record["sides"]["change"]
+    assert parent["commit"] is None and parent["dirty"] is None  # not a git checkout
+    assert parent["src_sha256"] == bench_pairs.source_digest(Path(bench.trajectory.parent, "parent"))
+    assert change["src_sha256"] == bench_pairs.source_digest(bench_pairs.ROOT)
+
+
+def test_per_layer_rows_come_from_traced_runs_only(bench):
+    untraced, traced = _canned((7000,) * 3, (7000,) * 3)
+    bench(untraced, traced)
+    (record,) = json.loads(bench.trajectory.read_text())
+    layers = {row["name"]: row for row in record["per_layer"]}
+    # The untraced runs' 999 never enters; the layer off the workload's
+    # path (n=0) is left out; per-layer rows carry no bound and no verdict.
+    assert set(layers) == {"core.kernel_us_per_row", "serve.cache.hit_ratio"}
+    kernel = layers["core.kernel_us_per_row"]
+    assert kernel["parent"] == pytest.approx([2.1, 2.2, 2.3])
+    assert kernel["change"] == pytest.approx([1.05, 1.1, 2.05])
+    assert kernel["runs"] == 3
+    assert "verdict" not in kernel and "bound" not in kernel
+    assert [row["name"] for row in record["end_to_end"]] == ["throughput", "p50_ms", "ok_ratio"]
+
+
+def test_a_failed_traced_run_is_counted_and_left_out(bench):
+    untraced, traced = _canned((7000,) * 3, (7000,) * 3)
+    traced["change"][2] = bench_pairs.Run(None, "check failed: accounting")
+    assert bench(untraced, traced) == 1
+    (record,) = json.loads(bench.trajectory.read_text())
+    assert record["failed"] == {"parent": 0, "change": 1}
+    kernel = next(row for row in record["per_layer"] if row["name"] == "core.kernel_us_per_row")
+    assert kernel["change"] == pytest.approx([1.025, 1.05, 1.075]) and kernel["runs"] == 2
+
+
+def test_runs_on_different_hosts_exit_1_and_record_nothing(bench, capsys):
+    other = {**HOST, "cpu": "another model"}
+    untraced, traced = _canned((7000, 7000), (7000, 7000))
+    untraced["parent"][1] = bench_pairs.parse_run(_stdout(7000, 4.0, host=other), "")
+    assert bench(untraced, traced) == 1
+    assert not bench.trajectory.exists()
+    assert "disagree on the host" in capsys.readouterr().out
+
+
+def test_an_append_keeps_earlier_records_byte_for_byte(bench):
+    untraced, traced = _canned((7000, 7100), (7200, 7300))
+    bench(untraced, traced)
+    first = bench.trajectory.read_bytes()
+    untraced, traced = _canned((7000, 7100), (5000, 5100))  # worse than the bound
+    assert bench(untraced, traced) == 1
+    second = bench.trajectory.read_bytes()
+    assert second.startswith(first.rstrip()[:-1].rstrip())  # all but the closing bracket
+    records = json.loads(second)
+    assert records[0] == json.loads(first)[0]
+    assert records[1]["end_to_end"][0]["verdict"] == "WORSE THAN BOUND"
+
+
+def test_a_wide_spread_is_unresolved():
+    parent = [_run(t, 4.0) for t in (5000, 7000, 9000, 7000, 7000)]
+    change = [_run(t, 4.0) for t in (7100, 7100, 7100, 7100, 7100)]
+    throughput = bench_pairs.reduce_pairs(END_TO_END, parent, change)[0]
+    assert throughput.spread == pytest.approx(0.0)  # quartiles 7000/7000/7000
+    assert throughput.verdict == "within bound"
+    parent = [_run(t, 4.0) for t in (5000, 5500, 9000, 9500, 7000)]
+    throughput = bench_pairs.reduce_pairs(END_TO_END, parent, change)[0]
+    assert throughput.spread == pytest.approx((9000 - 5500) / 7000)
+    assert throughput.verdict == "unresolved"
+
+
+def test_the_source_digest_follows_src_and_skips_pycache(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "core.py").write_text("X = 1\n")
+    before = bench_pairs.source_digest(tmp_path)
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "core.cpython-311.pyc").write_bytes(b"\x00compiled")
+    assert bench_pairs.source_digest(tmp_path) == before
+    (tmp_path / "README.md").write_text("outside src/\n")
+    assert bench_pairs.source_digest(tmp_path) == before
+    (package / "core.py").write_text("X = 2\n")
+    assert bench_pairs.source_digest(tmp_path) != before
+    (package / "core.py").write_text("X = 1\n")
+    (package / "core2.py").write_text("")  # a new, empty file changes it too
+    assert bench_pairs.source_digest(tmp_path) != before

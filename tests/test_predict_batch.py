@@ -1,7 +1,7 @@
 """Regression tests: the vectorised batch path matches ``predict_one`` exactly.
 
-``SomClassifier.predict`` now delegates to ``predict_batch`` (one
-``pairwise_masked_hamming`` call for the whole batch); these tests pin the
+``SomClassifier.predict`` delegates to ``predict_batch`` (one packed
+distance-kernel call for the whole batch); these tests pin the
 contract that batching is purely an execution strategy -- labels, winning
 neurons, distances and rejection decisions are bit-identical to looping
 ``predict_one``, including the ``UNKNOWN_LABEL`` cases from the rejection

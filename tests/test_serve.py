@@ -27,6 +27,8 @@ from repro.errors import (
     ShardFailedError,
     UnknownModelError,
 )
+from repro.obs.export import metrics_record
+from repro.obs.metrics import MetricRegistry
 from repro.serve import (
     KERNEL_HANG,
     CachedOutcome,
@@ -505,6 +507,57 @@ class TestBackpressure:
         with service:
             with pytest.raises(ConfigurationError):
                 service.submit(np.zeros(8, dtype=np.uint8), model="m")
+
+
+# --------------------------------------------------------------------- #
+# Ready-queue depth gauge
+# --------------------------------------------------------------------- #
+QUEUE_DEPTH = "serve_shard_queue_depth{model=m}"
+
+
+class TestQueueDepthGauge:
+    def test_exporters_read_the_live_depth_without_a_snapshot(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        injector = FaultInjector(specs=[FaultSpec(KERNEL_HANG, hang_s=0.3, max_fires=1)])
+        config = ServiceConfig(
+            batch_size=1, cache_capacity=0, n_shards=1, supervisor=None,
+            fault_injector=injector,
+        )
+        service = StreamingInferenceService(config=config)
+        service.register_model("m", trained_bsom_classifier)
+        (worker,) = service.registry.group("m").shards
+        with service:
+            wedged = service.submit(X[0], model="m")  # the one worker hangs
+            deadline = time.monotonic() + 5.0
+            while worker.busy_seconds(time.monotonic()) is None:
+                assert time.monotonic() < deadline, "the worker never took the batch"
+                time.sleep(0.005)
+            queued = service.submit_many(X[1:4], model="m")
+            assert metrics_record(service.obs.registry)[QUEUE_DEPTH] == 3.0
+            for future in (wedged, *queued):
+                future.result(5.0)
+            assert metrics_record(service.obs.registry)[QUEUE_DEPTH] == 0.0
+
+    def test_a_model_registered_again_reports_its_new_queue(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        X, _ = cluster_data
+        metrics = MetricRegistry()
+        registry = ModelRegistry(n_shards=1)  # never started: batches stay queued
+        registry.register("m", trained_bsom_classifier)
+        registry.bind_metrics(metrics)  # covers models registered before binding
+        for index in range(5):
+            registry.submit(_batch(X[index], index))
+        assert metrics_record(metrics)[QUEUE_DEPTH] == 5.0
+        registry.evict("m")
+        assert metrics_record(metrics)[QUEUE_DEPTH] == 0.0
+        registry.register("m", trained_bsom_classifier)
+        for index in range(2):
+            registry.submit(_batch(X[index], index))
+        assert metrics_record(metrics)[QUEUE_DEPTH] == 2.0
+        registry.stop()
 
 
 # --------------------------------------------------------------------- #
