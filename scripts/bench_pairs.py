@@ -17,7 +17,8 @@ first, then reduces the runs the way a claimed gain is judged:
   that size); or within the bound.
 
 A traced round of ``TRACED_PAIRS`` alternating pairs (``--trace 1`` for
-``TRACED_SECONDS``) follows, and every ``per_layer`` metric of
+``TRACED_SECONDS``; an even count, so each side leads half of them)
+follows, and every ``per_layer`` metric of
 ``BENCHMARK.json`` is reduced to each side's quartiles.  Those rows carry
 no bound and no verdict.
 
@@ -67,8 +68,9 @@ TRAJECTORY = ROOT / "BENCH_trajectory.json"
 #: share of them.
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
-#: Traced pairs after the untraced ones; three give a median.
-TRACED_PAIRS = 3
+#: Traced pairs after the untraced ones.  Even, so each side leads (runs
+#: first in) as many traced pairs as the other.
+TRACED_PAIRS = 4
 #: Length of a traced run (half untraced, half traced).  A traced run
 #: keeps every span in memory: a 45-s serve_churn run peaked at 321 MB.
 TRACED_SECONDS = 10.0

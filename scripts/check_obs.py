@@ -78,8 +78,9 @@ def build_classifier():
 
 def check_trace_completeness(classifier, X) -> list[str]:
     failures: list[str] = []
-    config = ServiceConfig(batch_size=16, max_delay_ms=2.0, trace_sample_every=1)
-    service = api.serve({"hall": classifier}, config=config, start=False)
+    config = ServiceConfig(batch_size=16, max_delay_ms=2.0)
+    service = api.serve({"hall": classifier}, config=config,
+                        obs=Observability(sample_every=1), start=False)
     with service:
         # Plain request: the full span chain must be retrievable by id.
         future = service.submit(X[0], model="hall", stream_id="cam-0")
@@ -111,8 +112,9 @@ def check_trace_completeness(classifier, X) -> list[str]:
 
 def check_exporter_schema(classifier, X) -> list[str]:
     failures: list[str] = []
-    config = ServiceConfig(batch_size=16, max_delay_ms=2.0, trace_sample_every=1)
-    service = api.serve({"hall": classifier}, config=config, start=False)
+    config = ServiceConfig(batch_size=16, max_delay_ms=2.0)
+    service = api.serve({"hall": classifier}, config=config,
+                        obs=Observability(sample_every=1), start=False)
     with service:
         futures = [service.submit(x, model="hall") for x in X[:64]]
         service.flush()

@@ -253,9 +253,10 @@ def serve(
         omitted.
     obs:
         A shared :class:`~repro.obs.Observability` bundle (metric registry
-        + tracer + event log); built from ``config.trace_sample_every``
-        when omitted.  Retrieve a sampled request's trace with
-        ``service.obs.trace(response.trace_id)``.
+        + tracer + event log), whose ``sample_every`` is the service's
+        trace sampling rate; built with its defaults (every 16th request
+        traced) when omitted.  Retrieve a sampled request's trace with
+        ``service.obs.trace(response.trace_id)`` once it has settled.
     start:
         Start the dispatcher and shard threads before returning (pass
         ``False`` to register only; the service also works as a context

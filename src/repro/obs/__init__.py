@@ -16,8 +16,10 @@ fragmented telemetry (two unrelated snapshot classes in ``serve`` and
   renderer (plus the parser CI uses to prove the round trip).
 
 :class:`Observability` bundles one of each behind a single object that a
-:class:`~repro.serve.StreamingInferenceService` threads through its
-scheduler, shards, cache, dedup table and hot-swap path::
+:class:`~repro.serve.StreamingInferenceService` reports through: its
+counters and histograms in the registry, its lifecycle transitions in the
+event log, and each sampled request's trace, built at the settle step once
+the request has ended::
 
     from repro import api
     from repro.obs import Observability
@@ -25,8 +27,8 @@ scheduler, shards, cache, dedup table and hot-swap path::
     obs = Observability(sample_every=1)          # trace every request
     service = api.serve({"hall": snapshot}, obs=obs)
     response = service.submit(signature, model="hall").result()
-    trace = obs.trace(response.trace_id)         # submit -> queue -> batch
-    print(trace.span_names())                    #   -> kernel -> resolve
+    trace = obs.trace(response.trace_id)         # request, queue, batch,
+    print(trace.span_names())                    #   kernel
 
 ``scripts/check_obs.py`` holds the throughput overhead of observability
 (at the default sampling rate) to <= 5% in CI.
@@ -64,18 +66,18 @@ class Observability:
     Parameters
     ----------
     sample_every:
-        Trace every Nth request (``1`` = all, ``0`` = tracing off).  The
+        Trace every request whose id is a multiple of N (``1`` = all,
+        ``0`` = tracing off); the one sampling setting of a service.  The
         serving default of 16 keeps the measured throughput overhead well
         inside the 5% CI bound while still surfacing a steady stream of
         complete traces.
     trace_capacity, event_capacity:
-        Ring sizes for completed traces and lifecycle events.
-    registry, tracer, events:
-        Pre-built components to share (e.g. one registry across several
-        services scraped by one exporter); built fresh when omitted.
+        Ring sizes for traces and lifecycle events.
     clock:
-        Monotonic time source shared by tracer and events, injectable for
-        tests (pass the service's clock).
+        Monotonic time source of the event log, injectable for tests (pass
+        the service's clock).  Trace timestamps are the service's own.
+
+    To scrape several services with one exporter, pass them one instance.
     """
 
     def __init__(
@@ -84,18 +86,11 @@ class Observability:
         sample_every: int = 16,
         trace_capacity: int = 512,
         event_capacity: int = 1024,
-        registry: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        events: Optional[EventLog] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.registry = registry if registry is not None else MetricRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(
-            capacity=trace_capacity, sample_every=sample_every, clock=clock
-        )
-        self.events = events if events is not None else EventLog(
-            capacity=event_capacity, clock=clock
-        )
+        self.registry = MetricRegistry()
+        self.tracer = Tracer(capacity=trace_capacity, sample_every=sample_every)
+        self.events = EventLog(capacity=event_capacity, clock=clock)
 
     @classmethod
     def disabled(cls, **kwargs) -> "Observability":
@@ -104,7 +99,8 @@ class Observability:
         return cls(**kwargs)
 
     def trace(self, trace_id: Optional[int]) -> Optional[Trace]:
-        """Look up a trace (in flight or completed) by id."""
+        """Look up a sampled request's trace by id; ``None`` before the
+        request has settled or once the ring has dropped it."""
         return self.tracer.get(trace_id)
 
     def render_prometheus(self) -> str:

@@ -374,6 +374,13 @@ class MetricRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, labels, help, buckets=buckets)
 
+    def remove(self, name: str, labels: Optional[Mapping[str, str]] = None) -> None:
+        """Drop one series, if registered (e.g. a gauge of an evicted model).
+        No export sees it again until it is registered anew, which starts a
+        fresh metric."""
+        with self._lock:
+            self._metrics.pop((name, labels_key(labels)), None)
+
     def get(
         self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> Optional[Metric]:

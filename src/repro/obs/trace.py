@@ -1,33 +1,42 @@
-"""Request tracing: lightweight spans with parent links and a bounded ring.
+"""Request tracing: finished spans with parent links, in a bounded ring.
 
 Aggregate telemetry (:mod:`repro.obs.metrics`) says *how much* time the
 service spends; a trace says *where one request's time went*: queue-wait vs
 batch-fill vs kernel vs cache.  The model is deliberately small -- this is
 an in-process flight recorder, not a distributed-tracing client:
 
-* a :class:`Trace` is one request's tree of :class:`Span` records, keyed
-  by a service-wide monotonically increasing ``trace_id``,
+* a :class:`Trace` is one request's :class:`Span` records, root first,
+  keyed by a tracer-wide increasing ``trace_id``,
 * a :class:`Span` has a name, monotonic start/end timestamps (seconds, the
   service's injectable clock), a parent link, free-form ``attrs`` and
   cross-trace ``links`` (a deduplicated follower links to the primary
   request's kernel span), and
-* the :class:`Tracer` owns the sampling decision (every Nth request; 0
-  disables tracing outright) and a bounded ring of completed traces, so a
-  service that runs for weeks holds a constant amount of trace memory.
+* the :class:`Tracer` owns the sampling rate (every Nth request id; 0
+  disables tracing outright), hands out trace ids and keeps a bounded ring
+  of traces, so a service that runs for weeks holds a constant amount of
+  trace memory.
 
-Overhead discipline: an unsampled request costs one lock-free counter
-increment and a modulo; a sampled request costs a handful of list appends
-and clock reads.  ``scripts/check_obs.py`` holds the end-to-end service
-throughput overhead of the default sampling rate to <= 5%.
+A trace is built whole, in one call, once its request has ended: the serve
+layer's settle step (:func:`repro.serve.request.resolve_requests`) builds
+it from stamps every request and batch carries whether or not it is
+sampled -- the request's enqueue time, its batch's cut time, the batch's
+dispatch mark and the shard's kernel stamp.  Nothing upstream of settle
+holds trace state.
+
+Overhead discipline: settle picks a batch's sampled rows in C-level loops
+(:meth:`Tracer.sample`), so an unsampled request runs no tracing bytecode;
+a sampled one costs its span objects.  ``scripts/check_obs.py`` holds the
+end-to-end service throughput overhead of the default sampling rate to
+<= 5%.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.errors import ConfigurationError
 
@@ -38,9 +47,9 @@ ROOT_SPAN = "request"
 class Span:
     """One named, timed section of a trace.
 
-    ``end_s`` is ``None`` while the span is open.  ``links`` carries
-    references to other traces' spans as plain dicts (e.g. a dedup
-    follower's ``{"trace_id": ..., "span": "kernel"}``).
+    ``parent_id`` is the parent span's id (``None`` for the root).
+    ``links`` carries references to other traces' spans as plain dicts
+    (e.g. a dedup follower's ``{"trace_id": ..., "span": "kernel"}``).
     """
 
     __slots__ = ("span_id", "name", "start_s", "end_s", "parent_id", "attrs", "links")
@@ -50,31 +59,27 @@ class Span:
         span_id: int,
         name: str,
         start_s: float,
-        parent_id: Optional[int] = None,
+        end_s: float,
+        parent_id: Optional[int] = 0,
         attrs: Optional[dict[str, Any]] = None,
+        links: Optional[list[dict[str, Any]]] = None,
     ):
         self.span_id = span_id
         self.name = name
         self.start_s = start_s
-        self.end_s: Optional[float] = None
+        self.end_s = end_s
         self.parent_id = parent_id
-        self.attrs: dict[str, Any] = attrs or {}
-        self.links: list[dict[str, Any]] = []
+        self.attrs: dict[str, Any] = {} if attrs is None else attrs
+        self.links: list[dict[str, Any]] = [] if links is None else links
 
     @property
     def open(self) -> bool:
         return self.end_s is None
 
     @property
-    def duration_s(self) -> Optional[float]:
-        """Span duration in seconds (``None`` while still open)."""
-        if self.end_s is None:
-            return None
+    def duration_s(self) -> float:
+        """Span duration in seconds."""
         return max(0.0, self.end_s - self.start_s)
-
-    def add_link(self, **fields: Any) -> None:
-        """Attach a cross-trace reference (e.g. the dedup primary's span)."""
-        self.links.append(dict(fields))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -89,86 +94,20 @@ class Span:
 
 
 class Trace:
-    """One request's spans, rooted at the submit-to-resolve ``request`` span.
+    """One request's finished spans, rooted at the submit-to-resolve
+    ``request`` span (``spans[0]``); ``status`` is ``"ok"``, ``"shed"`` or
+    ``"error"``."""
 
-    Spans are tracked by name while open (each stage name occurs at most
-    once per trace), so the layer that *ends* a stage never needs the
-    object the layer that *started* it held -- the request hand-off across
-    scheduler, shard thread and settle step stays a single object
-    reference.
-    """
+    __slots__ = ("trace_id", "spans", "status")
 
-    __slots__ = ("trace_id", "spans", "status", "_open", "_tracer", "_finished")
-
-    def __init__(self, trace_id: int, tracer: "Tracer", start_s: float, **attrs: Any):
+    def __init__(self, trace_id: int, spans: list[Span], status: str):
         self.trace_id = trace_id
-        self._tracer = tracer
-        root = Span(0, ROOT_SPAN, start_s, parent_id=None, attrs=dict(attrs))
-        self.spans: list[Span] = [root]
-        self._open: dict[str, Span] = {}
-        self.status: Optional[str] = None
-        self._finished = False
+        self.spans = spans
+        self.status = status
 
-    # -- span lifecycle ------------------------------------------------- #
     @property
     def root(self) -> Span:
         return self.spans[0]
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    def begin(
-        self,
-        name: str,
-        *,
-        t: Optional[float] = None,
-        parent: Optional[Span] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Open a child span (parented to the root unless given)."""
-        start = self._tracer._clock() if t is None else t
-        span = Span(
-            len(self.spans),
-            name,
-            start,
-            parent_id=(parent or self.root).span_id,
-            attrs=attrs,
-        )
-        self.spans.append(span)
-        self._open[name] = span
-        return span
-
-    def end(self, name: str, *, t: Optional[float] = None, **attrs: Any) -> Optional[Span]:
-        """Close the open span called ``name`` (no-op when none is open)."""
-        span = self._open.pop(name, None)
-        if span is None:
-            return None
-        span.end_s = self._tracer._clock() if t is None else t
-        if attrs:
-            span.attrs.update(attrs)
-        return span
-
-    def span(
-        self,
-        name: str,
-        *,
-        start: float,
-        end: float,
-        parent: Optional[Span] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Record an already-closed span in one call (e.g. the kernel)."""
-        span = Span(
-            len(self.spans),
-            name,
-            start,
-            parent_id=(parent or self.root).span_id,
-            attrs=attrs,
-        )
-        span.end_s = end
-        self.spans.append(span)
-        return span
 
     def find(self, name: str) -> Optional[Span]:
         """The first span named ``name``, if any."""
@@ -180,29 +119,8 @@ class Trace:
     def span_names(self) -> tuple[str, ...]:
         return tuple(span.name for span in self.spans)
 
-    def finish(self, status: str = "ok", *, t: Optional[float] = None, **attrs: Any) -> None:
-        """Close the trace: end every open span and move it to the ring.
-
-        Idempotent -- every terminal path (resolve, eviction, shed,
-        shard-side failure) may call it; the first caller wins.
-        """
-        if self._finished:
-            return
-        now = self._tracer._clock() if t is None else t
-        for span in list(self._open.values()):
-            span.end_s = now
-        self._open.clear()
-        root = self.root
-        root.end_s = now
-        if attrs:
-            root.attrs.update(attrs)
-        self.status = status
-        self._finished = True
-        self._tracer._complete(self)
-
-    # -- rendering ------------------------------------------------------ #
     @property
-    def duration_s(self) -> Optional[float]:
+    def duration_s(self) -> float:
         return self.root.duration_s
 
     def to_dict(self) -> dict[str, Any]:
@@ -215,30 +133,20 @@ class Trace:
 
 
 class Tracer:
-    """Sampling trace factory plus the bounded ring of completed traces.
+    """The sampling rate, the trace ids and the bounded ring of traces.
 
     Parameters
     ----------
     capacity:
-        Completed traces retained; the oldest is evicted when a newer one
-        finishes (ring-buffer semantics, O(capacity) memory forever).
+        Traces retained; the oldest is evicted when a newer one is kept
+        (ring-buffer semantics, O(capacity) memory forever).
     sample_every:
-        Trace every Nth started request.  ``1`` traces everything, ``16``
-        (the service default) keeps overhead negligible at high rates, and
-        ``0`` disables tracing -- :meth:`start` returns ``None`` and costs
-        one branch.
-    clock:
-        Monotonic time source, injectable so traces share the service's
-        clock in tests.
+        Trace every request whose id is a multiple of N.  ``1`` traces
+        everything, ``16`` (the service default) keeps overhead negligible
+        at high rates, and ``0`` disables tracing.
     """
 
-    def __init__(
-        self,
-        capacity: int = 512,
-        sample_every: int = 16,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, capacity: int = 512, sample_every: int = 16):
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
         if sample_every < 0:
@@ -247,61 +155,50 @@ class Tracer:
             )
         self.capacity = int(capacity)
         self.sample_every = int(sample_every)
-        self._clock = clock
         self._ids = itertools.count()
-        self._seen = itertools.count()
         self._lock = threading.Lock()
-        self._active: dict[int, Trace] = {}
         self._completed: "OrderedDict[int, Trace]" = OrderedDict()
-        self.dropped_traces = 0  # completed traces evicted from the ring
+        self.dropped_traces = 0  # traces evicted from the ring
 
     @property
     def enabled(self) -> bool:
         return self.sample_every > 0
 
-    def start(self, *, t: Optional[float] = None, **attrs: Any) -> Optional[Trace]:
-        """Begin a trace for one request, or ``None`` when not sampled.
+    def sample(self, request_ids: Iterable[int]) -> dict[int, int]:
+        """A fresh trace id for the position of each sampled id in
+        ``request_ids`` (a multiple of ``sample_every``; none when tracing
+        is off), in order.  Ids are unique across the tracer's threads.
 
-        ``t`` pins the root span's start (e.g. the submit timestamp read
-        just before the sampling decision); the clock is read when omitted.
+        Picks the sampled ids in C-level loops: an unsampled row costs no
+        bytecode.
         """
-        if self.sample_every == 0:
-            return None
-        if next(self._seen) % self.sample_every != 0:
-            return None
-        trace = Trace(next(self._ids), self, self._clock() if t is None else t, **attrs)
-        with self._lock:
-            self._active[trace.trace_id] = trace
-        return trace
+        if not self.sample_every:
+            return {}
+        remainders = map(self.sample_every.__rmod__, request_ids)
+        rows = list(itertools.compress(itertools.count(), map(operator.not_, remainders)))
+        return dict(zip(rows, itertools.islice(self._ids, len(rows))))
 
-    def _complete(self, trace: Trace) -> None:
+    def keep(self, traces: Iterable[Trace]) -> None:
+        """Add finished traces to the ring, in one lock section."""
         with self._lock:
-            self._active.pop(trace.trace_id, None)
-            self._completed[trace.trace_id] = trace
+            for trace in traces:
+                self._completed[trace.trace_id] = trace
             while len(self._completed) > self.capacity:
                 self._completed.popitem(last=False)
                 self.dropped_traces += 1
 
     # -- retrieval ------------------------------------------------------ #
     def get(self, trace_id: Optional[int]) -> Optional[Trace]:
-        """Look up a trace (in flight or completed) by id."""
+        """Look up a kept trace by id (``None`` once the ring dropped it)."""
         if trace_id is None:
             return None
         with self._lock:
-            trace = self._active.get(trace_id)
-            if trace is None:
-                trace = self._completed.get(trace_id)
-            return trace
+            return self._completed.get(trace_id)
 
     def completed(self) -> tuple[Trace, ...]:
-        """Completed traces, oldest first."""
+        """Kept traces, oldest first."""
         with self._lock:
             return tuple(self._completed.values())
-
-    @property
-    def active_count(self) -> int:
-        with self._lock:
-            return len(self._active)
 
     @property
     def completed_count(self) -> int:

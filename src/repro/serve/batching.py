@@ -26,13 +26,22 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.serve.request import ClassificationRequest
 
 
-@dataclass(frozen=True)
+class KernelStamp(NamedTuple):
+    """Which shard scored a batch, when, and with which map's weights."""
+
+    shard: str
+    start_s: float
+    end_s: float
+    weights_version: Optional[int]
+
+
+@dataclass(eq=False)
 class MicroBatch:
     """A flushed group of requests for one model.
 
@@ -48,10 +57,22 @@ class MicroBatch:
     flushed_by:
         ``"size"``, ``"deadline"`` or ``"drain"`` -- why the batch was cut;
         ``"submit"`` for requests the service settles at admission (a
-        cache or stale answer, or a refused block).
+        cache or stale answer, or a refused block), and ``"stop"`` for
+        admitted requests :meth:`~repro.serve.StreamingInferenceService.stop`
+        refused on their way into a lane.
     cut_at:
-        Scheduler clock value at the moment the batch was cut; request
-        traces use it as the queue-wait / batch-wait span boundary.
+        Scheduler clock value at the moment the batch was cut: where a
+        request's queue wait ends and its wait for a shard begins.
+    dispatched:
+        Set by the service once the batch has passed dispatch on its way
+        to a ready queue.
+    kernel:
+        The :class:`KernelStamp` the shard that scored the batch wrote
+        (``None`` until then).
+
+    The last three are the stamps a sampled request's trace is built from
+    at settle; every batch carries them, traced or not.
+    :meth:`partition_expired` copies them into both halves.
     """
 
     model: str
@@ -59,6 +80,8 @@ class MicroBatch:
     capacity: int
     flushed_by: str
     cut_at: float = 0.0
+    dispatched: bool = False
+    kernel: Optional[KernelStamp] = None
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -74,10 +97,10 @@ class MicroBatch:
         """Split into ``(live, expired)`` sub-batches by request deadline.
 
         Deadline shedding happens twice -- at dispatch and again just
-        before kernel launch -- and both sites use this split so the live
-        remainder keeps its batch metadata (capacity, flush reason, cut
-        time) for telemetry.  The common no-deadline case returns
-        ``(self, None)`` without allocating.
+        before kernel launch -- and both sites use this split so both
+        halves keep the batch metadata (capacity, flush reason, cut time
+        and dispatch mark) for telemetry and traces.  The common
+        no-deadline case returns ``(self, None)`` without allocating.
         """
         if all(r.deadline_at is None for r in self.requests):
             return self, None

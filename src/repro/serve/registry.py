@@ -109,8 +109,8 @@ class ModelRegistry:
         Worker shards (threads) per registered model; they pull the
         model's cut batches from its one ready queue.
     clock:
-        Monotonic time source forwarded to the shards for trace
-        timestamps, and the latency clock of a standalone registry's
+        Monotonic time source forwarded to the shards for kernel
+        stamps, and the latency clock of a standalone registry's
         responses; a binding service passes its own clock.
     fault_injector:
         Optional :class:`~repro.serve.resilience.FaultInjector`; forwarded
@@ -140,7 +140,7 @@ class ModelRegistry:
         self._pins: dict[str, int] = {}  # version -> routed draws not released
         self._started = False
         self._completion: CompletionCallback = self._default_completion
-        self._retired: Optional[Callable[[str], None]] = None
+        self._retired: Optional[Callable[[str, bool], None]] = None
 
     # ------------------------------------------------------------------ #
     # Completion binding
@@ -153,7 +153,7 @@ class ModelRegistry:
     def bind_completion(
         self,
         completion: CompletionCallback,
-        retired: Optional[Callable[[str], None]] = None,
+        retired: Optional[Callable[[str, bool], None]] = None,
     ) -> None:
         """Replace the completion and retired paths (the service's settle
         step adds cache, metrics and pending-budget accounting).
@@ -162,10 +162,12 @@ class ModelRegistry:
         finishes with, ``outcome`` being its prediction or its error, and
         every batch failed straight off a ready queue, with ``shard=None``.
 
-        ``retired(name)`` fires after :meth:`swap` or :meth:`evict` has
-        displaced a model's classifier, so a bound service can invalidate
-        its memoised outcomes even when the lifecycle call went straight to
-        the registry rather than through the service's own entry points.
+        ``retired(name, evicted)`` fires after :meth:`swap` (``evicted``
+        false) or :meth:`evict` (true) has displaced a model's classifier,
+        so a bound service can invalidate its memoised outcomes, and drop
+        an evicted model's per-model state, even when the lifecycle call
+        went straight to the registry rather than through the service's
+        own entry points.
         """
         self._completion = completion
         self._retired = retired
@@ -199,9 +201,9 @@ class ModelRegistry:
 
         Registers a ``serve_shard_queue_depth{model}`` callback gauge for
         every registered model and every later registration, so exporters
-        read the depth at collection time.  The gauge reads the queue by
-        model name: a model evicted and registered again reports its new
-        queue, and an evicted one reads 0.
+        read the depth at collection time.  :meth:`evict` drops the
+        model's gauge, so a model evicted and registered again starts a
+        fresh one.
         """
         self._metrics = metrics
         for name in self.names():
@@ -220,9 +222,9 @@ class ModelRegistry:
         if self._events is not None:
             self._events.emit(kind, **fields)
 
-    def _dispatch_retired(self, name: str) -> None:
+    def _dispatch_retired(self, name: str, evicted: bool) -> None:
         if self._retired is not None:
-            self._retired(name)
+            self._retired(name, evicted)
 
     def _dispatch_completion(
         self, shard: Optional[WorkerShard], batch: MicroBatch, outcome: Outcome
@@ -352,7 +354,7 @@ class ModelRegistry:
             weights_version=getattr(classifier.som, "weights_version", None),
             previous_weights_version=getattr(previous.som, "weights_version", None),
         )
-        self._dispatch_retired(name)
+        self._dispatch_retired(name, evicted=False)
         return previous
 
     def evict(self, name: str) -> SomClassifier:
@@ -389,10 +391,12 @@ class ModelRegistry:
         # worker shutdown (the name is already unregistered, but a caller
         # holding a direct group reference could still have submitted).
         cancelled += group.cancel_queued(error)
+        if self._metrics is not None:
+            self._metrics.remove("serve_shard_queue_depth", {"model": name})
         self._emit("evict", model=name, cancelled_requests=cancelled)
         for key in dropped_routes:
             self._emit("route_cleared", model=key)
-        self._dispatch_retired(name)
+        self._dispatch_retired(name, evicted=True)
         return classifier
 
     # ------------------------------------------------------------------ #

@@ -6,8 +6,8 @@ settled with a :class:`ClassificationResponse` once the request's
 micro-batch has been classified (or immediately, on a cache hit).
 
 In the serve layer, :func:`resolve_requests` is the one place futures are
-settled: it finishes each request's trace and sets its future, and its
-dedup followers', exactly once -- a second settle of a
+settled: it builds each sampled request's trace and sets its future, and
+its dedup followers', exactly once -- a second settle of a
 :class:`PendingResult` raises.  All scheduling, caching and routing policy
 lives in :mod:`repro.serve.service` and friends.
 """
@@ -19,14 +19,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.classifier import BatchPrediction
 from repro.errors import ResultTimeoutError, ServiceError
-from repro.obs.trace import Trace
+from repro.obs.trace import ROOT_SPAN, Span, Trace, Tracer
 from repro.serve.cache import CachedOutcome
+
+if TYPE_CHECKING:
+    from repro.serve.batching import MicroBatch
 
 #: What settles a batch: kernel rows, one memoised outcome for every
 #: request, or an error delivered to every future.
@@ -82,9 +85,10 @@ class ClassificationResponse(NamedTuple):
         Always ``cached=True`` as well.
     trace_id:
         Id of the request's trace when it was sampled
-        (:class:`repro.obs.Tracer`); retrieve the full span breakdown with
-        ``service.obs.trace(response.trace_id)``.  ``None`` when the
-        request was not sampled.
+        (:meth:`repro.obs.Tracer.sample`); the settle step that built this
+        response built the trace too, so ``service.obs.trace(trace_id)``
+        returns the full span breakdown (until the ring drops it).
+        ``None`` when the request was not sampled.
     """
 
     label: int
@@ -184,10 +188,9 @@ class ClassificationRequest:
     (``None`` until the first one attaches): they never reach a shard; the
     one kernel execution of this (primary) request resolves them all.
 
-    ``trace`` rides along when the request was sampled: the scheduler, the
-    worker shard and the settle step each stamp their stage spans onto
-    it, so a single object reference carries the whole queue -> batch ->
-    kernel -> resolve attribution across threads.
+    A request carries no trace: ``enqueued_at``, with its batch's stamps,
+    is all the settle step needs to build one when the request is
+    sampled.
 
     ``deadline_at`` is the absolute monotonic clock value after which the
     caller no longer wants an answer (``None`` = no deadline).  The service
@@ -205,16 +208,11 @@ class ClassificationRequest:
     pending: PendingResult = field(default_factory=PendingResult)
     generation: int = 0
     followers: Optional[list["ClassificationRequest"]] = field(default=None, init=False)
-    trace: Optional[Trace] = None
     deadline_at: Optional[float] = None
 
     def expired(self, now: float) -> bool:
         """Whether the request's deadline has passed at clock value ``now``."""
         return self.deadline_at is not None and now > self.deadline_at
-
-    @property
-    def trace_id(self) -> Optional[int]:
-        return self.trace.trace_id if self.trace is not None else None
 
 
 def _settle_futures(
@@ -238,6 +236,8 @@ def resolve_requests(
     stale: bool = False,
     shed: Optional[str] = None,
     record: Optional[Callable[[list[ClassificationResponse]], None]] = None,
+    tracer: Optional[Tracer] = None,
+    batch: Optional["MicroBatch"] = None,
 ) -> list[ClassificationResponse]:
     """Settle every request of a batch, and its dedup followers, once.
 
@@ -247,14 +247,17 @@ def resolve_requests(
     <repro.serve.cache.CachedOutcome.rows>`; the service's settle writes
     the same list to the cache), a :class:`~repro.serve.cache.CachedOutcome`
     answering every request (a cache hit; ``stale`` marks the stale tier),
-    or an error delivered to every future -- its traces then finish
+    or an error delivered to every future -- its traces then end
     ``"shed"`` with ``reason=shed`` when ``shed`` names one, else
     ``"error"``.  Followers share their primary's answer, marked
     ``deduplicated``, or its error.
 
+    With a ``tracer``, each sampled request's trace is built here, whole,
+    from its own and ``batch``'s stamps (:func:`_build_traces`).
+
     One pass: every response is built before the first future is set, so a
     fault while building leaves the batch unsettled for the caller to
-    fail.  The traces are finished, and ``record`` (when given) is called
+    fail.  The traces are kept, and ``record`` (when given) is called
     with the responses, before the futures are set in one section, so a
     caller woken by ``result()`` can retrieve its complete trace and finds
     its answer counted.  Returns the responses built: the primaries in
@@ -262,15 +265,17 @@ def resolve_requests(
     """
     now = clock()
     led = list(compress(range(len(requests)), map(_FOLLOWERS, requests)))
+    owners = [row for row in led for _ in requests[row].followers]
     followers = [follower for row in led for follower in requests[row].followers]
     everyone = [*requests, *followers]
+    trace_ids = tracer.sample(map(_REQUEST_ID, everyone)) if tracer is not None else {}
     if isinstance(outcome, BaseException):
-        status = "error" if shed is None else "shed"
-        attrs = {"error": type(outcome).__name__}
-        if shed is not None:
-            attrs["reason"] = shed
-        for trace in filter(None, map(_TRACE, everyone)):
-            trace.finish(status, **attrs)
+        if trace_ids:
+            failure = {"error": type(outcome).__name__}
+            if shed is not None:
+                failure["reason"] = shed
+            tracer.keep(_build_traces(trace_ids, everyone, owners, batch, now,
+                                      "error" if shed is None else "shed", failure=failure))
         _settle_futures(zip(map(_PENDING, everyone), repeat(None), repeat(outcome)))
         return []
     cached = isinstance(outcome, CachedOutcome)
@@ -280,32 +285,96 @@ def resolve_requests(
         answers = CachedOutcome.rows(outcome)
     else:
         answers = outcome
-    responses = _respond(requests, answers, now, cached=cached, stale=stale)
+    column = list(map(trace_ids.get, range(len(everyone)))) if trace_ids else None
+    responses = _respond(requests, answers, now, column, cached=cached, stale=stale)
     if followers:
-        shared = [answers[row] for row in led for _ in requests[row].followers]
-        responses += _respond(followers, shared, now, deduplicated=True)
-    if cached:
-        attrs = {"cached": True, "stale": True} if stale else {"cached": True}
-    else:
-        attrs = {}
-    for request, response in compress(zip(everyone, responses), map(_TRACE, everyone)):
-        if response.deduplicated:
-            request.trace.finish("ok", label=response.label, **_FOLLOWER)
-            continue
-        if cached:
-            request.trace.span("cache", start=request.enqueued_at, end=now, hit=True,
-                               **({"stale": True} if stale else {}))
-        request.trace.finish("ok", label=response.label, **attrs)
+        shared = list(map(answers.__getitem__, owners))
+        responses += _respond(followers, shared, now, column and column[len(requests):],
+                              deduplicated=True)
+    if trace_ids:
+        tracer.keep(_build_traces(trace_ids, everyone, owners, batch, now, "ok",
+                                  responses=responses, cached=cached, stale=stale))
     if record is not None:
         record(responses)
     _settle_futures(zip(map(_PENDING, everyone), responses, repeat(None)))
     return responses
 
 
+def _build_traces(
+    trace_ids: dict[int, int],
+    everyone: list[ClassificationRequest],
+    owners: list[int],
+    batch: Optional["MicroBatch"],
+    now: float,
+    status: str,
+    *,
+    responses: Optional[list[ClassificationResponse]] = None,
+    cached: bool = False,
+    stale: bool = False,
+    failure: Optional[dict[str, str]] = None,
+) -> list[Trace]:
+    """The trace of each sampled row of ``everyone`` (``trace_ids`` maps
+    those rows to trace ids): a batch's requests, then their followers,
+    the ``k``-th following the request at row ``owners[k]``.
+
+    A root runs from ``enqueued_at`` to ``now``, the settle's clock read,
+    with ``label`` from ``responses`` and the answer's kind, or the
+    ``failure`` attributes of an error.  A follower's one stage is
+    ``dedup`` at its admission instant, linked to its primary's ``kernel``
+    span when that is sampled.  A request's stages come from ``batch``:
+    ``cache`` for a cached answer; none when refused at admission;
+    ``queue`` until the cut once it headed for a lane; ``batch`` from the
+    cut once dispatched; ``kernel`` from the shard's stamp, read for a
+    scored batch only (its stamping thread delivered it).  The last stage
+    ends at ``now`` but for the kernel's.
+    """
+    tail, follower_tail = (failure, failure) if failure is not None else ({}, _FOLLOWER)
+    if cached:
+        tail = {"cached": True, "stale": True} if stale else {"cached": True}
+        stages = [("cache", None, now, {"hit": True, "stale": True} if stale else {"hit": True})]
+    elif batch is None or batch.flushed_by == "submit":
+        stages = []
+    elif not batch.dispatched:
+        stages = [("queue", None, now, None)]
+    elif responses is None or batch.kernel is None:
+        stages = [("queue", None, batch.cut_at, None), ("batch", batch.cut_at, now, None)]
+    else:
+        kernel = batch.kernel
+        stages = [("queue", None, batch.cut_at, None),
+                  ("batch", batch.cut_at, kernel.start_s, None),
+                  ("kernel", kernel.start_s, kernel.end_s,
+                   {"shard": kernel.shard, "model": batch.model, "batch_size": len(batch),
+                    "weights_version": kernel.weights_version})]
+    primaries = len(everyone) - len(owners)
+    traces = []
+    for row, trace_id in trace_ids.items():
+        request = everyone[row]
+        start = request.enqueued_at
+        attrs = {"model": request.model, "stream_id": request.stream_id,
+                 "request_id": request.request_id}
+        if responses is not None:
+            attrs["label"] = responses[row].label
+        spans = [Span(0, ROOT_SPAN, start, now, None, attrs)]
+        if row < primaries:
+            for name, begin, end, stage_attrs in stages:
+                spans.append(Span(len(spans), name, start if begin is None else begin, end, 0,
+                                  None if stage_attrs is None else dict(stage_attrs)))
+            attrs.update(tail)
+        else:
+            owner = owners[row - primaries]
+            linked = trace_ids.get(owner)
+            spans.append(Span(1, "dedup", start, start, 0,
+                              {"primary_request_id": everyone[owner].request_id},
+                              None if linked is None else [{"trace_id": linked, "span": "kernel"}]))
+            attrs.update(follower_tail)
+        traces.append(Trace(trace_id, spans, status))
+    return traces
+
+
 _FOLLOWERS = attrgetter("followers")
-_TRACE = attrgetter("trace")
 _PENDING = attrgetter("pending")
-_RESPONSE_FIELDS = attrgetter("model", "stream_id", "request_id", "enqueued_at", "trace")
+_REQUEST_ID = attrgetter("request_id")
+_RESPONSE_FIELDS = attrgetter("model", "stream_id", "request_id", "enqueued_at")
 #: A response from its thirteen field values, in field order.
 _new_response = partial(tuple.__new__, ClassificationResponse)
 
@@ -314,25 +383,24 @@ def _respond(
     requests: Sequence[ClassificationRequest],
     answers: Sequence[CachedOutcome],
     now: float,
+    trace_ids: Optional[list[Optional[int]]],
     *,
     cached: bool = False,
     stale: bool = False,
     deduplicated: bool = False,
 ) -> list[ClassificationResponse]:
-    """The responses answering ``requests[i]`` with ``answers[i]``.
+    """The responses answering ``requests[i]`` with ``answers[i]``, with
+    trace id ``trace_ids[i]`` (``None``: no request sampled).
 
     Built column-wise with ``map``/``zip``, so the per-row work runs in C
     loops: one answer tuple joined to the request's own fields.
     """
     if not requests:
         return []
-    models, streams, ids, enqueued, traces = zip(*map(_RESPONSE_FIELDS, requests))
+    models, streams, ids, enqueued = zip(*map(_RESPONSE_FIELDS, requests))
     latencies = [now - enqueued_at for enqueued_at in enqueued]
     if min(latencies) < 0.0:  # stamped on another clock than this settle's
         latencies = [max(0.0, latency) for latency in latencies]
-    trace_ids: list[Optional[int]] = [None] * len(requests)
-    for index in compress(range(len(requests)), traces):
-        trace_ids[index] = traces[index].trace_id
     own = zip(models, streams, ids, repeat(cached), latencies, repeat(deduplicated),
-              repeat(stale), trace_ids)
+              repeat(stale), repeat(None) if trace_ids is None else trace_ids)
     return list(map(_new_response, map(tuple.__add__, answers, own)))

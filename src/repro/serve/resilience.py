@@ -436,6 +436,19 @@ class BreakerBoard:
         elif previous == "open" and state == "closed":
             self._events.emit("breaker_close", model=model, shard=shard)
 
+    def forget(self, model: str) -> None:
+        """Drop every breaker of ``model``, and its state gauge: the model
+        was evicted, so one registered again under the name starts with
+        closed breakers."""
+        with self._lock:
+            keys = [key for key in self._breakers if key[0] == model]
+            for key in keys:
+                del self._breakers[key]
+                self._last_state.pop(key, None)
+        if self._registry is not None:
+            for _, shard in keys:
+                self._registry.remove("serve_breaker_state", {"model": model, "shard": shard})
+
     def allow(self, model: str, shard: str) -> bool:
         """Dispatch gate: may a batch be queued for this shard?  Consumes probes."""
         return self.breaker(model, shard).allow(self._clock())

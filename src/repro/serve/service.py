@@ -122,10 +122,6 @@ class ServiceConfig:
         beyond it are refused with :class:`ServiceOverloadedError`.  The
         only admission control: it also bounds the ready queues, so an
         admitted request is never shed for queue space.
-    trace_sample_every:
-        Trace every Nth request (``1`` = all, ``0`` = tracing off).  Only
-        used when the service builds its own :class:`~repro.obs.Observability`;
-        a passed-in ``obs`` keeps its own sampling rate.
     default_deadline_s:
         Deadline budget applied to every submit that does not pass its own
         ``deadline_s`` (``None`` = no deadline).  Expired requests are shed
@@ -158,7 +154,6 @@ class ServiceConfig:
     cache_capacity: int = 2048
     n_shards: int = 2
     max_pending: int = 1024
-    trace_sample_every: int = 16
     default_deadline_s: Optional[float] = None
     retry: Optional[RetryPolicy] = None
     breaker: Optional[BreakerConfig] = None
@@ -177,11 +172,6 @@ class ServiceConfig:
         if self.max_pending <= 0:
             raise ConfigurationError(
                 f"max_pending must be positive, got {self.max_pending}"
-            )
-        if self.trace_sample_every < 0:
-            raise ConfigurationError(
-                "trace_sample_every must be >= 0 (0 disables tracing), "
-                f"got {self.trace_sample_every}"
             )
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ConfigurationError(
@@ -205,9 +195,10 @@ class StreamingInferenceService:
         Monotonic time source, injectable for tests.
     obs:
         The :class:`~repro.obs.Observability` bundle (metric registry +
-        tracer + event log) the service reports through.  Built from
-        ``config.trace_sample_every`` and ``clock`` when omitted; pass a
-        shared instance to scrape several services with one exporter.
+        tracer + event log) the service reports through, and the one place
+        its trace sampling is set (``sample_every``).  Built with its
+        defaults on ``clock`` when omitted; pass a shared instance to scrape
+        several services with one exporter.
     """
 
     def __init__(
@@ -219,9 +210,7 @@ class StreamingInferenceService:
         obs: Optional[Observability] = None,
     ):
         self.config = config or ServiceConfig()
-        self.obs = obs if obs is not None else Observability(
-            sample_every=self.config.trace_sample_every, clock=clock
-        )
+        self.obs = obs if obs is not None else Observability(clock=clock)
         self.registry = registry if registry is not None else ModelRegistry(
             n_shards=self.config.n_shards,
             clock=clock,
@@ -469,19 +458,24 @@ class StreamingInferenceService:
         """The attached :class:`RolloutManager`, or ``None``."""
         return self._rollout
 
-    def _on_model_retired(self, name: str) -> None:
+    def _on_model_retired(self, name: str, evicted: bool) -> None:
         """Registry hook: a swap/evict displaced ``name``'s classifier.
 
         Runs after the shards have flipped (or torn down), whichever entry
         point initiated it -- ``swap_model``/``evict_model`` here or
         ``registry.swap``/``registry.evict`` directly.  Bumping the
         generation first blocks further cache fills from pre-swap requests;
-        the invalidation then clears anything already memoised.
+        the invalidation then clears anything already memoised.  An
+        eviction also drops the model's breakers and their gauges, so a
+        service rolling out through canaries keeps no series of versions
+        it no longer serves.
         """
         with self._gen_lock:
             self._generations[name] = self._generations.get(name, 0) + 1
         dropped = self.cache.invalidate_model(name)
         self.obs.events.emit("cache_invalidate", model=name, dropped_entries=dropped)
+        if evicted and self._board is not None:
+            self._board.forget(name)
 
     # ------------------------------------------------------------------ #
     # Submission: one admission path, a block of signatures at a time
@@ -623,7 +617,7 @@ class StreamingInferenceService:
             first_id = self._next_request_id
             self._next_request_id = first_id + len(words)
             generations = self._generations.copy()
-        start_trace, get = self.obs.tracer.start, self.cache.get
+        get = self.cache.get
         requests: list[ClassificationRequest] = []
         misses: list[ClassificationRequest] = []
         hits: list[tuple[ClassificationRequest, CachedOutcome]] = []
@@ -634,8 +628,6 @@ class StreamingInferenceService:
             request = ClassificationRequest(
                 packed, name, stream_id, request_id, key, now,
                 generation=generations.get(name, 0),
-                trace=start_trace(t=now, model=name, stream_id=stream_id,
-                                  request_id=request_id),
                 deadline_at=deadline_at,
             )
             requests.append(request)
@@ -652,15 +644,13 @@ class StreamingInferenceService:
                 hits.append((request, outcome))
         if cache_errors:
             self._cache_errors.inc(cache_errors)
-        primaries, stale = self._reserve(requests, misses, now) if misses else ((), ())
+        primaries, stale = self._reserve(requests, misses) if misses else ((), ())
         if hits:
             self._answer_at_admission(hits)
         if stale:
             self._answer_at_admission(stale, stale=True)
         if not primaries:
             return requests
-        for trace in filter(None, map(_TRACE, primaries)):
-            trace.begin("queue", t=now)
         with self._state_lock:
             admitted = self._running
             if admitted:
@@ -677,7 +667,7 @@ class StreamingInferenceService:
             # stop() won the race after the entry check: fail fast instead of
             # stranding the primaries, and their followers, in a drained lane.
             error = ServiceError("the service is not running; call start() first")
-            self._settle(None, _block(primaries), error)
+            self._settle(None, _block(primaries, "stop"), error)
             raise error
         if opened:
             self._wake.set()  # only a block that opens a lane starts a deadline
@@ -700,7 +690,6 @@ class StreamingInferenceService:
         self,
         requests: list[ClassificationRequest],
         misses: list[ClassificationRequest],
-        now: float,
     ) -> tuple[list[ClassificationRequest], list[tuple[ClassificationRequest, CachedOutcome]]]:
         """Dedup a block's misses and reserve its primaries' slots in one
         ``_inflight_lock`` section; returns the primaries and stale answers.
@@ -758,14 +747,8 @@ class StreamingInferenceService:
                 self._requests.inc(len(followers))
                 self._dedup_hits.inc(len(followers))
                 for primary, follower in followers:
-                    if follower.trace is not None:  # a coalesce span, linked to the kernel's
-                        span = follower.trace.span("dedup", start=now, end=self._clock(),
-                                                   primary_request_id=primary.request_id)
-                        if primary.trace is not None:
-                            span.add_link(trace_id=primary.trace.trace_id, span="kernel")
-                    # Attach last: once visible to the settle step, the
-                    # follower's trace must be final.  A primary's list is
-                    # made when its first follower attaches.
+                    # A primary's list is made when its first follower
+                    # attaches.
                     if primary.followers is None:
                         primary.followers = [follower]
                     else:
@@ -819,12 +802,7 @@ class StreamingInferenceService:
         if live is None:
             return
         batch = live
-        for trace in filter(None, map(_TRACE, batch.requests)):
-            # The batch-cut timestamp is the queue/batch boundary: the
-            # request stopped waiting for peers and started waiting for a
-            # shard.  The shard ends the batch span at kernel start.
-            trace.end("queue", t=batch.cut_at)
-            trace.begin("batch", t=batch.cut_at)
+        batch.dispatched = True  # its requests now wait for a shard, not a cut
         try:
             self.registry.submit(batch)
         except Exception as error:
@@ -894,6 +872,8 @@ class StreamingInferenceService:
                     clock=self._clock,
                     stale=stale,
                     record=self._count_responses,
+                    tracer=self.obs.tracer,
+                    batch=batch,
                 )
             except Exception as error:
                 outcome = error
@@ -909,7 +889,8 @@ class StreamingInferenceService:
                 self.obs.events.emit(
                     "shed", model=batch.model, reason=reason, count=len(batch)
                 )
-            resolve_requests(requests, outcome, clock=self._clock, shed=reason)
+            resolve_requests(requests, outcome, clock=self._clock, shed=reason,
+                             tracer=self.obs.tracer, batch=batch)
             return
         if shard is None:
             return  # a cache or stale-tier answer: nothing to memoise or mirror
@@ -1006,14 +987,14 @@ class StreamingInferenceService:
 _DEDUP_KEY = attrgetter("model", "cache_key")
 _CACHE_KEY = attrgetter("cache_key")
 _GENERATION = attrgetter("generation")
-_TRACE = attrgetter("trace")
 _LATENCY = attrgetter("latency_s")
 
 
-def _block(requests: Sequence[ClassificationRequest]) -> MicroBatch:
-    """Requests settled at admission, as one batch."""
+def _block(requests: Sequence[ClassificationRequest], flushed_by: str = "submit") -> MicroBatch:
+    """Requests settled at admission, as one batch: ``"submit"``, or
+    ``"stop"`` for admitted requests refused on their way into a lane."""
     return MicroBatch(
-        requests[0].model, tuple(requests), capacity=len(requests), flushed_by="submit"
+        requests[0].model, tuple(requests), capacity=len(requests), flushed_by=flushed_by
     )
 
 

@@ -54,7 +54,7 @@ from repro.errors import (
     DeadlineExceededError,
     ShardFailedError,
 )
-from repro.serve.batching import MicroBatch
+from repro.serve.batching import KernelStamp, MicroBatch
 from repro.serve.resilience import (
     KERNEL_HANG,
     KERNEL_RAISE,
@@ -162,9 +162,9 @@ class WorkerShard:
         The :class:`ReadyQueue` the worker pulls batches from, shared by
         every shard of a model; the shard serves it until disabled.
     clock:
-        Monotonic time source for trace timestamps (kernel spans) and the
-        busy heartbeat the supervisor reads, shared with the service's
-        tracer; injectable for tests.
+        Monotonic time source for the kernel stamp and the busy heartbeat
+        the supervisor reads, shared with the service; injectable for
+        tests.
     fault_injector:
         Optional :class:`~repro.serve.resilience.FaultInjector`; arms the
         ``kernel_raise`` / ``kernel_hang`` / ``shard_death`` sites.
@@ -453,12 +453,12 @@ class WorkerShard:
         (:meth:`ShardGroup.swap_classifier`) rebinding it mid-queue takes
         effect at the next micro-batch boundary, never mid-kernel.
 
-        Sampled requests get a ``kernel`` span (one clock read pair for the
-        whole batch) annotated with the shard, model, batch size and the
-        serving map's weights version -- the annotation that makes a trace
-        spanning a hot-swap attributable to the map that actually scored
-        it.  Their still-open ``batch`` span (ready-queue wait) is closed
-        at the same instant the kernel starts.
+        Every scored batch gets a :class:`~repro.serve.batching.KernelStamp`
+        (two clock reads): this shard's name, the kernel's start and end,
+        and the serving map's weights version -- what makes a trace that
+        spans a hot-swap attributable to the map that actually scored it.
+        Settle builds the sampled requests' ``batch`` and ``kernel`` spans
+        from it.
         """
         if self._injector is not None:
             # kernel_hang sleeps (spec.hang_s) -- the wedged-worker fault
@@ -466,25 +466,12 @@ class WorkerShard:
             self._injector.raise_if(KERNEL_HANG, shard=self.name, model=batch.model)
             self._injector.raise_if(KERNEL_RAISE, shard=self.name, model=batch.model)
         classifier = self.classifier
-        traced = [r.trace for r in batch.requests if r.trace is not None]
-        kernel_start = self._clock() if traced else 0.0
+        start = self._clock()
         prediction = classifier.predict_batch_packed(
             np.vstack([request.packed for request in batch.requests])
         )
-        if traced:
-            kernel_end = self._clock()
-            weights_version = getattr(classifier.som, "weights_version", None)
-            for trace in traced:
-                trace.end("batch", t=kernel_start)
-                trace.span(
-                    "kernel",
-                    start=kernel_start,
-                    end=kernel_end,
-                    shard=self.name,
-                    model=batch.model,
-                    batch_size=len(batch),
-                    weights_version=weights_version,
-                )
+        batch.kernel = KernelStamp(self.name, start, self._clock(),
+                                   getattr(classifier.som, "weights_version", None))
         return prediction
 
 
@@ -503,7 +490,7 @@ class ShardGroup:
     n_shards:
         Number of worker threads.
     clock:
-        Monotonic time source forwarded to every shard (trace timestamps).
+        Monotonic time source forwarded to every shard (kernel stamps).
     fault_injector:
         Forwarded to every shard (kernel/death injection sites).
     """

@@ -159,9 +159,11 @@ class FakeBench:
         self.parent_dir = parent_dir
         self.runs = {(side, trace): list(runs[side])
                      for trace, runs in ((0, untraced), (1, traced)) for side in runs}
+        self.order: list[tuple[str, int]] = []  # (side, trace) of every run, in order
 
     def __call__(self, checkout, command, workload, seed, seconds, trace):
         side = "parent" if checkout == self.parent_dir else "change"
+        self.order.append((side, trace))
         return self.runs[side, trace].pop(0)
 
 
@@ -178,7 +180,8 @@ def bench(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "BENCHMARK", spec)
 
     def run(untraced, traced, workload="serve_churn"):
-        monkeypatch.setattr(bench_pairs, "run_once", FakeBench(parent_dir, untraced, traced))
+        run.fake = FakeBench(parent_dir, untraced, traced)
+        monkeypatch.setattr(bench_pairs, "run_once", run.fake)
         pairs = len(untraced["parent"])
         return bench_pairs.main(["--workload", workload, "--pairs", str(pairs),
                                  "--parent", str(parent_dir), "--seed", "7"])
@@ -194,8 +197,10 @@ def _canned(parent_throughputs, change_throughputs, host=HOST):
         "change": [bench_pairs.parse_run(_stdout(t, 3.9), "") for t in change_throughputs],
     }
     traced = {
-        "parent": [bench_pairs.parse_run(_traced_stdout(k, 0.1), "") for k in (2.0, 2.2, 2.4)],
-        "change": [bench_pairs.parse_run(_traced_stdout(k, 0.1), "") for k in (1.0, 1.1, 3.0)],
+        "parent": [bench_pairs.parse_run(_traced_stdout(k, 0.1), "")
+                   for k in (2.0, 2.2, 2.4, 2.6)],
+        "change": [bench_pairs.parse_run(_traced_stdout(k, 0.1), "")
+                   for k in (1.0, 1.1, 3.0, 1.2)],
     }
     return untraced, traced
 
@@ -234,9 +239,9 @@ def test_per_layer_rows_come_from_traced_runs_only(bench):
     # path (n=0) is left out; per-layer rows carry no bound and no verdict.
     assert set(layers) == {"core.kernel_us_per_row", "serve.cache.hit_ratio"}
     kernel = layers["core.kernel_us_per_row"]
-    assert kernel["parent"] == pytest.approx([2.1, 2.2, 2.3])
-    assert kernel["change"] == pytest.approx([1.05, 1.1, 2.05])
-    assert kernel["runs"] == 3
+    assert kernel["parent"] == pytest.approx([2.15, 2.3, 2.45])
+    assert kernel["change"] == pytest.approx([1.075, 1.15, 1.65])
+    assert kernel["runs"] == 4
     assert "verdict" not in kernel and "bound" not in kernel
     assert [row["name"] for row in record["end_to_end"]] == ["throughput", "p50_ms", "ok_ratio"]
 
@@ -248,7 +253,18 @@ def test_a_failed_traced_run_is_counted_and_left_out(bench):
     (record,) = json.loads(bench.trajectory.read_text())
     assert record["failed"] == {"parent": 0, "change": 1}
     kernel = next(row for row in record["per_layer"] if row["name"] == "core.kernel_us_per_row")
-    assert kernel["change"] == pytest.approx([1.025, 1.05, 1.075]) and kernel["runs"] == 2
+    assert kernel["change"] == pytest.approx([1.05, 1.1, 1.15]) and kernel["runs"] == 3
+
+
+def test_the_traced_round_leads_each_side_equally_often(bench):
+    untraced, traced = _canned((7000,) * 5, (7000,) * 5)
+    bench(untraced, traced)
+    traced_runs = [side for side, trace in bench.fake.order if trace]
+    assert len(traced_runs) == 2 * bench_pairs.TRACED_PAIRS
+    leads = traced_runs[::2]  # the first run of each traced pair
+    assert {side: leads.count(side) for side in ("parent", "change")} == {
+        "parent": bench_pairs.TRACED_PAIRS // 2, "change": bench_pairs.TRACED_PAIRS // 2}
+    assert all(a != b for a, b in zip(traced_runs[::2], traced_runs[1::2]))  # one of each
 
 
 def test_runs_on_different_hosts_exit_1_and_record_nothing(bench, capsys):

@@ -32,7 +32,7 @@ from repro.obs.metrics import (
     labels_key,
     read_consistent,
 )
-from repro.obs.trace import ROOT_SPAN, Tracer
+from repro.obs.trace import ROOT_SPAN, Span, Trace, Tracer
 
 
 class ManualClock:
@@ -63,6 +63,18 @@ class TestMetricRegistry:
         registry = MetricRegistry()
         assert registry.counter("x_total") is registry.counter("x_total")
         assert len(registry) == 1
+
+    def test_a_removed_series_is_gone_until_registered_again(self):
+        registry = MetricRegistry()
+        old = registry.gauge("x_depth", labels={"model": "a"})
+        old.set(3.0)
+        registry.counter("x_total", labels={"model": "a"})
+        registry.remove("x_depth", {"model": "a"})
+        registry.remove("x_depth", {"model": "gone"})  # never registered: a no-op
+        assert registry.get("x_depth", {"model": "a"}) is None
+        assert [metric.name for metric in registry.collect()] == ["x_total"]
+        fresh = registry.gauge("x_depth", labels={"model": "a"})
+        assert fresh is not old and fresh.value == 0.0
 
     def test_labels_distinguish_series(self):
         registry = MetricRegistry()
@@ -229,56 +241,42 @@ class TestHistogram:
 # --------------------------------------------------------------------- #
 class TestTracer:
     def test_span_model(self):
-        clock = ManualClock()
-        tracer = Tracer(sample_every=1, clock=clock)
-        trace = tracer.start(model="m")
-        assert trace is not None and trace.root.name == ROOT_SPAN
-        clock.advance(1.0)
-        trace.begin("queue", t=clock())
-        clock.advance(2.0)
-        trace.end("queue", t=clock())
-        trace.span("kernel", start=3.0, end=3.5, shard="m/0")
-        clock.advance(1.0)
-        trace.finish("ok", label=4)
+        tracer = Tracer(sample_every=1)
+        trace_id = tracer.sample([0])[0]
+        root = Span(0, ROOT_SPAN, 0.0, 4.0, None, {"model": "m", "label": 4})
+        spans = [root, Span(1, "queue", 1.0, 3.0), Span(2, "kernel", 3.0, 3.5, 0, {"shard": "m/0"})]
+        trace = Trace(trace_id, spans, "ok")
+        tracer.keep([trace])
+        assert trace.root is root and trace.root.name == ROOT_SPAN
         assert trace.span_names() == (ROOT_SPAN, "queue", "kernel")
         assert trace.find("queue").duration_s == pytest.approx(2.0)
         assert trace.find("kernel").attrs["shard"] == "m/0"
+        assert trace.find("queue").attrs == {} and trace.find("queue").links == []
         assert trace.duration_s == pytest.approx(4.0)
         assert trace.status == "ok" and trace.root.attrs["label"] == 4
         assert tracer.get(trace.trace_id) is trace
 
-    def test_finish_is_idempotent_and_closes_open_spans(self):
-        tracer = Tracer(sample_every=1, clock=ManualClock())
-        trace = tracer.start()
-        trace.begin("queue")
-        trace.finish("error")
-        assert not trace.find("queue").open
-        trace.finish("ok")  # second call ignored
-        assert trace.status == "error"
-        assert tracer.completed_count == 1
-
-    def test_end_unknown_span_is_noop(self):
-        tracer = Tracer(sample_every=1, clock=ManualClock())
-        trace = tracer.start()
-        assert trace.end("never-begun") is None
-
     def test_sampling_every_nth(self):
-        tracer = Tracer(sample_every=4, clock=ManualClock())
-        sampled = [tracer.start() is not None for _ in range(12)]
-        assert sampled == [True, False, False, False] * 3
+        tracer = Tracer(sample_every=4)
+        request_ids = [7, 8, 9, 12, 13, 0]
+        sampled = tracer.sample(request_ids)
+        assert list(sampled) == [1, 3, 5]  # the positions of 8, 12 and 0
+        assert len(set(sampled.values()) | set(tracer.sample(request_ids).values())) == 6
+        assert list(Tracer(sample_every=1).sample(request_ids)) == list(range(6))
 
     def test_sample_every_zero_disables(self):
-        tracer = Tracer(sample_every=0, clock=ManualClock())
+        tracer = Tracer(sample_every=0)
         assert not tracer.enabled
-        assert tracer.start() is None
+        assert tracer.sample(range(12)) == {}
 
     def test_ring_eviction(self):
-        tracer = Tracer(capacity=8, sample_every=1, clock=ManualClock())
-        ids = []
-        for _ in range(20):
-            trace = tracer.start()
-            ids.append(trace.trace_id)
-            trace.finish()
+        tracer = Tracer(capacity=8, sample_every=1)
+        ids = list(tracer.sample(range(20)).values())
+        assert len(set(ids)) == 20
+        for trace_id in ids[:15]:
+            tracer.keep([Trace(trace_id, [Span(0, ROOT_SPAN, 0.0, 1.0, None)], "ok")])
+        tracer.keep(Trace(trace_id, [Span(0, ROOT_SPAN, 0.0, 1.0, None)], "ok")
+                    for trace_id in ids[15:])  # a batch's traces, in one section
         assert tracer.completed_count == 8
         assert tracer.dropped_traces == 12
         kept = [t.trace_id for t in tracer.completed()]
@@ -286,16 +284,16 @@ class TestTracer:
         assert tracer.get(ids[0]) is None
 
     def test_links_and_to_dict(self):
-        tracer = Tracer(sample_every=1, clock=ManualClock())
-        primary = tracer.start()
-        follower = tracer.start()
-        span = follower.span("dedup", start=0.0, end=0.0)
-        span.add_link(trace_id=primary.trace_id, span="kernel")
-        follower.finish()
+        primary, follower_id = Tracer(sample_every=1).sample([0, 1]).values()
+        dedup = Span(1, "dedup", 0.0, 0.0, 0, {"primary_request_id": 3},
+                     [{"trace_id": primary, "span": "kernel"}])
+        follower = Trace(follower_id, [Span(0, ROOT_SPAN, 0.0, 1.0, None), dedup], "ok")
         rendered = follower.to_dict()
         assert rendered["spans"][1]["links"] == [
-            {"trace_id": primary.trace_id, "span": "kernel"}
+            {"trace_id": primary, "span": "kernel"}
         ]
+        assert rendered["spans"][1]["parent_id"] == 0
+        assert rendered["duration_s"] == pytest.approx(1.0)
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
@@ -429,9 +427,11 @@ class TestObservability:
         clock = ManualClock()
         obs = Observability(sample_every=1, clock=clock)
         obs.registry.counter("x_total").inc()
-        trace = obs.tracer.start()
-        trace.finish()
+        trace = Trace(obs.tracer.sample([0])[0], [Span(0, ROOT_SPAN, 0.0, 1.0, None)], "ok")
+        obs.tracer.keep([trace])
+        clock.advance(2.0)
         obs.events.emit("shed", model="m")
+        assert obs.events.events()[-1].ts_s == 2.0
         assert obs.trace(trace.trace_id) is trace
         assert obs.trace(None) is None
         assert parse_prometheus(obs.render_prometheus())[("x_total", ())] == 1.0
@@ -439,7 +439,7 @@ class TestObservability:
 
     def test_disabled_keeps_metrics_and_events(self):
         obs = Observability.disabled(clock=ManualClock())
-        assert obs.tracer.start() is None
+        assert not obs.tracer.enabled and obs.tracer.sample([0, 16]) == {}
         obs.registry.counter("x_total").inc()
         obs.events.emit("evict", model="m")
         assert len(obs.events) == 1

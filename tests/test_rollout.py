@@ -25,10 +25,18 @@ import pytest
 
 from repro.core import BinarySom, ModelSnapshot, SomClassifier
 from repro.core.snapshot import SnapshotLabelling
-from repro.errors import ConfigurationError, DataError, UnknownModelError
+from repro.errors import (
+    CircuitOpenError,
+    ConfigurationError,
+    DataError,
+    InjectedFaultError,
+    UnknownModelError,
+)
 from repro.serve import (
+    KERNEL_RAISE,
     PROMOTE_FAILURE,
     ROLLOUT_STAGE_CODES,
+    BreakerConfig,
     FaultInjector,
     FaultSpec,
     ModelRegistry,
@@ -39,6 +47,7 @@ from repro.serve import (
     ShadowStats,
     StreamingInferenceService,
 )
+from repro.serve.resilience import BREAKER_STATE_CODES
 
 
 def _fit(X, y, *, n_neurons=16, seed=1, epochs=6):
@@ -323,6 +332,77 @@ class TestAutoDemotionMidLoad:
             "serve_rollout_stage", {"model": "hall"}
         )
         assert gauge is not None and gauge.value == ROLLOUT_STAGE_CODES["demoted"]
+
+
+# --------------------------------------------------------------------- #
+# An evicted version leaves no series and no breakers behind
+# --------------------------------------------------------------------- #
+class TestEvictedVersionsLeaveNoSeries:
+    def test_canary_cycles_keep_only_the_live_models_series_and_breakers(self, cluster_data):
+        X, y = cluster_data
+        service = StreamingInferenceService(
+            config=ServiceConfig(batch_size=8, max_delay_ms=2.0, cache_capacity=0,
+                                 breaker=BreakerConfig())
+        )
+        service.register_model("hall", ModelSnapshot.of(_fit(X, y)))
+        manager = service.enable_rollouts(RolloutConfig(
+            policy=RolloutPolicy(min_samples=64, promote_agreement=0.9), canary_fraction=0.2,
+        ))
+        canary_series = set()
+        with service:
+            for cycle in range(1, 6):
+                manager.begin("hall", _identical(_snap(service, "hall")))
+                deadline = time.monotonic() + 30.0
+                while manager.status("hall") is not None:  # shadow, canary, promoted
+                    assert time.monotonic() < deadline, f"rollout {cycle} never finished"
+                    service.classify("hall", X[:16])
+                    canary_series.update(
+                        key for key in service.obs.metrics_record() if f"hall@v{cycle}" in key
+                    )
+            record = service.obs.metrics_record()
+            states = service._board.states()
+        kinds = [event.kind for event in service.obs.events.events()]
+        assert kinds.count("rollout_canary") == kinds.count("rollout_promoted") == 5
+        # Every canary took traffic: its breakers and queue depth were exported.
+        for cycle in range(1, 6):
+            assert any(f"serve_breaker_state{{model=hall@v{cycle}," in key
+                       for key in canary_series), cycle
+            assert f"serve_shard_queue_depth{{model=hall@v{cycle}}}" in canary_series
+        assert service.registry.names() == ("hall",)
+        assert not [key for key in record if "hall@v" in key]
+        assert [key for key in record if key.startswith("serve_shard_queue_depth")] == [
+            "serve_shard_queue_depth{model=hall}"
+        ]
+        assert len([key for key in record if key.startswith("serve_breaker_state")]) == 2
+        assert sorted(states) == ["hall/hall/0", "hall/hall/1"]
+
+    def test_a_model_evicted_and_registered_again_starts_closed(self, cluster_data):
+        X, y = cluster_data
+        classifier = _fit(X, y)
+        injector = FaultInjector(specs=[FaultSpec(KERNEL_RAISE, max_fires=1)])
+        service = StreamingInferenceService(config=ServiceConfig(
+            batch_size=1, cache_capacity=0, n_shards=1, fault_injector=injector,
+            breaker=BreakerConfig(failure_threshold=1, reset_timeout_s=600.0),
+        ))
+        service.register_model("cam", classifier)
+        state = "serve_breaker_state{model=cam,shard=cam/0}"
+        with service:
+            with pytest.raises(InjectedFaultError):
+                service.submit(X[0], model="cam").result(5.0)
+            assert service.obs.metrics_record()[state] == BREAKER_STATE_CODES["open"]
+            with pytest.raises(CircuitOpenError):
+                service.submit(X[1], model="cam")
+            service.swap_model("cam", classifier)  # a swap drops nothing
+            assert service.obs.metrics_record()[state] == BREAKER_STATE_CODES["open"]
+            service.evict_model("cam")
+            record = service.obs.metrics_record()
+            assert not [key for key in record if "model=cam" in key]
+            assert service._board.states() == {}
+            service.register_model("cam", classifier)
+            assert service.classify("cam", X[1:3]) is not None
+            record = service.obs.metrics_record()
+            assert record[state] == BREAKER_STATE_CODES["closed"]
+            assert record["serve_shard_queue_depth{model=cam}"] == 0.0
 
 
 # --------------------------------------------------------------------- #

@@ -52,6 +52,7 @@ from repro.errors import (
     ShardFailedError,
     UnknownModelError,
 )
+from repro.obs import Observability
 from repro.serve import (
     CACHE_CODEC,
     KERNEL_HANG,
@@ -94,13 +95,13 @@ class ManualClock:
         self.now += seconds
 
 
-def _service(classifier, *, clock=time.monotonic, injector=None, **config_kwargs):
+def _service(classifier, *, clock=time.monotonic, injector=None, obs=None, **config_kwargs):
     """A one-model service that batches only when told to (flush or size)."""
     config_kwargs.setdefault("batch_size", 256)
     config_kwargs.setdefault("max_delay_ms", 60_000.0)
     config_kwargs.setdefault("n_shards", 1)
     config = ServiceConfig(fault_injector=injector, **config_kwargs)
-    service = StreamingInferenceService(config=config, clock=clock)
+    service = StreamingInferenceService(config=config, clock=clock, obs=obs)
     service.register_model("m", classifier)
     return service
 
@@ -165,7 +166,7 @@ def test_a_batch_settles_in_one_pass_with_every_answer_field(
         return responses
 
     monkeypatch.setattr(service_module, "resolve_requests", recording)
-    service = _service(trained_bsom_classifier, trace_sample_every=2)
+    service = _service(trained_bsom_classifier, obs=Observability(sample_every=2))
     with service:
         warm = service.submit(signature(0), model="m")  # request 0, then cached
         service.flush()
@@ -595,7 +596,6 @@ class ServeMachine(RuleBasedStateMachine):
                 cache_capacity=3,
                 n_shards=2,
                 max_pending=MAX_PENDING,
-                trace_sample_every=1,
                 breaker=BreakerConfig(failure_threshold=1, reset_timeout_s=0.5),
                 supervisor=SupervisorConfig(
                     interval_s=3600.0, hang_timeout_s=3600.0, max_restarts=2
@@ -603,6 +603,7 @@ class ServeMachine(RuleBasedStateMachine):
                 fault_injector=self.injector,
             ),
             clock=self.clock,
+            obs=Observability(sample_every=1, clock=self.clock),
         )
         self.service.register_model("m", _snapshots()[0])
         self.rollouts = self.service.enable_rollouts(
