@@ -27,6 +27,7 @@ of the words; both paths are exercised by the parity tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,12 @@ _POPCOUNT16 = np.bitwise_count(np.arange(65536, dtype=np.uint16)).astype(
 _CHUNK_BYTES = 4 << 20
 
 
-def popcount_words(words: np.ndarray, *, use_native: bool | None = None) -> np.ndarray:
+def popcount_words(
+    words: np.ndarray,
+    *,
+    use_native: bool | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-word population count of a ``uint64`` array (``uint8`` result).
 
     Parameters
@@ -61,13 +67,15 @@ def popcount_words(words: np.ndarray, *, use_native: bool | None = None) -> np.n
         ``None`` auto-selects.  The lookup-table path exists both as the
         pre-NumPy-2.0 fallback and as an independent implementation for the
         parity tests.
+    out:
+        Optional ``uint8`` array of ``words``' shape to write the counts to.
     """
     if use_native is None:
         use_native = HAS_BITWISE_COUNT
     if use_native:
-        return np.bitwise_count(words)
+        return np.bitwise_count(words, out=out)
     halves = np.ascontiguousarray(words).view(np.uint16).reshape(*words.shape, 4)
-    return _POPCOUNT16[halves].sum(axis=-1, dtype=np.uint8)
+    return np.add.reduce(_POPCOUNT16[halves], axis=-1, dtype=np.uint8, out=out)
 
 
 def words_per_vector(n_bits: int) -> int:
@@ -132,10 +140,25 @@ class PackedBackend(DistanceBackend):
 
     ``use_native_popcount`` forces (``True``) or forbids (``False``)
     :func:`numpy.bitwise_count`; ``None`` uses it where NumPy has it.
+
+    Attributes
+    ----------
+    popcount:
+        :func:`popcount_words` on the chosen path, as one callable
+        ``popcount(words, out=None)``: the native ufunc itself, so a
+        caller in a loop (the bSOM's training step) runs no Python frame
+        per count, or the lookup-table path.
     """
 
     def __init__(self, *, use_native_popcount: bool | None = None):
-        self._use_native = use_native_popcount
+        native = use_native_popcount
+        if native is None:
+            native = HAS_BITWISE_COUNT
+        self.popcount = (
+            np.bitwise_count
+            if native
+            else functools.partial(popcount_words, use_native=False)
+        )
 
     @staticmethod
     def prepare(weights: np.ndarray) -> PackedOperands:
@@ -152,14 +175,11 @@ class PackedBackend(DistanceBackend):
     # ------------------------------------------------------------------ #
     # Distance kernels
     # ------------------------------------------------------------------ #
-    def _popcount(self, words: np.ndarray) -> np.ndarray:
-        return popcount_words(words, use_native=self._use_native)
-
     def _one_packed(self, prepared: PackedOperands, x_words: np.ndarray) -> np.ndarray:
         """Distances of one packed input against every neuron column."""
         mismatch = x_words[:, np.newaxis] ^ prepared.value_words
         mismatch &= prepared.care_words
-        return self._popcount(mismatch).sum(axis=0, dtype=np.int64)
+        return self.popcount(mismatch).sum(axis=0, dtype=np.int64)
 
     def pairwise(self, prepared: PackedOperands, inputs: np.ndarray) -> np.ndarray:
         return self.pairwise_packed(prepared, pack_bits_to_words(inputs))
@@ -189,7 +209,7 @@ class PackedBackend(DistanceBackend):
             buffer = mismatch[:, :rows, :]
             np.bitwise_xor(block.T[:, :, np.newaxis], value, out=buffer)
             np.bitwise_and(buffer, care, out=buffer)
-            out[start : start + rows] = self._popcount(buffer).sum(
+            out[start : start + rows] = self.popcount(buffer).sum(
                 axis=0, dtype=np.int64
             )
         return out

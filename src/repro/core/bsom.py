@@ -52,25 +52,39 @@ Training on bit-planes
 All rules are single-pass, bit-parallel and need no multipliers, matching
 the hardware budget of the FPGA "neurons updating unit" (figure 4), and
 training runs them the way that unit does: on the two weight bit-planes,
-a *care* plane ``c`` (``0`` on ``#``) and a *value* plane ``v``.  Each
-pass over the data packs the patterns and the planes into ``uint64``
-words (the layout :class:`~repro.core.backends.PackedBackend` scores), so
-the winner of pattern ``x`` is the argmin over neurons of
-``popcount((v ^ x) & c)``, and every rule is one word rule
-(:func:`~repro.core.tristate.tristate_update`) over a selection ``s``::
+a *care* plane ``c`` (``0`` on ``#``) and a *value* plane ``v`` (``0`` on
+``#`` too).  Each pass over the data packs the patterns and the planes
+into ``uint64`` words (the layout :class:`~repro.core.backends.PackedBackend`
+scores) and presents every pattern ``x`` in one fused step that works in
+place on preallocated words, with no allocation, gather or scatter:
 
-    c' = (c & ~s) | (~(c & (v ^ x)) & s)
-    v' = (v & ~s) | (x & c' & s)
+* the winner is the argmin over neurons of ``popcount(m)``, with the
+  mismatch words ``m = c & (v ^ x)`` and their counts written to buffers
+  (counted by the distance kernel's popcount, so a NumPy without
+  ``bitwise_count`` trains on its lookup table);
+* a selection plane ``s`` is built over the rows the win updates: all
+  ones for the full rule, ``~c`` for the commit rule, and for the
+  stochastic rule the draws ``random < neighbour_strength ** d``, taken
+  with ``Generator.random(out=)`` (the same draws, in the same order, as
+  a per-step ``int8`` update takes) and packed eight bytes at a time by
+  one multiplication;
+* the rule (:func:`~repro.core.tristate.tristate_update`) is applied in
+  place in its flip form, reusing the winner search's ``m``::
 
-with ``s`` all ones for the full rule, ``~c`` for the commit rule, and the
-packed draws ``random < neighbour_strength ** d`` for the stochastic rule
-(the same draws, in the same order, as a per-step ``int8`` update takes).
-The ``int8`` weights are written back once per pass.
+      f = s & (~c | (v ^ x))      # the care bits that flip
+      v ^= f & (x ^ m)
+      c ^= f
+
+The rows a win updates, the order its draws are taken in and each row's
+probability come from one table per radius, built from the topology's
+distance matrix the first time a pass runs at that radius.  The ``int8``
+weights are written back once per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -80,8 +94,6 @@ from repro.core.backends import (
     PackedOperands,
     PreparedOperandCache,
     pack_bits_to_words,
-    popcount_words,
-    unpack_words_to_bits,
 )
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
 from repro.core.topology import (
@@ -102,8 +114,13 @@ _VALID_WINNER_RULES = ("full", "commit")
 _VALID_NEIGHBOUR_RULES = ("stochastic", "full", "commit")
 #: The full rule's selection: every bit of a packed word.
 _ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
+#: Read as a little-endian word, eight 0/1 bytes times this constant hold
+#: their bits, first byte highest, in the top byte (``np.packbits`` order).
+_GATHER_BITS = np.uint64(0x8040201008040201)
 #: The distance kernel every map scores queries with.
 _KERNEL = PackedBackend()
+#: Compared with the int8 weights: the 0 and the 1 bits, packed together.
+_ZERO_ONE = np.array([0, 1], dtype=np.int8)[:, np.newaxis, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -214,9 +231,7 @@ class BinarySom(SelfOrganisingMap):
         # hardware equivalent is an LFSR separate from the one used for
         # weight initialisation).
         self._update_rng = as_generator(rng.integers(0, 2**63 - 1))
-        self._neighbourhood_cache: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray]
-        ] = {}
+        self._neighbourhood_tables: dict[int, list[tuple]] = {}
         self._operand_cache = PreparedOperandCache()
 
     # ------------------------------------------------------------------ #
@@ -290,54 +305,139 @@ class BinarySom(SelfOrganisingMap):
     def _current_radius(self, iteration: int, total_iterations: int) -> int:
         return self.schedule.radius(iteration, total_iterations)
 
-    def _neighbourhood(self, winner: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows a win updates, winner first, and each neighbour's
-        stochastic-rule probability ``neighbour_strength ** d``."""
-        key = (winner, radius)
-        cached = self._neighbourhood_cache.get(key)
-        if cached is None:
-            members = self.topology.neighbourhood(winner, radius)
-            neighbours = members[members != winner]
-            grid_distances = np.array(
-                [self.topology.grid_distance(winner, int(j)) for j in neighbours],
-                dtype=np.float64,
+    def _neighbourhood_table(self, radius: int) -> list[tuple]:
+        """Per winner, what a win at ``radius`` updates, built once from the
+        topology's distance matrix: ``(span, runs, probabilities,
+        neighbour_words)``.
+
+        ``span`` slices the rows from the neighbourhood's first member to
+        its last, which the step updates in place; ``runs`` slice the
+        neighbour rows (the winner excluded) into ascending runs, drawn in
+        turn so the draws follow the neighbours in row order.  Over the
+        span, as ``(len(span), 1)`` columns: ``probabilities`` is
+        ``neighbour_strength ** d`` on neighbour rows and ``0`` elsewhere
+        (a draw there never selects), ``neighbour_words`` all ones on
+        neighbour rows and zero elsewhere (the full and commit rules).
+        """
+        table = self._neighbourhood_tables.get(radius)
+        if table is not None:
+            return table
+        n = self.n_neurons
+        distances = self.topology.distance_matrix()
+        members = distances <= radius
+        neighbours = members & ~np.eye(n, dtype=bool)
+        probabilities = np.where(
+            neighbours,
+            self.update_rule.neighbour_strength ** distances.astype(np.float64),
+            0.0,
+        )[:, :, np.newaxis]
+        neighbour_words = np.where(neighbours, _ALL_BITS, np.uint64(0))[
+            :, :, np.newaxis
+        ]
+        spans = map(
+            slice,
+            members.argmax(axis=1).tolist(),
+            (n - members[:, ::-1].argmax(axis=1)).tolist(),
+        )
+        # A run starts on a neighbour row whose row above is none, and stops
+        # after one whose row below is none; both come in winner order.
+        starts = neighbours.copy()
+        starts[:, 1:] &= ~neighbours[:, :-1]
+        stops = neighbours.copy()
+        stops[:, :-1] &= ~neighbours[:, 1:]
+        runs = map(
+            slice,
+            np.nonzero(starts)[1].tolist(),
+            (np.nonzero(stops)[1] + 1).tolist(),
+        )
+        run_counts = starts.sum(axis=1).tolist()
+        table = [
+            (
+                span,
+                tuple(islice(runs, count)),
+                probabilities[winner, span],
+                neighbour_words[winner, span],
             )
-            probabilities = self.update_rule.neighbour_strength ** grid_distances
-            rows = np.concatenate(([winner], neighbours)).astype(np.intp)
-            cached = (rows, probabilities[:, np.newaxis])
-            self._neighbourhood_cache[key] = cached
-        return cached
+            for winner, (span, count) in enumerate(zip(spans, run_counts))
+        ]
+        self._neighbourhood_tables[radius] = table
+        return table
 
     def _train_pass(
         self, X: np.ndarray, order: np.ndarray, iteration: int, total_iterations: int
     ) -> np.ndarray:
         """Present ``X[order]`` on packed care/value planes (module docstring)."""
         radius = self.schedule.radius(iteration, total_iterations)
+        table = self._neighbourhood_table(radius)
         winner_full = self.update_rule.winner_rule == "full"
         neighbour_rule = self.update_rule.neighbour_rule
-        care = pack_bits_to_words(self._weights != DONT_CARE)
-        value = pack_bits_to_words(self._weights == 1)
+        stochastic = neighbour_rule == "stochastic"
+        # planes[0] is the care plane, planes[1] the value plane.
+        planes = pack_bits_to_words(self._weights == _ZERO_ONE)
+        care, value = planes
+        np.bitwise_or(care, value, out=care)
+        # The step's scratch: the pattern copied to every row (operands of
+        # one shape take NumPy's fast path), the winner search's mismatch
+        # words and counts, and the select plane the rule reads.
+        shape = care.shape
+        x_rows = np.empty(shape, dtype=np.uint64)
+        mismatch = np.empty(shape, dtype=np.uint64)
+        word_counts = np.empty(shape, dtype=np.uint8)
+        counts = np.empty(self.n_neurons, dtype=np.int64)
+        select = np.empty(shape, dtype=np.uint64)
+        if stochastic:
+            # Each run's draws land on its rows of ``draws`` (rows never
+            # drawn hold zeros).  ``np.less`` writes the chosen bits as
+            # bytes; a group of eight, read as a little-endian word and
+            # multiplied by _GATHER_BITS, holds its packed byte in its top
+            # byte, which is copied to the select plane.
+            draws = np.zeros((self.n_neurons, self.n_bits))
+            chosen = np.zeros((self.n_neurons, shape[1] * 64), dtype=bool)
+            chosen_bits = chosen[:, : self.n_bits]
+            chosen_words = chosen.view("<u8")
+            gathered = np.empty(chosen_words.shape, dtype="<u8")
+            gathered_bytes = gathered.view(np.uint8)[:, 7::8]
+            select_bytes = select.view(np.uint8)
+            draw = self._update_rng.random
+        popcount = _KERNEL.popcount
         winners = np.empty(len(order), dtype=np.int64)
         for step, x in enumerate(pack_bits_to_words(X[order])):
-            winner = int(np.argmin(popcount_words((value ^ x) & care).sum(axis=1)))
+            x_rows[...] = x
+            np.bitwise_xor(value, x_rows, out=mismatch)
+            np.bitwise_and(mismatch, care, out=mismatch)
+            popcount(mismatch, out=word_counts)
+            np.add.reduce(word_counts, axis=1, out=counts)
+            winner = counts.argmin()
             winners[step] = winner
-            rows, probabilities = self._neighbourhood(winner, radius)
-            row_care = care[rows]
-            select = np.empty_like(row_care)
-            select[0] = _ALL_BITS if winner_full else ~row_care[0]
-            if rows.size > 1:
-                if neighbour_rule == "stochastic":
-                    draws = self._update_rng.random(size=(rows.size - 1, self.n_bits))
-                    select[1:] = pack_bits_to_words(draws < probabilities)
-                elif neighbour_rule == "full":
-                    select[1:] = _ALL_BITS
-                else:
-                    select[1:] = ~row_care[1:]
-            care[rows], value[rows] = tristate_update(row_care, value[rows], x, select)
+            span, runs, probabilities, neighbour_words = table[winner]
+            if stochastic:
+                for run in runs:
+                    draw(out=draws[run])
+                np.less(draws[span], probabilities, out=chosen_bits[span])
+                np.multiply(chosen_words[span], _GATHER_BITS, out=gathered[span])
+                select_bytes[span] = gathered_bytes[span]
+            elif neighbour_rule == "full":
+                select[span] = neighbour_words
+            else:
+                np.invert(care[span], out=select[span])
+                np.bitwise_and(select[span], neighbour_words, out=select[span])
+            if winner_full:
+                select[winner] = _ALL_BITS
+            else:
+                np.invert(care[winner], out=select[winner])
+            tristate_update(
+                care[span],
+                value[span],
+                x_rows[span],
+                select[span],
+                mismatch=mismatch[span],
+                out=(care[span], value[span]),
+            )
         # Back to int8 in place as value + DONT_CARE * (1 - care): a committed
         # bit is its value, a '#' bit (value 0) is DONT_CARE.
-        committed = unpack_words_to_bits(care, self.n_bits)
-        values = unpack_words_to_bits(value, self.n_bits)
+        committed, values = np.unpackbits(
+            planes.view(np.uint8), axis=-1, count=self.n_bits
+        )
         np.subtract(
             values + DONT_CARE,
             committed * DONT_CARE,

@@ -23,7 +23,7 @@ import numpy as np
 from repro._rng import SeedLike
 from repro.core.backends import unpack_words_to_bits
 from repro.core.labelling import LabelledMap, NodeLabeller
-from repro.core.novelty import calibrate_rejection_threshold
+from repro.core.novelty import _rejection_threshold
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
 from repro.errors import ConfigurationError, DataError, NotFittedError
 
@@ -182,16 +182,15 @@ class SomClassifier:
             raise DataError(
                 f"got {X.shape[0]} signatures but {y.shape[0]} labels"
             )
-        self.som.fit(
+        # X is checked: the map, the labeller and the calibration take it
+        # on without scanning it again.
+        self.som._fit_checked(
             X, epochs, shuffle=shuffle, seed=seed, record_history=record_history
         )
-        self.labelling = NodeLabeller().label(self.som, X, y)
+        self.labelling = NodeLabeller()._label_checked(self.som, X, y)
         if self.rejection_percentile is not None:
-            self.rejection_threshold = calibrate_rejection_threshold(
-                self.som,
-                X,
-                percentile=self.rejection_percentile,
-                margin=self.rejection_margin,
+            self.rejection_threshold = _rejection_threshold(
+                self.som, X, self.rejection_percentile, self.rejection_margin
             )
         return self
 

@@ -158,7 +158,13 @@ class NodeLabeller:
             Integer labels, one per row of ``X`` (the paper uses the nine
             manually assigned person identities).
         """
-        X = validate_binary_matrix(X, som.n_bits)
+        return self._label_checked(som, validate_binary_matrix(X, som.n_bits), y)
+
+    def _label_checked(
+        self, som: SelfOrganisingMap, X: np.ndarray, y: np.ndarray
+    ) -> LabelledMap:
+        """:meth:`label` on an ``X`` that
+        :func:`~repro.core.som.validate_binary_matrix` returned."""
         y = np.asarray(y)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise DataError(
@@ -168,13 +174,15 @@ class NodeLabeller:
         if not np.issubdtype(y.dtype, np.integer):
             raise DataError("labels must be integers")
 
-        labels = np.unique(y)
-        label_to_column = {int(label): column for column, label in enumerate(labels)}
+        labels, columns = np.unique(y, return_inverse=True)
         win_frequencies = np.zeros((som.n_neurons, labels.size), dtype=np.int64)
-
-        winners = som.winners(X)
-        for winner, label in zip(winners, y):
-            win_frequencies[int(winner), label_to_column[int(label)]] += 1
+        # A map scores the checked X without scanning it again; another
+        # source of winners (the FPGA model) checks its own input.
+        if isinstance(som, SelfOrganisingMap):
+            winners = som._winners(X)
+        else:
+            winners = som.winners(X)
+        np.add.at(win_frequencies, (winners, columns), 1)
 
         node_labels = np.full(som.n_neurons, LabelledMap.UNLABELLED, dtype=np.int64)
         used = win_frequencies.sum(axis=1) > 0

@@ -52,15 +52,28 @@ def calibrate_rejection_threshold(
     margin:
         Multiplicative safety margin applied on top of the percentile.
     """
+    _check_rejection_settings(percentile, margin)
+    X = validate_binary_matrix(X, som.n_bits)
+    return _rejection_threshold(som, X, percentile, margin)
+
+
+def _rejection_threshold(
+    som: SelfOrganisingMap, X: np.ndarray, percentile: float, margin: float
+) -> float:
+    """:func:`calibrate_rejection_threshold` on an ``X`` that
+    :func:`~repro.core.som.validate_binary_matrix` returned."""
+    _check_rejection_settings(percentile, margin)
+    best = som.distance_matrix(X, validate=False).min(axis=1)
+    return float(np.percentile(best, percentile)) * float(margin)
+
+
+def _check_rejection_settings(percentile: float, margin: float) -> None:
     if not 0.0 < percentile <= 100.0:
         raise ConfigurationError(
             f"percentile must lie in (0, 100], got {percentile}"
         )
     if margin <= 0.0:
         raise ConfigurationError(f"margin must be positive, got {margin}")
-    X = validate_binary_matrix(X, som.n_bits)
-    best = som.distance_matrix(X).min(axis=1)
-    return float(np.percentile(best, percentile)) * float(margin)
 
 
 @dataclass
@@ -124,7 +137,7 @@ class NoveltyDetector:
     def novel_mask(self, X: np.ndarray) -> np.ndarray:
         """Vectorised novelty decision for every row of ``X``."""
         X = validate_binary_matrix(X, self.som.n_bits)
-        best = self.som.distance_matrix(X).min(axis=1)
+        best = self.som.distance_matrix(X, validate=False).min(axis=1)
         return best > self.threshold
 
     @property

@@ -21,6 +21,12 @@ it once per epoch with that epoch's presentation order, ``partial_fit``
 with one pass over its row or block.  The bSOM runs a pass on packed
 bit-planes; the cSOM loops its per-pattern Kohonen step.
 
+A training set is scanned once, by the entry point the caller used
+(``fit``, ``SomClassifier.fit``, ``NodeLabeller.label``, ``api.train``):
+the checked ``int8`` array goes on through private paths (``_fit_checked``,
+``_winners``, ``_quantisation_error``) that score it with
+``distance_matrix(X, validate=False)``.
+
 :class:`TrainingHistory` records per-epoch summary statistics so examples
 and the EXPERIMENTS write-up can show how quickly each map converges.
 """
@@ -66,7 +72,8 @@ class TrainingHistory:
 def validate_binary_matrix(
     X: np.ndarray, n_bits: int | None = None, *, validate: bool = True
 ) -> np.ndarray:
-    """Validate a 2-D binary training matrix and return it as ``int8``.
+    """Validate a 2-D binary training matrix and return it as ``int8``
+    (the array itself, or a view of it, when it is ``int8`` already).
 
     Parameters
     ----------
@@ -93,7 +100,12 @@ def validate_binary_matrix(
         raise DataError("training data must contain only zeros and ones")
     if n_bits is not None and X.shape[1] != n_bits:
         raise DimensionMismatchError(n_bits, X.shape[1], "training data")
-    return X.astype(np.int8)
+    return X.astype(np.int8, copy=False)
+
+
+def _check_epochs(epochs: int) -> None:
+    if epochs <= 0:
+        raise ConfigurationError(f"epochs must be positive, got {epochs}")
 
 
 class SelfOrganisingMap(ABC):
@@ -135,12 +147,22 @@ class SelfOrganisingMap(ABC):
 
     def winners(self, X: np.ndarray) -> np.ndarray:
         """Best-matching unit for every row of ``X``."""
-        return np.argmin(self.distance_matrix(X), axis=1).astype(np.int64)
+        return self._winners(validate_binary_matrix(X, self.n_bits))
+
+    def _winners(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`winners` of an ``X`` that :func:`validate_binary_matrix`
+        returned."""
+        distances = self.distance_matrix(X, validate=False)
+        return np.argmin(distances, axis=1).astype(np.int64)
 
     def quantisation_error(self, X: np.ndarray) -> float:
         """Mean distance from each sample to its best-matching unit."""
-        distances = self.distance_matrix(X)
-        return float(distances.min(axis=1).mean())
+        return self._quantisation_error(validate_binary_matrix(X, self.n_bits))
+
+    def _quantisation_error(self, X: np.ndarray) -> float:
+        """:meth:`quantisation_error` of an ``X`` that
+        :func:`validate_binary_matrix` returned."""
+        return float(self.distance_matrix(X, validate=False).min(axis=1).mean())
 
     # ------------------------------------------------------------------ #
     # Training
@@ -194,9 +216,24 @@ class SelfOrganisingMap(ABC):
             Record per-epoch quantisation error (costs one extra pass over
             the data per epoch; disable in tight benchmark loops).
         """
-        if epochs <= 0:
-            raise ConfigurationError(f"epochs must be positive, got {epochs}")
+        _check_epochs(epochs)
         X = validate_binary_matrix(X, self.n_bits)
+        return self._fit_checked(
+            X, epochs, shuffle=shuffle, seed=seed, record_history=record_history
+        )
+
+    def _fit_checked(
+        self,
+        X: np.ndarray,
+        epochs: int,
+        *,
+        shuffle: bool,
+        seed: SeedLike,
+        record_history: bool,
+    ) -> "SelfOrganisingMap":
+        """:meth:`fit` on an ``X`` that :func:`validate_binary_matrix`
+        returned: the path of a caller that has scanned ``X`` already."""
+        _check_epochs(epochs)
         rng = as_generator(seed)
         n_samples = X.shape[0]
         for epoch in range(epochs):
@@ -205,7 +242,7 @@ class SelfOrganisingMap(ABC):
             self._trained_epochs += 1
             if record_history:
                 radius = self._current_radius(epoch, epochs)
-                self.history.record(self.quantisation_error(X), radius)
+                self.history.record(self._quantisation_error(X), radius)
         return self
 
     @abstractmethod

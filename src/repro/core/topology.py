@@ -39,6 +39,11 @@ class Topology(ABC):
     def grid_distance(self, a: int, b: int) -> int:
         """Topological distance between neurons ``a`` and ``b``."""
 
+    @abstractmethod
+    def distance_matrix(self) -> np.ndarray:
+        """Full ``(n, n)`` ``int64`` matrix of :meth:`grid_distance` values,
+        computed in one broadcast."""
+
     def neighbourhood(self, winner: int, radius: int) -> np.ndarray:
         """Indices of all neurons within ``radius`` of ``winner`` (inclusive).
 
@@ -48,18 +53,7 @@ class Topology(ABC):
         self._check_index(winner)
         if radius < 0:
             raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        members = [
-            j for j in range(self.n_neurons) if self.grid_distance(winner, j) <= radius
-        ]
-        return np.array(sorted(members), dtype=np.int64)
-
-    def distance_matrix(self) -> np.ndarray:
-        """Full ``(n, n)`` matrix of topological distances."""
-        matrix = np.zeros((self.n_neurons, self.n_neurons), dtype=np.int64)
-        for a in range(self.n_neurons):
-            for b in range(self.n_neurons):
-                matrix[a, b] = self.grid_distance(a, b)
-        return matrix
+        return np.flatnonzero(self.distance_matrix()[winner] <= radius).astype(np.int64)
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.n_neurons:
@@ -77,6 +71,9 @@ class LinearTopology(Topology):
         self._check_index(b)
         return abs(int(a) - int(b))
 
+    def distance_matrix(self) -> np.ndarray:
+        return _index_offsets(self.n_neurons)
+
 
 class RingTopology(Topology):
     """A one-dimensional ring: neuron 0 and neuron ``n - 1`` are adjacent."""
@@ -86,6 +83,10 @@ class RingTopology(Topology):
         self._check_index(b)
         forward = abs(int(a) - int(b))
         return min(forward, self.n_neurons - forward)
+
+    def distance_matrix(self) -> np.ndarray:
+        forward = _index_offsets(self.n_neurons)
+        return np.minimum(forward, self.n_neurons - forward)
 
 
 class Grid2DTopology(Topology):
@@ -113,6 +114,18 @@ class Grid2DTopology(Topology):
         ra, ca = self.coordinates(a)
         rb, cb = self.coordinates(b)
         return max(abs(ra - rb), abs(ca - cb))
+
+    def distance_matrix(self) -> np.ndarray:
+        rows, cols = np.divmod(np.arange(self.n_neurons, dtype=np.int64), self.cols)
+        return np.maximum(
+            np.abs(rows[:, np.newaxis] - rows), np.abs(cols[:, np.newaxis] - cols)
+        )
+
+
+def _index_offsets(n: int) -> np.ndarray:
+    """``|a - b|`` for every pair of indices below ``n``."""
+    index = np.arange(n, dtype=np.int64)
+    return np.abs(index[:, np.newaxis] - index)
 
 
 # --------------------------------------------------------------------------- #

@@ -176,20 +176,30 @@ class TriStateWeights:
 
 
 def tristate_update(
-    care: np.ndarray, value: np.ndarray, x: np.ndarray, select: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    care: np.ndarray,
+    value: np.ndarray,
+    x: np.ndarray,
+    select: np.ndarray,
+    *,
+    out: tuple[np.ndarray, np.ndarray],
+    mismatch: np.ndarray | None = None,
+) -> None:
     """Apply the tri-state rule to the selected bits of (care, value) planes.
-
-    Returns the new planes; the inputs are not modified::
-
-        c' = (c & ~s) | (~(c & (v ^ x)) & s)
-        v' = (v & ~s) | (x & c' & s)
 
     On a selected bit (``s`` set) a committed bit equal to the input stays,
     a committed bit that differs becomes ``#``, and a ``#`` bit commits to
     the input; unselected bits keep their state.  The selection picks the
     rule: every bit for the full rule, ``~c`` (the ``#`` bits) for the
     commit rule, and a random subset for the stochastic neighbour rule.
+    The rule is written as the bits it flips::
+
+        m = c & (v ^ x)             # committed bits that differ from x
+        f = s & (~c | (v ^ x))      # the care bits that flip
+        v ^= f & (x ^ m)
+        c ^= f
+
+    which needs the value plane to be zero on ``#`` bits, as every plane
+    here is (:meth:`TriStateWeights.to_bitplanes`), and keeps it so.
 
     The planes may be ``0``/``1`` arrays, one bit per element (``s`` then
     ``0``/``1`` too), or packed ``uint64`` words.  ``x`` is the input in the
@@ -197,12 +207,23 @@ def tristate_update(
     padding bits need no mask: the input's and the value plane's padding
     is zero, so a padding bit never mismatches, whatever the care plane
     holds there, and unpacking drops it.
+
+    The new planes are written to ``out=(care, value)`` -- the planes
+    themselves for an update in place -- and nothing is allocated when
+    ``mismatch`` (``m``, as a winner search has computed it) is given:
+    ``select`` and ``mismatch`` are scratch and are overwritten.
     """
-    mismatch = care & (value ^ x)
-    keep = ~select
-    new_care = (care & keep) | (~mismatch & select)
-    new_value = (value & keep) | (x & new_care & select)
-    return new_care, new_value
+    if mismatch is None:
+        mismatch = care & (value ^ x)
+    # f = s & ~(c ^ m): on a committed bit ~c | (v ^ x) is m.
+    flip = np.bitwise_xor(care, mismatch, out=mismatch)
+    np.invert(flip, out=flip)
+    flip = np.bitwise_and(select, flip, out=select)
+    # Where f is set, m equals c, so f & (x ^ m) is f & (x ^ c).
+    delta = np.bitwise_xor(x, care, out=mismatch)
+    np.bitwise_and(delta, flip, out=delta)
+    np.bitwise_xor(value, delta, out=out[1])
+    np.bitwise_xor(care, flip, out=out[0])
 
 
 def tristate_from_binary(bits: np.ndarray) -> TriStateWeights:

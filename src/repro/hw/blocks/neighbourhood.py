@@ -9,8 +9,10 @@ The block applies the same tri-state rules as the software bSOM
 (:mod:`repro.core.bsom`) to the weight bit-planes held in BlockRAM: the full
 rule for the winner and -- by default -- the stochastically attenuated rule
 for neighbours, driven by a pseudo-random bit stream drawn row by row.  It
-builds each row's bit selection and hands the planes to the one rule both
-implementations share, :func:`repro.core.tristate.tristate_update`.  The
+builds each row's bit selection and hands the planes it read to the one
+rule both implementations share, :func:`repro.core.tristate.tristate_update`,
+which updates them in place (the bits it flips, as the map's training
+step does) before they are written back.  The
 update walks the weight vectors bit-serially, so it charges one cycle per
 bit regardless of the neighbourhood size (all selected neurons are updated
 in parallel, like the Hamming unit).
@@ -119,7 +121,7 @@ class NeighbourhoodUpdateBlock:
             winner_row = int(np.flatnonzero(members == winner)[0])
             select[winner_row] = cares[winner_row] == 0
 
-        cares, values = tristate_update(cares, values, pattern, select)
+        tristate_update(cares, values, pattern, select, out=(cares, values))
         for row, neuron in enumerate(members):
             value_plane.write(int(neuron), values[row])
             care_plane.write(int(neuron), cares[row])

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bsom as oracle
+from repro.core import bsom as bsom_module
+from repro.core.backends import PackedBackend
 from repro.core.bsom import BinarySom, BsomUpdateRule
 from repro.core.topology import (
     ConstantNeighbourhoodSchedule,
@@ -291,3 +293,77 @@ def test_plane_training_matches_int8_oracle(data):
     assert np.array_equal(winners, expected)
     _assert_same_map(som, reference)
     assert som._update_rng.random() == reference._update_rng.random()
+
+
+def _train_blocks(som, blocks):
+    """``partial_fit`` each ``(block, iteration, total)`` in turn."""
+    for block, iteration, total in blocks:
+        som.partial_fit(block, iteration, total)
+
+
+def test_training_on_the_lookup_table_popcount_matches_native(monkeypatch):
+    """The winner search counts through the kernel's popcount: forced onto
+    the 16-bit lookup table, training builds the same map."""
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 2, size=(60, 200), dtype=np.int8)
+    native = BinarySom(12, 200, dont_care_probability=0.3, seed=8)
+    table = copy.deepcopy(native)
+    native.fit(X, 4, seed=2)
+    kernel = PackedBackend(use_native_popcount=False)
+    counted = []
+    lookup = kernel.popcount
+
+    def counting_popcount(words, out=None):
+        counted.append(words.shape)
+        return lookup(words, out=out)
+
+    kernel.popcount = counting_popcount
+    monkeypatch.setattr(bsom_module, "_KERNEL", kernel)
+    table.fit(X, 4, seed=2)
+    # One winner search per presentation (the history's distance queries
+    # count too: one per epoch).
+    assert counted.count((12, 4)) == 4 * len(X)
+    _assert_same_map(table, native)
+    assert table._update_rng.random() == native._update_rng.random()
+    assert table.history.quantisation_errors == native.history.quantisation_errors
+
+
+def test_interleaved_and_copied_maps_train_as_alone():
+    """Two maps trained in turn, and a copy taken between ``partial_fit``
+    blocks and trained on, each end as the same map trained alone: no
+    scratch or table is shared between maps, copies or passes."""
+    rng = np.random.default_rng(6)
+    X = rng.integers(0, 2, size=(40, 130), dtype=np.int8)
+    Y = rng.integers(0, 2, size=(30, 96), dtype=np.int8)
+
+    def first():
+        return BinarySom(10, 130, seed=1)
+
+    def second():
+        return BinarySom(
+            9,
+            96,
+            topology=RingTopology(9),
+            update_rule=BsomUpdateRule(neighbour_rule="full"),
+            seed=2,
+        )
+
+    first_blocks = [(X[i : i + 7], i % 3, 3) for i in range(0, 40, 7)]
+    second_blocks = [(Y[i : i + 5], i % 4, 4) for i in range(0, 30, 5)]
+    first_alone, second_alone = first(), second()
+    _train_blocks(first_alone, first_blocks)
+    _train_blocks(second_alone, second_blocks)
+
+    a, b = first(), second()
+    copies = []
+    for (x_block, *x_step), (y_block, *y_step) in zip(first_blocks, second_blocks):
+        a.partial_fit(x_block, *x_step)
+        b.partial_fit(y_block, *y_step)
+        copies.append((copy.deepcopy(a), len(copies)))
+    _assert_same_map(a, first_alone)
+    _assert_same_map(b, second_alone)
+    for clone, done in copies:
+        _train_blocks(clone, first_blocks[done + 1 :])
+        _assert_same_map(clone, first_alone)
+        position = copy.deepcopy(first_alone._update_rng)
+        assert clone._update_rng.random() == position.random()

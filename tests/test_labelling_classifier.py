@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import (
     BinarySom,
     KohonenSom,
@@ -13,7 +14,12 @@ from repro.core import (
     calibrate_rejection_threshold,
 )
 from repro.core.labelling import LabelledMap
-from repro.errors import ConfigurationError, DataError, NotFittedError
+from repro.errors import (
+    ConfigurationError,
+    DataError,
+    DimensionMismatchError,
+    NotFittedError,
+)
 
 
 class TestNodeLabeller:
@@ -161,3 +167,66 @@ class TestNovelty:
         som = BinarySom(8, X.shape[1], seed=0)
         with pytest.raises(ConfigurationError):
             calibrate_rejection_threshold(som, X, percentile=0.0)
+
+
+class TestTrainingSetScannedOnce:
+    """``api.train`` checks its training set once, at the entry point the
+    caller used, and hands the checked array on; a bad set fails the same
+    way through every entry point."""
+
+    @pytest.mark.parametrize("bad", [1.5, -1, 2, np.nan])
+    def test_a_non_binary_set_fails_the_same_way_everywhere(self, cluster_data, bad):
+        X, y = cluster_data
+        X = X.astype(np.float64)
+        X[3, 7] = bad
+        entry_points = {
+            "api.train": lambda: api.train(X, y, n_neurons=8, epochs=1, seed=0),
+            "SomClassifier.fit": lambda: SomClassifier(
+                BinarySom(8, X.shape[1], seed=0)
+            ).fit(X, y, epochs=1),
+            "BinarySom.fit": lambda: BinarySom(8, X.shape[1], seed=0).fit(X, 1),
+            "NodeLabeller.label": lambda: NodeLabeller().label(
+                BinarySom(8, X.shape[1], seed=0), X, y
+            ),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(DataError) as caught:
+                call()
+            assert type(caught.value) is DataError, name
+            assert str(caught.value) == (
+                "training data must contain only zeros and ones"
+            ), name
+
+    def test_a_set_of_the_wrong_width_fails_the_same_way_everywhere(self, cluster_data):
+        X, y = cluster_data
+        som = BinarySom(8, X.shape[1] + 1, seed=0)
+        for call in (
+            lambda: SomClassifier(som).fit(X, y, epochs=1),
+            lambda: som.fit(X, 1),
+            lambda: NodeLabeller().label(som, X, y),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
+
+    @pytest.mark.parametrize("rejection_percentile", [None, 95.0])
+    def test_train_scans_the_set_once(
+        self, cluster_data, monkeypatch, rejection_percentile
+    ):
+        X, y = cluster_data
+        scans = []
+        unique = np.unique
+
+        def counting_unique(values, *args, **kwargs):
+            if np.shape(values) == X.shape:
+                scans.append(values)
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        api.train(X, y, n_neurons=8, epochs=2, seed=0,
+                  rejection_percentile=rejection_percentile)
+        assert len(scans) == 1
+        scans.clear()
+        SomClassifier(BinarySom(8, X.shape[1], seed=0)).fit(
+            X, y, epochs=2, record_history=True
+        )
+        assert len(scans) == 1

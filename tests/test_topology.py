@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.topology import (
     ConstantNeighbourhoodSchedule,
@@ -134,3 +136,35 @@ class TestConstantSchedule:
     def test_negative_radius_rejected(self):
         with pytest.raises(ConfigurationError):
             ConstantNeighbourhoodSchedule(radius=-1)
+
+
+@st.composite
+def _topologies(draw):
+    kind = draw(st.sampled_from(["linear", "ring", "grid"]))
+    if kind == "grid":
+        return Grid2DTopology(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 30))
+    return LinearTopology(n) if kind == "linear" else RingTopology(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=_topologies())
+@example(topology=LinearTopology(1))
+@example(topology=RingTopology(1))
+@example(topology=Grid2DTopology(1, 1))
+def test_broadcast_distances_equal_the_per_pair_definition(topology):
+    """``distance_matrix`` and ``neighbourhood`` are computed in one
+    broadcast; both equal what ``grid_distance`` defines pair by pair, for
+    every winner, at small radii and at radii at and past the map's size."""
+    n = topology.n_neurons
+    pairs = [[topology.grid_distance(a, b) for b in range(n)] for a in range(n)]
+    matrix = topology.distance_matrix()
+    assert matrix.dtype == np.int64
+    assert matrix.tolist() == pairs
+    for winner in range(n):
+        for radius in (0, 1, 2, 3, 4, n - 1, n, n + 2):
+            members = topology.neighbourhood(winner, max(radius, 0))
+            assert members.dtype == np.int64
+            assert members.tolist() == [
+                j for j in range(n) if pairs[winner][j] <= max(radius, 0)
+            ]
