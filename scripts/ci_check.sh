@@ -2,8 +2,8 @@
 # CI gate for the repro library.
 #
 # Runs the tier-1 suite exactly as ROADMAP.md specifies (tests/ and
-# benchmarks/ are both collected from the repo root), the kernel and vision
-# parity smokes, the lifecycle, observability, resilience and rollout
+# benchmarks/ are both collected from the repo root), the kernel, training
+# and vision parity smokes, the lifecycle, observability, resilience and rollout
 # gates, a fast smoke of the streaming-service demo so the serve layer is
 # exercised end to end -- threads, shards, cache and telemetry included --
 # and short traced runs of the repository benchmark, on every change.
@@ -33,9 +33,11 @@ echo "=== tier-1: pytest (tests/ + benchmarks/) ==="
 python -m pytest -x -q "$@"
 
 echo
-echo "=== kernel parity smoke ==="
+echo "=== kernel and training parity smoke ==="
 # Bit-exact agreement of the packed distance kernel (native and lookup-table
-# popcount) with the naive oracle in tests/oracles/distance.py.  The
+# popcount) with the naive oracle in tests/oracles/distance.py, and of both
+# bSOM training passes with the int8 oracle in tests/oracles/bsom.py; fails
+# if cc is on PATH but the compiled training pass did not load.  The
 # kernel's speed is the benchmark's core.kernel_us_per_row (below).
 python scripts/check_backends.py
 

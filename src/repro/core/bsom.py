@@ -79,12 +79,22 @@ The rows a win updates, the order its draws are taken in and each row's
 probability come from one table per radius, built from the topology's
 distance matrix the first time a pass runs at that radius.  The ``int8``
 weights are written back once per pass.
+
+A whole pass runs as one call to a compiled step (``bsom_train.c``, built
+and cached by :mod:`repro.core.native` on the first pass) wherever that
+library builds and loads: the same winner search and flip-form rule on
+the same words, with each draw taken through the map's generator
+(``BitGenerator.ctypes.next_double``, under the generator's lock) in the
+order ``Generator.random(out=)`` takes it, so the map, its weights
+version and the random stream's position are the NumPy pass's bit for
+bit.  Where no library can be built or loaded, the NumPy pass above runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +105,7 @@ from repro.core.backends import (
     PreparedOperandCache,
     pack_bits_to_words,
 )
+from repro.core.native import training_pass
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
 from repro.core.topology import (
     LinearTopology,
@@ -111,6 +122,7 @@ from repro.core.tristate import (
 from repro.errors import ConfigurationError
 
 _VALID_WINNER_RULES = ("full", "commit")
+#: A rule's index here is its code in the compiled pass, for either role.
 _VALID_NEIGHBOUR_RULES = ("stochastic", "full", "commit")
 #: The full rule's selection: every bit of a packed word.
 _ALL_BITS = np.uint64(np.iinfo(np.uint64).max)
@@ -121,6 +133,30 @@ _GATHER_BITS = np.uint64(0x8040201008040201)
 _KERNEL = PackedBackend()
 #: Compared with the int8 weights: the 0 and the 1 bits, packed together.
 _ZERO_ONE = np.array([0, 1], dtype=np.int8)[:, np.newaxis, np.newaxis]
+
+
+class _Neighbourhood(NamedTuple):
+    """What a win at one radius updates, per winner.
+
+    ``per_winner[w]`` is ``(span, runs, probabilities, neighbour_words)``
+    for the NumPy pass.  ``span`` slices the rows from the neighbourhood's
+    first member to its last, which the step updates in place; ``runs``
+    slice the neighbour rows (the winner excluded) into ascending runs,
+    drawn in turn so the draws follow the neighbours in row order.  Over
+    the span, as ``(len(span), 1)`` columns: ``probabilities`` is
+    ``neighbour_strength ** d`` on neighbour rows and ``0`` elsewhere (a
+    draw there never selects), ``neighbour_words`` all ones on neighbour
+    rows and zero elsewhere (the full and commit rules).
+
+    The same neighbourhoods flattened for the compiled pass: winner
+    ``w``'s neighbours are ``rows[offsets[w]:offsets[w + 1]]``, ascending,
+    drawn with ``probabilities`` beside them.
+    """
+
+    per_winner: list[tuple]
+    offsets: np.ndarray
+    rows: np.ndarray
+    probabilities: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,7 +267,7 @@ class BinarySom(SelfOrganisingMap):
         # hardware equivalent is an LFSR separate from the one used for
         # weight initialisation).
         self._update_rng = as_generator(rng.integers(0, 2**63 - 1))
-        self._neighbourhood_tables: dict[int, list[tuple]] = {}
+        self._neighbourhood_tables: dict[int, _Neighbourhood] = {}
         self._operand_cache = PreparedOperandCache()
 
     # ------------------------------------------------------------------ #
@@ -305,20 +341,9 @@ class BinarySom(SelfOrganisingMap):
     def _current_radius(self, iteration: int, total_iterations: int) -> int:
         return self.schedule.radius(iteration, total_iterations)
 
-    def _neighbourhood_table(self, radius: int) -> list[tuple]:
-        """Per winner, what a win at ``radius`` updates, built once from the
-        topology's distance matrix: ``(span, runs, probabilities,
-        neighbour_words)``.
-
-        ``span`` slices the rows from the neighbourhood's first member to
-        its last, which the step updates in place; ``runs`` slice the
-        neighbour rows (the winner excluded) into ascending runs, drawn in
-        turn so the draws follow the neighbours in row order.  Over the
-        span, as ``(len(span), 1)`` columns: ``probabilities`` is
-        ``neighbour_strength ** d`` on neighbour rows and ``0`` elsewhere
-        (a draw there never selects), ``neighbour_words`` all ones on
-        neighbour rows and zero elsewhere (the full and commit rules).
-        """
+    def _neighbourhood_table(self, radius: int) -> _Neighbourhood:
+        """What a win at ``radius`` updates, per winner, built once from the
+        topology's distance matrix (:class:`_Neighbourhood`)."""
         table = self._neighbourhood_tables.get(radius)
         if table is not None:
             return table
@@ -326,11 +351,8 @@ class BinarySom(SelfOrganisingMap):
         distances = self.topology.distance_matrix()
         members = distances <= radius
         neighbours = members & ~np.eye(n, dtype=bool)
-        probabilities = np.where(
-            neighbours,
-            self.update_rule.neighbour_strength ** distances.astype(np.float64),
-            0.0,
-        )[:, :, np.newaxis]
+        strengths = self.update_rule.neighbour_strength ** distances.astype(np.float64)
+        probabilities = np.where(neighbours, strengths, 0.0)[:, :, np.newaxis]
         neighbour_words = np.where(neighbours, _ALL_BITS, np.uint64(0))[
             :, :, np.newaxis
         ]
@@ -351,31 +373,87 @@ class BinarySom(SelfOrganisingMap):
             (np.nonzero(stops)[1] + 1).tolist(),
         )
         run_counts = starts.sum(axis=1).tolist()
-        table = [
-            (
-                span,
-                tuple(islice(runs, count)),
-                probabilities[winner, span],
-                neighbour_words[winner, span],
-            )
-            for winner, (span, count) in enumerate(zip(spans, run_counts))
-        ]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(neighbours.sum(axis=1), out=offsets[1:])
+        table = _Neighbourhood(
+            [
+                (
+                    span,
+                    tuple(islice(runs, count)),
+                    probabilities[winner, span],
+                    neighbour_words[winner, span],
+                )
+                for winner, (span, count) in enumerate(zip(spans, run_counts))
+            ],
+            offsets,
+            np.nonzero(neighbours)[1].astype(np.int64),
+            strengths[neighbours],
+        )
         self._neighbourhood_tables[radius] = table
         return table
 
     def _train_pass(
         self, X: np.ndarray, order: np.ndarray, iteration: int, total_iterations: int
     ) -> np.ndarray:
-        """Present ``X[order]`` on packed care/value planes (module docstring)."""
+        """Present ``X[order]`` on packed care/value planes (module docstring):
+        in one call to the compiled pass where it loads, else in NumPy."""
         radius = self.schedule.radius(iteration, total_iterations)
         table = self._neighbourhood_table(radius)
-        winner_full = self.update_rule.winner_rule == "full"
-        neighbour_rule = self.update_rule.neighbour_rule
-        stochastic = neighbour_rule == "stochastic"
         # planes[0] is the care plane, planes[1] the value plane.
         planes = pack_bits_to_words(self._weights == _ZERO_ONE)
         care, value = planes
         np.bitwise_or(care, value, out=care)
+        patterns = pack_bits_to_words(X[order])
+        native_pass = training_pass()
+        if native_pass is None:
+            winners = self._numpy_pass(care, value, patterns, table.per_winner)
+        else:
+            winners = np.empty(len(order), dtype=np.int64)
+            bit_generator = self._update_rng.bit_generator
+            generator = bit_generator.ctypes
+            with bit_generator.lock:
+                native_pass(
+                    care.ctypes.data,
+                    value.ctypes.data,
+                    patterns.ctypes.data,
+                    len(patterns),
+                    self.n_neurons,
+                    patterns.shape[1],
+                    self.n_bits,
+                    table.offsets.ctypes.data,
+                    table.rows.ctypes.data,
+                    table.probabilities.ctypes.data,
+                    _VALID_NEIGHBOUR_RULES.index(self.update_rule.winner_rule),
+                    _VALID_NEIGHBOUR_RULES.index(self.update_rule.neighbour_rule),
+                    generator.next_double,
+                    generator.state,
+                    winners.ctypes.data,
+                )
+        # Back to int8 in place as value + DONT_CARE * (1 - care): a committed
+        # bit is its value, a '#' bit (value 0) is DONT_CARE.
+        committed, values = np.unpackbits(
+            planes.view(np.uint8), axis=-1, count=self.n_bits
+        )
+        np.subtract(
+            values + DONT_CARE,
+            committed * DONT_CARE,
+            out=self._weights,
+            casting="unsafe",
+        )
+        self._note_weights_changed(len(order))
+        return winners
+
+    def _numpy_pass(
+        self,
+        care: np.ndarray,
+        value: np.ndarray,
+        patterns: np.ndarray,
+        table: list[tuple],
+    ) -> np.ndarray:
+        """The pass in NumPy, one in-place word step per packed pattern."""
+        winner_full = self.update_rule.winner_rule == "full"
+        neighbour_rule = self.update_rule.neighbour_rule
+        stochastic = neighbour_rule == "stochastic"
         # The step's scratch: the pattern copied to every row (operands of
         # one shape take NumPy's fast path), the winner search's mismatch
         # words and counts, and the select plane the rule reads.
@@ -400,8 +478,8 @@ class BinarySom(SelfOrganisingMap):
             select_bytes = select.view(np.uint8)
             draw = self._update_rng.random
         popcount = _KERNEL.popcount
-        winners = np.empty(len(order), dtype=np.int64)
-        for step, x in enumerate(pack_bits_to_words(X[order])):
+        winners = np.empty(len(patterns), dtype=np.int64)
+        for step, x in enumerate(patterns):
             x_rows[...] = x
             np.bitwise_xor(value, x_rows, out=mismatch)
             np.bitwise_and(mismatch, care, out=mismatch)
@@ -433,18 +511,6 @@ class BinarySom(SelfOrganisingMap):
                 mismatch=mismatch[span],
                 out=(care[span], value[span]),
             )
-        # Back to int8 in place as value + DONT_CARE * (1 - care): a committed
-        # bit is its value, a '#' bit (value 0) is DONT_CARE.
-        committed, values = np.unpackbits(
-            planes.view(np.uint8), axis=-1, count=self.n_bits
-        )
-        np.subtract(
-            values + DONT_CARE,
-            committed * DONT_CARE,
-            out=self._weights,
-            casting="unsafe",
-        )
-        self._note_weights_changed(len(order))
         return winners
 
     # ------------------------------------------------------------------ #

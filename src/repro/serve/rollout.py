@@ -250,7 +250,10 @@ class ShadowEvaluator:
     on them.  The request path only ever pays a non-blocking ``put``; when
     the queue is full the batch is dropped and counted, never waited for.
     After every scored batch ``on_scored`` (the manager's policy hook) is
-    invoked with fresh stats.
+    invoked with fresh stats.  Each item carries the scorecard's epoch
+    when it was mirrored; :meth:`reset_stats` starts a new epoch, and the
+    worker drops items of an older one unscored, so a reset scorecard
+    counts only traffic mirrored after it.
     """
 
     def __init__(
@@ -274,6 +277,7 @@ class ShadowEvaluator:
         self._shadow_seconds = 0.0
         self._primary_latency_seconds = 0.0
         self._dropped = 0
+        self._epoch = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name=f"shadow-{name}", daemon=True
@@ -304,8 +308,10 @@ class ShadowEvaluator:
         """
         if self._stop.is_set():
             return False
+        with self._lock:
+            epoch = self._epoch
         try:
-            self._queue.put_nowait((packed_rows, labels, rejected, latency_s))
+            self._queue.put_nowait((epoch, packed_rows, labels, rejected, latency_s))
             return True
         except queue.Full:
             with self._lock:
@@ -326,8 +332,10 @@ class ShadowEvaluator:
             )
 
     def reset_stats(self) -> None:
-        """Zero the scorecard (entering the canary phase starts fresh)."""
+        """Zero the scorecard and drop what is still queued unscored
+        (entering the canary phase starts fresh)."""
         with self._lock:
+            self._epoch += 1
             self._samples = 0
             self._agreements = 0
             self._disagreements = 0
@@ -347,7 +355,10 @@ class ShadowEvaluator:
             item = self._queue.get()
             if item is None or self._stop.is_set():
                 return
-            packed_rows, labels, rejected, latency_s = item
+            epoch, packed_rows, labels, rejected, latency_s = item
+            with self._lock:
+                if epoch != self._epoch:
+                    continue
             try:
                 self._score(packed_rows, labels, rejected, latency_s)
             except Exception:

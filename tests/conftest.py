@@ -19,7 +19,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.core import BinarySom, KohonenSom, SomClassifier
+from repro.core import native
 from repro.datasets import make_signature_clusters, make_surveillance_dataset
+
+
+@pytest.fixture(params=["native", "numpy"])
+def training_pass(request, monkeypatch):
+    """Run a training test on the compiled pass, then on the NumPy pass
+    (forced by clearing the compiled pass's handle); the pass's name."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_training_pass", None)
+    elif native.training_pass() is None:
+        pytest.skip("the compiled training pass cannot be built on this host")
+    return request.param
 
 
 @pytest.fixture(scope="session")

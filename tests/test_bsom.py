@@ -4,11 +4,12 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import bsom as oracle
 from repro.core import bsom as bsom_module
+from repro.core import native
 from repro.core.backends import PackedBackend
 from repro.core.bsom import BinarySom, BsomUpdateRule
 from repro.core.topology import (
@@ -234,11 +235,41 @@ def _fit_winners(som, X, epochs, shuffle, seed):
 def _assert_same_map(som, reference):
     assert np.array_equal(som.weights.values, reference.weights.values)
     assert som.weights_version == reference.weights_version
+    assert som._update_rng.bit_generator.state == reference._update_rng.bit_generator.state
 
 
-@settings(max_examples=50, deadline=None)
+def _assert_trains_as_oracle(som, X, *, epochs, shuffle, order_seed, total, block_start,
+                             block_iteration):
+    """``fit``, one-row ``partial_fit`` and a ``partial_fit`` block on ``som``
+    equal the per-step int8 oracle run on a copy."""
+    reference = copy.deepcopy(som)
+    winners = _fit_winners(som, X, epochs, shuffle, order_seed)
+    expected = oracle.fit(reference, X, epochs, shuffle=shuffle, seed=order_seed)
+    assert np.array_equal(winners, expected)
+    _assert_same_map(som, reference)
+
+    for step, x in enumerate(X[:8]):
+        iteration = step % total
+        assert som.partial_fit(x, iteration, total) == oracle.train_one(
+            reference, x, iteration, total
+        )
+    _assert_same_map(som, reference)
+
+    # A block is one pass: the oracle's per-row steps, in order.
+    block = X[block_start:]
+    winners = som.partial_fit(block, block_iteration, total)
+    expected = [oracle.train_one(reference, x, block_iteration, total) for x in block]
+    assert np.array_equal(winners, expected)
+    _assert_same_map(som, reference)
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(st.data())
-def test_plane_training_matches_int8_oracle(data):
+def test_plane_training_matches_int8_oracle(training_pass, data):
     """``fit`` and ``partial_fit`` (one row or a block) on packed planes equal
     the per-step int8 oracle in weights, weights version, winners and
     random-stream position."""
@@ -249,11 +280,15 @@ def test_plane_training_matches_int8_oracle(data):
     else:
         n = data.draw(st.integers(1, 12))
         topology = LinearTopology(n) if kind == "linear" else RingTopology(n)
-    n_bits = data.draw(st.one_of(st.integers(1, 200), st.sampled_from([64, 128, 192])))
+    n_bits = data.draw(
+        st.one_of(st.integers(1, 200), st.sampled_from([64, 100, 128, 130, 192, 768]))
+    )
     rule = BsomUpdateRule(
         winner_rule=data.draw(st.sampled_from(["full", "commit"])),
         neighbour_rule=data.draw(st.sampled_from(["stochastic", "full", "commit"])),
-        neighbour_strength=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+        neighbour_strength=data.draw(
+            st.one_of(st.just(0.3), st.floats(0.0, 1.0, exclude_min=True))
+        ),
     )
     max_radius = data.draw(st.integers(0, 4))
     som = BinarySom(
@@ -265,34 +300,51 @@ def test_plane_training_matches_int8_oracle(data):
         dont_care_probability=data.draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
         seed=data.draw(st.integers(0, 2**32 - 1)),
     )
-    reference = copy.deepcopy(som)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, 2, size=(data.draw(st.integers(1, 20)), n_bits), dtype=np.int8)
-    epochs = data.draw(st.integers(1, 4))
-    shuffle = data.draw(st.booleans())
-    order_seed = data.draw(st.integers(0, 2**32 - 1))
-
-    winners = _fit_winners(som, X, epochs, shuffle, order_seed)
-    expected = oracle.fit(reference, X, epochs, shuffle=shuffle, seed=order_seed)
-    assert np.array_equal(winners, expected)
-    _assert_same_map(som, reference)
-
     total = data.draw(st.integers(1, 4))
-    for step, x in enumerate(X[:8]):
-        iteration = step % total
-        assert som.partial_fit(x, iteration, total) == oracle.train_one(
-            reference, x, iteration, total
-        )
-    _assert_same_map(som, reference)
+    _assert_trains_as_oracle(
+        som,
+        X,
+        epochs=data.draw(st.integers(1, 4)),
+        shuffle=data.draw(st.booleans()),
+        order_seed=data.draw(st.integers(0, 2**32 - 1)),
+        total=total,
+        block_start=data.draw(st.integers(0, len(X) - 1)),
+        block_iteration=data.draw(st.integers(0, total - 1)),
+    )
 
-    # A block is one pass: the oracle's per-row steps, in order.
-    block = X[data.draw(st.integers(0, len(X) - 1)) :]
-    iteration = data.draw(st.integers(0, total - 1))
-    winners = som.partial_fit(block, iteration, total)
-    expected = [oracle.train_one(reference, x, iteration, total) for x in block]
-    assert np.array_equal(winners, expected)
-    _assert_same_map(som, reference)
-    assert som._update_rng.random() == reference._update_rng.random()
+
+_MATRIX_TOPOLOGIES = {
+    "linear": lambda: LinearTopology(12),
+    "ring": lambda: RingTopology(12),
+    "grid": lambda: Grid2DTopology(3, 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MATRIX_TOPOLOGIES))
+@pytest.mark.parametrize("n_bits", [768, 64, 100, 130])
+def test_plane_training_matrix_matches_int8_oracle(training_pass, n_bits, kind):
+    """The oracle property on a fixed matrix: each width and topology under
+    every rule pair, at ``neighbour_strength=0.3`` with ``#`` bits in the
+    initial weights."""
+    rng = np.random.default_rng(n_bits)
+    X = rng.integers(0, 2, size=(15, n_bits), dtype=np.int8)
+    for seed, (winner_rule, neighbour_rule) in enumerate(
+        (w, n) for w in ("full", "commit") for n in ("stochastic", "full", "commit")
+    ):
+        som = BinarySom(
+            12,
+            n_bits,
+            topology=_MATRIX_TOPOLOGIES[kind](),
+            update_rule=BsomUpdateRule(winner_rule, neighbour_rule, neighbour_strength=0.3),
+            dont_care_probability=0.2,
+            seed=seed,
+        )
+        _assert_trains_as_oracle(
+            som, X, epochs=3, shuffle=True, order_seed=seed, total=4, block_start=5,
+            block_iteration=1,
+        )
 
 
 def _train_blocks(som, blocks):
@@ -301,14 +353,15 @@ def _train_blocks(som, blocks):
         som.partial_fit(block, iteration, total)
 
 
-def test_training_on_the_lookup_table_popcount_matches_native(monkeypatch):
-    """The winner search counts through the kernel's popcount: forced onto
-    the 16-bit lookup table, training builds the same map."""
+def test_training_on_the_lookup_table_popcount_matches_native(training_pass, monkeypatch):
+    """The NumPy pass's winner search counts through the kernel's popcount
+    (the compiled pass counts in C): forced onto the 16-bit lookup table,
+    training builds the same map and the same history."""
     rng = np.random.default_rng(4)
     X = rng.integers(0, 2, size=(60, 200), dtype=np.int8)
-    native = BinarySom(12, 200, dont_care_probability=0.3, seed=8)
-    table = copy.deepcopy(native)
-    native.fit(X, 4, seed=2)
+    reference = BinarySom(12, 200, dont_care_probability=0.3, seed=8)
+    table = copy.deepcopy(reference)
+    reference.fit(X, 4, seed=2)
     kernel = PackedBackend(use_native_popcount=False)
     counted = []
     lookup = kernel.popcount
@@ -322,13 +375,14 @@ def test_training_on_the_lookup_table_popcount_matches_native(monkeypatch):
     table.fit(X, 4, seed=2)
     # One winner search per presentation (the history's distance queries
     # count too: one per epoch).
-    assert counted.count((12, 4)) == 4 * len(X)
-    _assert_same_map(table, native)
-    assert table._update_rng.random() == native._update_rng.random()
-    assert table.history.quantisation_errors == native.history.quantisation_errors
+    searches = 4 * len(X) if training_pass == "numpy" else 0
+    assert counted.count((12, 4)) == searches
+    assert len(counted) == searches + 4
+    _assert_same_map(table, reference)
+    assert table.history.quantisation_errors == reference.history.quantisation_errors
 
 
-def test_interleaved_and_copied_maps_train_as_alone():
+def test_interleaved_and_copied_maps_train_as_alone(training_pass):
     """Two maps trained in turn, and a copy taken between ``partial_fit``
     blocks and trained on, each end as the same map trained alone: no
     scratch or table is shared between maps, copies or passes."""
@@ -365,5 +419,24 @@ def test_interleaved_and_copied_maps_train_as_alone():
     for clone, done in copies:
         _train_blocks(clone, first_blocks[done + 1 :])
         _assert_same_map(clone, first_alone)
-        position = copy.deepcopy(first_alone._update_rng)
-        assert clone._update_rng.random() == position.random()
+
+
+@pytest.mark.parametrize("fault", ["no compiler on PATH", "cache under a file"])
+def test_a_failed_build_trains_on_the_numpy_pass(fault, tmp_path, monkeypatch):
+    """Where the compiled pass cannot be built, the first fit falls back to
+    the NumPy pass without raising and trains the oracle's map."""
+    if fault == "no compiler on PATH":
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    else:
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    monkeypatch.setattr(native, "_training_pass", native._NOT_LOADED)
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 2, size=(30, 100), dtype=np.int8)
+    som = BinarySom(10, 100, dont_care_probability=0.1, seed=4)
+    reference = copy.deepcopy(som)
+    som.fit(X, 3, seed=5)
+    assert native._training_pass is None
+    oracle.fit(reference, X, 3, seed=5)
+    _assert_same_map(som, reference)

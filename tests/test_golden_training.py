@@ -1,4 +1,5 @@
-"""Training is pinned bit for bit: trained maps equal ``tests/golden/training.json``.
+"""Training is pinned bit for bit: trained maps equal ``tests/golden/training.json``,
+on the compiled training pass and on the NumPy pass.
 
 The golden file is written by ``scripts/pin_reproduction.py``; a change
 meant to alter a trained map regenerates it and says so in CHANGES.md.
@@ -20,7 +21,7 @@ sys.modules[_spec.name] = pin_reproduction
 _spec.loader.exec_module(pin_reproduction)
 
 
-def test_trained_maps_match_golden():
+def test_trained_maps_match_golden(training_pass):
     golden = json.loads(pin_reproduction.GOLDEN_PATH.read_text())
     dataset = pin_reproduction.make_surveillance_dataset(
         scale=pin_reproduction.DATASET_SCALE, seed=pin_reproduction.DATASET_SEED

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import BinarySom, ModelSnapshot, SomClassifier
+from repro.core.backends import pack_bits_to_words
 from repro.core.snapshot import SnapshotLabelling
 from repro.errors import (
     CircuitOpenError,
@@ -44,6 +45,7 @@ from repro.serve import (
     RolloutManager,
     RolloutPolicy,
     ServiceConfig,
+    ShadowEvaluator,
     ShadowStats,
     StreamingInferenceService,
 )
@@ -210,6 +212,34 @@ class TestRolloutPolicy:
             RolloutConfig(canary_fraction=0.9)
         with pytest.raises(ConfigurationError):
             RolloutConfig(ring_size=0)
+
+    def test_a_canary_entered_with_a_shadow_backlog_needs_its_own_samples(
+        self, trained_bsom_classifier, cluster_data
+    ):
+        """Shadow batches still queued when the scorecard is reset (what
+        entering the canary does) are dropped unscored: the canary still
+        needs ``min_samples`` rows mirrored after it began."""
+        X, _ = cluster_data
+        classifier = trained_bsom_classifier
+        words = pack_bits_to_words(X[:8])
+        primary = classifier.predict_batch_packed(words)
+        policy = RolloutPolicy(min_samples=64, promote_agreement=0.9)
+        evaluator = ShadowEvaluator("hall", classifier, capacity=32, on_scored=None)
+
+        def mirror_and_score(batches):
+            for _ in range(batches):
+                assert evaluator.mirror(words, primary.labels, primary.rejected, 0.0)
+            evaluator._queue.put(None)  # the worker loop, run here, stops on it
+            evaluator._run()
+            return evaluator.stats()
+
+        for _ in range(8):  # a full verdict's worth of shadow-stage rows
+            assert evaluator.mirror(words, primary.labels, primary.rejected, 0.0)
+        evaluator.reset_stats()
+        stats = mirror_and_score(7)
+        assert stats.samples == 56 and policy.decide(stats) == "hold"
+        stats = mirror_and_score(1)
+        assert stats.samples == 64 and policy.decide(stats) == "promote"
 
 
 # --------------------------------------------------------------------- #
