@@ -30,7 +30,7 @@ BENCH_REPETITIONS = 3
 BENCH_NEURONS = 40
 
 #: Explicit seeds: dataset construction, map weight initialisation, training
-#: presentation order, and the serving-layer load generator, respectively.
+#: presentation order, and the serving benchmark's camera frames, respectively.
 BENCH_DATASET_SEED = 2010
 BENCH_SOM_SEED = 0
 BENCH_TRAIN_SEED = 1

@@ -13,15 +13,13 @@ against ``predict_one`` row by row.
 
 from __future__ import annotations
 
+import threading
+
+import numpy as np
 import pytest
 
 from repro.core import BinarySom, SomClassifier
-from repro.serve import (
-    ServiceConfig,
-    SimulatedCameraStream,
-    StreamingInferenceService,
-    drive_streams,
-)
+from repro.serve import ServiceConfig, StreamingInferenceService
 
 # Shared constants live beside conftest.py, which puts this directory on
 # sys.path before collection so the import works under any pytest import
@@ -37,6 +35,45 @@ from bench_constants import (
 SERVE_STREAMS = 4
 SERVE_FRAMES_PER_STREAM = 250
 SERVE_REPEAT_PROBABILITY = 0.5
+
+
+def camera_frames(pool_size, seed):
+    """One camera's frames as pool indices: each repeats the one before
+    with ``SERVE_REPEAT_PROBABILITY``, as consecutive frames of a standing
+    silhouette binarise to the same signature."""
+    rng = np.random.default_rng(seed)
+    frames = [int(rng.integers(0, pool_size))]
+    for _ in range(SERVE_FRAMES_PER_STREAM - 1):
+        repeat = rng.random() < SERVE_REPEAT_PROBABILITY
+        frames.append(frames[-1] if repeat else int(rng.integers(0, pool_size)))
+    return frames
+
+
+def serve_cameras(service, signatures, frames):
+    """Each camera submits its frames from its own thread, then waits for
+    them; returns every camera's responses."""
+    answers = [[] for _ in frames]
+    failures = []
+
+    def camera(index):
+        try:
+            futures = [
+                service.submit(signatures[row], model="bsom", stream_id=f"cam-{index}")
+                for row in frames[index]
+            ]
+            answers[index] = [future.result(30.0) for future in futures]
+        except Exception as error:
+            failures.append(error)
+
+    threads = [threading.Thread(target=camera, args=(i,)) for i in range(len(frames))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60.0)
+    assert not any(thread.is_alive() for thread in threads)
+    if failures:
+        raise failures[0]
+    return answers
 
 
 @pytest.fixture(scope="module")
@@ -65,19 +102,11 @@ def test_service_throughput_and_cache_hit_rate(
     on a pinned CPU with noise bounds.
     """
     total_frames = SERVE_STREAMS * SERVE_FRAMES_PER_STREAM
-
-    def make_streams():
-        return [
-            SimulatedCameraStream(
-                f"cam-{index}",
-                bench_dataset.test_signatures,
-                bench_dataset.test_labels,
-                n_frames=SERVE_FRAMES_PER_STREAM,
-                repeat_probability=SERVE_REPEAT_PROBABILITY,
-                seed=BENCH_STREAM_SEED + index,
-            )
-            for index in range(SERVE_STREAMS)
-        ]
+    signatures = bench_dataset.test_signatures
+    frames = [
+        camera_frames(signatures.shape[0], BENCH_STREAM_SEED + index)
+        for index in range(SERVE_STREAMS)
+    ]
 
     def serve_two_rounds():
         service = StreamingInferenceService(
@@ -86,16 +115,16 @@ def test_service_throughput_and_cache_hit_rate(
         service.register_model("bsom", serve_classifier)
         with service:
             # Cold round: mostly SOM work through the micro-batches.
-            cold = drive_streams(service, make_streams(), model="bsom")
+            cold = serve_cameras(service, signatures, frames)
             # Warm round: the pool is now cached, exercising the cache path.
-            warm = drive_streams(service, make_streams(), model="bsom")
+            warm = serve_cameras(service, signatures, frames)
         return cold, warm, service.metrics_snapshot()
 
     cold, warm, snapshot = benchmark.pedantic(serve_two_rounds, rounds=1, iterations=1)
-    assert sum(len(report.responses) for report in cold) == total_frames
-    assert sum(len(report.responses) for report in warm) == total_frames
+    assert sum(len(responses) for responses in cold) == total_frames
+    assert sum(len(responses) for responses in warm) == total_frames
     # The warm round replays cached pool signatures: repeats skip the SOM.
-    warm_hits = sum(report.cache_hits for report in warm)
+    warm_hits = sum(response.cached for responses in warm for response in responses)
     assert warm_hits / total_frames > 0.9
     assert snapshot.cache_hit_rate > 0.2
     assert snapshot.batches_total > 0

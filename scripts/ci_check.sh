@@ -4,9 +4,10 @@
 # Runs the tier-1 suite exactly as ROADMAP.md specifies (tests/ and
 # benchmarks/ are both collected from the repo root), the kernel, training
 # and vision parity smokes, the lifecycle, observability, resilience and rollout
-# gates, a fast smoke of the streaming-service demo so the serve layer is
-# exercised end to end -- threads, shards, cache and telemetry included --
-# and short traced runs of the repository benchmark, on every change.
+# gates, fast smokes of the streaming-service demo so the serve layer is
+# exercised end to end -- threads, shards, cache, telemetry, a worker's
+# death and a guarded rollout included -- and short traced runs of the
+# repository benchmark, on every change.
 # Nothing here is judged against a recorded wall-clock baseline: the
 # repository benchmark (perfbench/, paired by scripts/bench_pairs.py) times
 # the program.
@@ -92,6 +93,13 @@ python scripts/check_rollout.py --seed 11
 echo
 echo "=== smoke: streaming service demo (4 cameras, 40 frames each) ==="
 python examples/streaming_service.py --streams 4 --frames 40
+
+echo
+echo "=== smoke: streaming service demo under a shard death, then a rollout ==="
+# The same camera drive with a worker killed mid-wave (only the abandoned
+# micro-batch may fail) and the shadow -> canary -> promote, demote and
+# rollback cycle in place of the plain swap.
+python examples/streaming_service.py --streams 4 --frames 40 --inject-faults --canary
 
 echo
 echo "=== benchmark hooks: perfbench self-test + 4-second traced runs ==="

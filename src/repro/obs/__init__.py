@@ -46,7 +46,6 @@ from repro.obs.export import (
     parse_prometheus,
     read_jsonl,
     render_prometheus,
-    windowed_deltas,
     write_prometheus,
 )
 from repro.obs.metrics import (
@@ -131,6 +130,5 @@ __all__ = [
     "read_jsonl",
     "render_prometheus",
     "parse_prometheus",
-    "windowed_deltas",
     "write_prometheus",
 ]

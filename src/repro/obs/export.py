@@ -3,8 +3,7 @@
 Two render targets over one :class:`~repro.obs.metrics.MetricRegistry`:
 
 * :class:`JsonlExporter` appends self-contained JSON records (metrics +
-  incremental events) to a file -- the format :mod:`repro.loadgen`
-  aggregates per phase, and what the examples write behind their
+  incremental events) to a file -- what the examples write behind their
   ``--metrics-out`` flags, and
 * :func:`render_prometheus` emits the Prometheus text exposition format
   (``# TYPE`` headers, cumulative ``_bucket{le=...}`` histogram series,
@@ -23,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional, TextIO, Union
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import DataError
 from repro.obs.events import EventLog
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 
@@ -99,7 +98,6 @@ class JsonlExporter:
         registry: MetricRegistry,
         *,
         events: Optional[EventLog] = None,
-        extra: Optional[dict[str, Any]] = None,
     ) -> dict[str, Any]:
         """Write one snapshot line; returns the record that was written."""
         record: dict[str, Any] = {
@@ -113,8 +111,6 @@ class JsonlExporter:
                 self._last_event_seq = fresh[-1].seq
             elif self._last_event_seq is None:
                 self._last_event_seq = events.last_seq
-        if extra:
-            record.update(extra)
         with self.path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         return record
@@ -136,125 +132,6 @@ def read_jsonl(path: PathLike) -> list[dict[str, Any]]:
             )
         records.append(record)
     return records
-
-
-# --------------------------------------------------------------------- #
-# Windowed deltas over consecutive snapshots
-# --------------------------------------------------------------------- #
-def _window_quantile(buckets: dict[str, float], q: float) -> float:
-    """Quantile over a *window's* cumulative bucket deltas.
-
-    Mirrors :meth:`~repro.obs.metrics.Histogram.quantile` exactly --
-    linear interpolation inside the target bucket, the overflow bucket
-    reporting its finite lower edge, 0.0 for an empty window -- so a
-    windowed p99 is comparable with the registry's own lifetime p99.
-    """
-    finite = sorted(
-        (float(le), float(count))
-        for le, count in buckets.items()
-        if le != "+Inf"
-    )
-    if not finite:
-        return 0.0
-    bounds = [edge for edge, _ in finite]
-    cumulative = [count for _, count in finite]
-    total = float(buckets.get("+Inf", cumulative[-1]))
-    if total <= 0:
-        return 0.0
-    target = q * total
-    previous = 0.0
-    for index, edge in enumerate(bounds):
-        bucket_count = cumulative[index] - previous
-        if bucket_count > 0:
-            lower = bounds[index - 1] if index > 0 else 0.0
-            if cumulative[index] >= target:
-                fraction = (target - previous) / bucket_count
-                return lower + (edge - lower) * min(1.0, max(0.0, fraction))
-        previous = cumulative[index]
-    return bounds[-1]  # target rank landed in the overflow bucket
-
-
-def windowed_deltas(
-    snapshots: "list[dict[str, Any]]",
-) -> list[dict[str, Any]]:
-    """Diff consecutive metric snapshots into per-window deltas.
-
-    Input is a sequence of at least two snapshot records -- either full
-    JSONL records (as written by :class:`JsonlExporter` / read back by
-    :func:`read_jsonl`, with the metrics under a ``"metrics"`` key) or
-    bare :func:`metrics_record` dicts.  Returns ``len(snapshots) - 1``
-    dicts, one per consecutive window, keyed like the input:
-
-    * cumulative series (names ending ``_total`` or ``_sum``, the
-      vocabulary's counter grammar) become the difference ``b - a``
-      (a series absent from the earlier snapshot counts from zero);
-    * other plain numbers are gauges and carry the window-end value;
-    * histograms become ``{"buckets": <per-le delta>, "count": ...,
-      "sum": ..., "p50": ..., "p99": ..., "p999": ...}`` where the
-      quantiles are computed from the *delta* buckets -- i.e. the
-      latency distribution of just that window, which is what per-phase
-      load reports need and lifetime quantiles cannot provide.
-    """
-    metric_maps: list[dict[str, Any]] = []
-    for snapshot in snapshots:
-        if not isinstance(snapshot, dict):
-            raise DataError(
-                f"snapshots must be dicts, got {type(snapshot).__name__}"
-            )
-        metrics = snapshot.get("metrics", snapshot)
-        if not isinstance(metrics, dict):
-            raise DataError("snapshot 'metrics' entry must be a dict")
-        metric_maps.append(metrics)
-    if len(metric_maps) < 2:
-        raise DataError(
-            f"windowed_deltas needs at least two snapshots, got {len(metric_maps)}"
-        )
-    windows: list[dict[str, Any]] = []
-    for before, after in zip(metric_maps, metric_maps[1:]):
-        delta: dict[str, Any] = {}
-        for key, end_value in after.items():
-            start_value = before.get(key)
-            if isinstance(end_value, dict) and "buckets" in end_value:
-                start_buckets = (
-                    start_value.get("buckets", {})
-                    if isinstance(start_value, dict)
-                    else {}
-                )
-                buckets = {
-                    le: count - start_buckets.get(le, 0)
-                    for le, count in end_value["buckets"].items()
-                }
-                start_count = (
-                    start_value.get("count", 0)
-                    if isinstance(start_value, dict)
-                    else 0
-                )
-                start_sum = (
-                    start_value.get("sum", 0.0)
-                    if isinstance(start_value, dict)
-                    else 0.0
-                )
-                delta[key] = {
-                    "buckets": buckets,
-                    "count": end_value.get("count", 0) - start_count,
-                    "sum": end_value.get("sum", 0.0) - start_sum,
-                    "p50": _window_quantile(buckets, 0.50),
-                    "p99": _window_quantile(buckets, 0.99),
-                    "p999": _window_quantile(buckets, 0.999),
-                }
-            elif isinstance(end_value, (int, float)):
-                name = key.split("{", 1)[0]
-                if name.endswith(("_total", "_sum")):
-                    base = (
-                        start_value
-                        if isinstance(start_value, (int, float))
-                        else 0
-                    )
-                    delta[key] = end_value - base
-                else:
-                    delta[key] = end_value  # gauge: carry the latest level
-        windows.append(delta)
-    return windows
 
 
 # --------------------------------------------------------------------- #

@@ -35,9 +35,12 @@ moving parts, front to back:
   live traffic (:class:`ShadowEvaluator`), optionally take a seeded canary
   split (:meth:`ModelRegistry.set_route`), and are promoted or demoted by
   a :class:`RolloutPolicy`, with a bounded rollback ring of replaced
-  versions (``scripts/check_rollout.py`` is the gate), and
-* :mod:`repro.serve.streams` -- simulated camera streams for load tests,
-  demos and benchmarks.
+  versions (``scripts/check_rollout.py`` is the gate).
+
+The package ships no load generator: the repository benchmark
+(``perfbench/``) drives and times load, and the stateful property test
+``ServeMachine`` (``tests/test_settle.py``) checks the serve invariants
+over seeded sequences of submits, swaps, evictions, rollouts and faults.
 
 Quick start (see :mod:`repro.api` for the full lifecycle facade)
 ----------------------------------------------------------------
@@ -98,7 +101,6 @@ from repro.serve.rollout import (
 )
 from repro.serve.service import ServiceConfig, StreamingInferenceService
 from repro.serve.shard import ReadyQueue, ShardGroup, WorkerShard
-from repro.serve.streams import SimulatedCameraStream, StreamReport, drive_streams
 
 __all__ = [
     "MicroBatch",
@@ -148,7 +150,4 @@ __all__ = [
     "ReadyQueue",
     "ShardGroup",
     "WorkerShard",
-    "SimulatedCameraStream",
-    "StreamReport",
-    "drive_streams",
 ]

@@ -344,12 +344,6 @@ class ShadowEvaluator:
             self._shadow_seconds = 0.0
             self._primary_latency_seconds = 0.0
 
-    def drain(self, timeout_s: float = 5.0) -> None:
-        """Block until every mirrored batch queued so far is scored."""
-        deadline = time.monotonic() + timeout_s
-        while not self._queue.empty() and time.monotonic() < deadline:
-            time.sleep(0.002)
-
     def _run(self) -> None:
         while True:
             item = self._queue.get()

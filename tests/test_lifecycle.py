@@ -205,28 +205,38 @@ class TestServiceSwapUnderLoad:
             assert not refreshed.cached
             assert refreshed.neuron == new.predict_batch(X[:1]).neurons[0]
 
-    def test_concurrent_submitters_across_swap_see_no_failures(self, cluster_data):
+    # 4096 slots never refuse; 16 make the submitters race the pending
+    # budget across the swap, retrying each refusal.
+    @pytest.mark.parametrize("max_pending", [4096, 16])
+    def test_concurrent_submitters_across_swap_see_no_failures(
+        self, cluster_data, max_pending
+    ):
         X, y = cluster_data
         old = _fit(X, y, seed=1)
         new = _fit(X, y, seed=9, n_neurons=24, epochs=10)
         service = StreamingInferenceService(
             config=ServiceConfig(
-                batch_size=8, max_delay_ms=1.0, cache_capacity=0, max_pending=4096
+                batch_size=8, max_delay_ms=1.0, cache_capacity=0, max_pending=max_pending
             )
         )
         service.register_model("m", old)
         failures: list[BaseException] = []
         answered = []
+        refused = [0] * 4
+
+        def submit(worker, row):
+            for _ in range(20_000):
+                try:
+                    return service.submit(row, model="m", stream_id=f"cam-{worker}")
+                except ServiceOverloadedError:
+                    refused[worker] += 1
+                    time.sleep(0.0005)
+            raise AssertionError(f"cam-{worker}: one row refused 20,000 times")
 
         def run(worker):
             rng = np.random.default_rng(worker)
             try:
-                futures = [
-                    service.submit(
-                        X[int(rng.integers(0, 30))], model="m", stream_id=f"cam-{worker}"
-                    )
-                    for _ in range(60)
-                ]
+                futures = [submit(worker, X[int(rng.integers(0, 30))]) for _ in range(60)]
                 answered.extend(future.result(30.0) for future in futures)
             except BaseException as error:
                 failures.append(error)
@@ -237,7 +247,11 @@ class TestServiceSwapUnderLoad:
                 thread.start()
             service.swap_model("m", new)
             for thread in threads:
-                thread.join()
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            rejections = service.obs.registry.get("serve_backpressure_rejections_total")
+            assert sum(refused) == rejections.value
+            assert service.pending_requests == 0
         assert not failures
         assert len(answered) == 240
 

@@ -21,7 +21,6 @@ from repro.obs.export import (
     parse_prometheus,
     read_jsonl,
     render_prometheus,
-    windowed_deltas,
     write_prometheus,
 )
 from repro.obs.metrics import (
@@ -354,7 +353,7 @@ class TestJsonlExporter:
 
         exporter.export(registry, events=events)
         events.emit("evict", model="m")
-        exporter.export(registry, events=events, extra={"phase": "after"})
+        exporter.export(registry, events=events)
 
         records = read_jsonl(path)
         assert len(records) == 2
@@ -365,7 +364,6 @@ class TestJsonlExporter:
         # Events ship incrementally: the second record only has the evict.
         assert [e["kind"] for e in records[0]["events"]] == ["model_swap"]
         assert [e["kind"] for e in records[1]["events"]] == ["evict"]
-        assert records[1]["phase"] == "after"
 
     def test_read_jsonl_rejects_bad_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -443,98 +441,3 @@ class TestObservability:
         obs.registry.counter("x_total").inc()
         obs.events.emit("evict", model="m")
         assert len(obs.events) == 1
-
-
-class TestWindowedDeltas:
-    """The loadgen aggregation primitive: consecutive-snapshot diffs."""
-
-    def _registry_snapshots(self):
-        registry = MetricRegistry()
-        counter = registry.counter("serve_requests_total")
-        gauge = registry.gauge("serve_pending_requests")
-        histogram = registry.histogram("serve_request_latency_seconds")
-        counter.inc(10)
-        gauge.set(4)
-        histogram.observe(0.001)
-        histogram.observe(0.002)
-        first = metrics_record(registry)
-        counter.inc(25)
-        gauge.set(9)
-        for _ in range(100):
-            histogram.observe(0.004)
-        second = metrics_record(registry)
-        return registry, first, second
-
-    def test_counters_diff_gauges_carry_latest(self):
-        _, first, second = self._registry_snapshots()
-        (delta,) = windowed_deltas([first, second])
-        assert delta["serve_requests_total"] == 25
-        assert delta["serve_pending_requests"] == 9  # gauge: level, not diff
-
-    def test_histogram_window_quantile_ignores_history(self):
-        # The first window holds only 1-2ms samples; the second window's
-        # 100 samples all land at 4ms.  A lifetime p50 would mix them;
-        # the windowed p50 must reflect only the second window.
-        _, first, second = self._registry_snapshots()
-        (delta,) = windowed_deltas([first, second])
-        latency = delta["serve_request_latency_seconds"]
-        assert latency["count"] == 100
-        assert latency["sum"] == pytest.approx(0.4, rel=1e-6)
-        assert 0.003 < latency["p50"] <= 0.0045
-        assert 0.003 < latency["p99"] <= 0.0045
-        bucket_total = latency["buckets"]["+Inf"]
-        assert bucket_total == 100
-
-    def test_window_quantile_matches_fresh_histogram(self):
-        # Windowed quantiles over deltas must agree with a histogram that
-        # only ever saw the window's samples (same interpolation rule).
-        registry = MetricRegistry()
-        histogram = registry.histogram("serve_request_latency_seconds")
-        first = metrics_record(registry)
-        samples = [0.0001, 0.0005, 0.002, 0.002, 0.03, 0.5]
-        for sample in samples:
-            histogram.observe(sample)
-        second = metrics_record(registry)
-        (delta,) = windowed_deltas([first, second])
-        fresh = Histogram("fresh_seconds", ())
-        for sample in samples:
-            fresh.observe(sample)
-        windowed = delta["serve_request_latency_seconds"]
-        assert windowed["p50"] == pytest.approx(fresh.quantile(0.50))
-        assert windowed["p99"] == pytest.approx(fresh.quantile(0.99))
-        assert windowed["p999"] == pytest.approx(fresh.quantile(0.999))
-
-    def test_accepts_full_jsonl_records(self, tmp_path):
-        registry, _, _ = self._registry_snapshots()
-        exporter = JsonlExporter(tmp_path / "metrics.jsonl")
-        exporter.export(registry)
-        registry.counter("serve_requests_total").inc(7)
-        exporter.export(registry)
-        records = read_jsonl(tmp_path / "metrics.jsonl")
-        (delta,) = windowed_deltas(records)
-        assert delta["serve_requests_total"] == 7
-
-    def test_series_absent_from_first_snapshot_counts_from_zero(self):
-        registry = MetricRegistry()
-        first = metrics_record(registry)
-        registry.counter("serve_model_swaps_total").inc(3)
-        second = metrics_record(registry)
-        (delta,) = windowed_deltas([first, second])
-        assert delta["serve_model_swaps_total"] == 3
-
-    def test_labelled_counters_keep_their_keys(self):
-        registry = MetricRegistry()
-        registry.counter("serve_requests_total", labels={"model": "a"}).inc(2)
-        first = metrics_record(registry)
-        registry.counter("serve_requests_total", labels={"model": "a"}).inc(5)
-        second = metrics_record(registry)
-        (delta,) = windowed_deltas([first, second])
-        assert delta["serve_requests_total{model=a}"] == 5
-
-    def test_needs_two_snapshots(self):
-        with pytest.raises(DataError):
-            windowed_deltas([{"metrics": {}}])
-
-    def test_rejects_non_dict_snapshots(self):
-        with pytest.raises(DataError):
-            windowed_deltas([{"metrics": {}}, "not-a-dict"])

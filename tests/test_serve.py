@@ -39,10 +39,7 @@ from repro.serve import (
     ModelRegistry,
     ServiceConfig,
     SignatureLruCache,
-    SimulatedCameraStream,
     StreamingInferenceService,
-    StreamReport,
-    drive_streams,
 )
 from repro.serve.request import (
     ClassificationRequest,
@@ -605,22 +602,38 @@ class TestServiceEndToEnd:
         # pending budget admits is answered, however many batches it cuts.
         service.classify("m", X)
         warm_hits = service.cache.hits
-        streams = [
-            SimulatedCameraStream(
-                f"cam-{i}", X, y, n_frames=40, repeat_probability=0.5, seed=i
-            )
-            for i in range(4)
-        ]
-        reports = drive_streams(service, streams, model="m")
-        assert len(reports) == 4
-        assert all(len(report.responses) == 40 for report in reports)
+        frames = [np.random.default_rng(i).integers(0, len(X), 40) for i in range(4)]
+        answers: list[list] = [[] for _ in frames]
+        failures: list[Exception] = []
+
+        def camera(i):
+            # One submitting thread per camera, as one socket per camera.
+            try:
+                futures = [
+                    service.submit(X[index], model="m", stream_id=f"cam-{i}")
+                    for index in frames[i]
+                ]
+                answers[i] = [future.result(30.0) for future in futures]
+            except Exception as error:
+                failures.append(error)
+
+        threads = [threading.Thread(target=camera, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert all(len(responses) == 40 for responses in answers)
         # The well-separated cluster data should be recognised near-perfectly.
-        assert all(report.accuracy > 0.9 for report in reports)
+        for responses, indices in zip(answers, frames):
+            correct = [r.label == y[index] for r, index in zip(responses, indices)]
+            assert np.mean(correct) > 0.9
         snapshot = service.metrics_snapshot()
         assert snapshot.responses_total >= 160
         # Every stream request is a pool signature, already cached.
         assert service.cache.hits - warm_hits == 160
-        assert all(response.cached for report in reports for response in report.responses)
+        assert all(response.cached for responses in answers for response in responses)
         assert snapshot.batches_total > 0
         assert 0.0 < snapshot.mean_batch_fill <= 1.0
 
@@ -937,64 +950,3 @@ class TestBlockAdmission:
             assert wake.sets == 1
             service.submit_many(X[14:20], model="m")  # cuts it and opens it again
             assert wake.sets == 2 and service.scheduler.pending_count("m") == 4
-
-
-class TestStreamReportLatencyAndShed:
-    """The drive_streams satellite: per-response latency + shed accounting."""
-
-    def test_latencies_recorded_per_response(self, trained_bsom_classifier, cluster_data):
-        X, y = cluster_data
-        service = StreamingInferenceService(
-            config=ServiceConfig(batch_size=8, max_delay_ms=2.0, n_shards=2)
-        )
-        service.register_model("m", trained_bsom_classifier)
-        with service:
-            streams = [
-                SimulatedCameraStream(f"cam-{i}", X, y, n_frames=30, seed=i)
-                for i in range(3)
-            ]
-            reports = drive_streams(service, streams, model="m")
-        for report in reports:
-            assert len(report.latencies_s) == len(report.responses) == 30
-            assert all(latency >= 0.0 for latency in report.latencies_s)
-            assert report.shed_frames == 0
-            assert report.max_latency_s >= report.mean_latency_s > 0.0
-
-    def test_shed_frames_counted_when_retry_budget_exhausts(
-        self, trained_bsom_classifier, cluster_data
-    ):
-        X, y = cluster_data
-        # One-slot pending budget and a long batching delay: while the first
-        # frame sits in its micro-batch window, every subsequent submit is
-        # refused -- and with max_retries=0 each refusal drops the frame.
-        service = StreamingInferenceService(
-            config=ServiceConfig(
-                batch_size=64,
-                max_delay_ms=100.0,
-                n_shards=1,
-                max_pending=1,
-                cache_capacity=0,
-            )
-        )
-        service.register_model("m", trained_bsom_classifier)
-        with service:
-            streams = [
-                SimulatedCameraStream("cam-0", X, y, n_frames=20, seed=3)
-            ]
-            reports = drive_streams(
-                service,
-                streams,
-                model="m",
-                backpressure_retry_s=0.0005,
-                max_retries=0,
-            )
-        report = reports[0]
-        # Every frame ended exactly once: delivered with a latency or shed.
-        assert len(report.responses) + report.shed_frames == 20
-        assert report.shed_frames > 0
-        assert len(report.latencies_s) == len(report.responses)
-
-    def test_empty_report_latency_properties(self):
-        report = StreamReport(stream_id="cam-x")
-        assert report.mean_latency_s == 0.0
-        assert report.max_latency_s == 0.0
