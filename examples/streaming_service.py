@@ -192,12 +192,28 @@ def _drive_until_verdict(service, manager, dataset, n_streams, frames, seed0):
     """Drive waves of frames until the active rollout reaches a verdict."""
     for attempt in range(5):
         _drive(service, dataset, n_streams, frames, seed0=seed0 + attempt * 1000)
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if manager.status("hall") is None:
-                return True
-            time.sleep(0.01)
+        if _ended_once_scored(service, manager):
+            return True
     return False
+
+
+def _ended_once_scored(service, manager):
+    """Wait until the shadow evaluator is done with the last wave; whether
+    the rollout has ended.
+
+    It is done when the rollout has ended or its sample count stops moving
+    while nothing is pending in the service: only more traffic can bring a
+    verdict after that.
+    """
+    samples = None
+    while True:
+        stats = manager.stats("hall")
+        if stats is None:
+            return True
+        if stats.samples == samples and service.pending_requests == 0:
+            return False
+        samples = stats.samples
+        time.sleep(0.05)
 
 
 def _canary_cycle(service, dataset, n_streams, frames_per_stream):

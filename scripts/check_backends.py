@@ -14,7 +14,9 @@ Run by ``scripts/ci_check.sh`` after the test suite.
   would otherwise only show as a slower set-up -- and on a few shapes it
   and the NumPy pass must train the map of the int8 oracle in
   ``tests/oracles/bsom.py``: weights, weights version, winners and the
-  random stream's end state.
+  random stream's end state.  One shape starts all ``#`` at
+  ``neighbour_strength=1.0``, where every draw the compiled pass takes
+  selects its bit.
 
 Exit code 0 on success, 1 on any failure.
 """
@@ -97,12 +99,13 @@ def training_parity_smoke() -> None:
     passes = {"numpy": None} if compiled is None else {"compiled": compiled, "numpy": None}
     rng = np.random.default_rng(4321)
     shapes = (
-        (40, 768, None, BsomUpdateRule()),
-        (12, 100, RingTopology(12), BsomUpdateRule("commit", "stochastic", 0.3)),
-        (12, 130, Grid2DTopology(3, 4), BsomUpdateRule("full", "commit")),
-        (9, 64, None, BsomUpdateRule("commit", "full")),
+        (40, 768, None, BsomUpdateRule(), 0.2),
+        (12, 100, RingTopology(12), BsomUpdateRule("commit", "stochastic", 0.3), 0.2),
+        (12, 130, Grid2DTopology(3, 4), BsomUpdateRule("full", "commit"), 0.2),
+        (9, 64, None, BsomUpdateRule("commit", "full"), 0.2),
+        (12, 200, None, BsomUpdateRule(neighbour_strength=1.0), 1.0),
     )
-    for n_neurons, n_bits, topology, rule in shapes:
+    for n_neurons, n_bits, topology, rule, dont_care in shapes:
         X = rng.integers(0, 2, size=(30, n_bits), dtype=np.int8)
         for name, handle in passes.items():
             native._training_pass = handle
@@ -111,7 +114,7 @@ def training_parity_smoke() -> None:
                 n_bits,
                 topology=topology,
                 update_rule=rule,
-                dont_care_probability=0.2,
+                dont_care_probability=dont_care,
                 seed=n_bits,
             )
             if not _trained_as_oracle(som, X):

@@ -83,11 +83,16 @@ weights are written back once per pass.
 A whole pass runs as one call to a compiled step (``bsom_train.c``, built
 and cached by :mod:`repro.core.native` on the first pass) wherever that
 library builds and loads: the same winner search and flip-form rule on
-the same words, with each draw taken through the map's generator
-(``BitGenerator.ctypes.next_double``, under the generator's lock) in the
-order ``Generator.random(out=)`` takes it, so the map, its weights
-version and the random stream's position are the NumPy pass's bit for
-bit.  Where no library can be built or loaded, the NumPy pass above runs.
+the same words.  It runs the map's PCG64 stream itself, on the state read
+from ``bit_generator.state`` under the generator's lock and written back
+after the call, and takes a neighbour's draws only at its live bits,
+``~c | (v ^ x)``, the only bits ``f`` can flip.  Each such draw is one
+multiply-add jump from the state before the word's first draw, and the
+word then moves the stream by its full draw count.  A draw selects when
+its top 53 bits, as an integer, are below ``ceil(p * 2**53)``, which is
+exactly ``random() < p``, so the map, its weights version and the random
+stream's position are the NumPy pass's bit for bit.  Where no library can
+be built or loaded, the NumPy pass above runs.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ from repro.core.backends import (
     PreparedOperandCache,
     pack_bits_to_words,
 )
-from repro.core.native import training_pass
+from repro.core.native import PcgWords, training_pass
 from repro.core.som import SelfOrganisingMap, validate_binary_matrix
 from repro.core.topology import (
     LinearTopology,
@@ -150,13 +155,15 @@ class _Neighbourhood(NamedTuple):
 
     The same neighbourhoods flattened for the compiled pass: winner
     ``w``'s neighbours are ``rows[offsets[w]:offsets[w + 1]]``, ascending,
-    drawn with ``probabilities`` beside them.
+    with ``thresholds`` beside them, ``ceil(p * 2**53)`` for probability
+    ``p``: a draw's top 53 bits, as an integer, are below it exactly when
+    ``random() < p``.
     """
 
     per_winner: list[tuple]
     offsets: np.ndarray
     rows: np.ndarray
-    probabilities: np.ndarray
+    thresholds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -387,7 +394,7 @@ class BinarySom(SelfOrganisingMap):
             ],
             offsets,
             np.nonzero(neighbours)[1].astype(np.int64),
-            strengths[neighbours],
+            np.ceil(strengths[neighbours] * 2.0**53).astype(np.uint64),
         )
         self._neighbourhood_tables[radius] = table
         return table
@@ -410,8 +417,12 @@ class BinarySom(SelfOrganisingMap):
         else:
             winners = np.empty(len(order), dtype=np.int64)
             bit_generator = self._update_rng.bit_generator
-            generator = bit_generator.ctypes
             with bit_generator.lock:
+                state = bit_generator.state
+                pcg = state["state"]
+                words = PcgWords(
+                    *divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64)
+                )
                 native_pass(
                     care.ctypes.data,
                     value.ctypes.data,
@@ -422,13 +433,14 @@ class BinarySom(SelfOrganisingMap):
                     self.n_bits,
                     table.offsets.ctypes.data,
                     table.rows.ctypes.data,
-                    table.probabilities.ctypes.data,
+                    table.thresholds.ctypes.data,
                     _VALID_NEIGHBOUR_RULES.index(self.update_rule.winner_rule),
                     _VALID_NEIGHBOUR_RULES.index(self.update_rule.neighbour_rule),
-                    generator.next_double,
-                    generator.state,
+                    words,
                     winners.ctypes.data,
                 )
+                pcg["state"] = words[0] << 64 | words[1]
+                bit_generator.state = state
         # Back to int8 in place as value + DONT_CARE * (1 - care): a committed
         # bit is its value, a '#' bit (value 0) is DONT_CARE.
         committed, values = np.unpackbits(

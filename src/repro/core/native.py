@@ -3,17 +3,19 @@
 :meth:`BinarySom._train_pass <repro.core.bsom.BinarySom>` runs each pass
 through the ``bsom_train_pass`` that :func:`training_pass` returns, and
 runs its NumPy pass where that is ``None``; the two are bit for bit the
-same.
+same.  The compiled pass runs the map's PCG64 stream itself, on the state
+words read from ``bit_generator.state`` and written back after the call,
+and takes only the draws that can flip a bit.
 
 The library is compiled from the C source shipped beside this module with
 ``cc -O2 -shared -fPIC`` the first time a process trains, and cached in
 the per-user cache directory (``$XDG_CACHE_HOME``, else ``~/.cache``,
-then ``repro/``) as ``bsom_train-<SHA-256 of the source>.so``, so later
-processes load it without building.  It is compiled to a temporary file
-there and renamed into place: a process never loads another's partial
-build.  No ``cc`` on ``PATH``, a cache directory that cannot be written
-or a library that does not load leave :func:`training_pass` returning
-``None``.
+then ``repro/``) as ``bsom_train-<SHA-256>.so``, the digest taken over the
+compile command and the source, so a change to either builds a new
+library.  It is compiled to a temporary file there and renamed into
+place: a process never loads another's partial build.  No ``cc`` on
+``PATH``, a cache directory that cannot be written or a library that does
+not load leave :func:`training_pass` returning ``None``.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ import threading
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("bsom_train.c")
-#: The type of ``BitGenerator.ctypes.next_double``.
-_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+#: The compile command, completed by ``-o <library> <source>``.
+_COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+#: A PCG64 generator's 128-bit state and increment as high, low words;
+#: the compiled pass advances the state words in place.
+PcgWords = ctypes.c_uint64 * 4
 _ARGTYPES = (
     [ctypes.c_void_p] * 3  # care, value, patterns
     + [ctypes.c_int64] * 4  # n_patterns, n_neurons, n_words, n_bits
-    + [ctypes.c_void_p] * 3  # offsets, rows, probabilities
+    + [ctypes.c_void_p] * 3  # offsets, rows, thresholds
     + [ctypes.c_int32] * 2  # winner_rule, neighbour_rule
-    + [_NEXT_DOUBLE, ctypes.c_void_p, ctypes.c_void_p]  # next_double, state, winners
+    + [PcgWords, ctypes.c_void_p]  # pcg, winners
 )
 _NOT_LOADED = object()
 _load_lock = threading.Lock()
@@ -56,7 +61,7 @@ def _build(library: Path) -> None:
     os.close(handle)
     try:
         subprocess.run(
-            ["cc", "-O2", "-shared", "-fPIC", "-o", partial, str(_SOURCE)],
+            [*_COMPILE, "-o", partial, str(_SOURCE)],
             check=True,
             capture_output=True,
         )
@@ -79,7 +84,7 @@ def training_pass():
 def _load():
     """Load the library, building it if the cache lacks it; ``None`` on failure."""
     try:
-        digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
+        digest = hashlib.sha256(repr(_COMPILE).encode() + _SOURCE.read_bytes()).hexdigest()
         library = _cache_dir() / f"bsom_train-{digest}.so"
         if not library.exists():
             _build(library)

@@ -1,6 +1,7 @@
 """Unit tests for the tri-state binary SOM."""
 
 import copy
+import shutil
 
 import numpy as np
 import pytest
@@ -322,14 +323,42 @@ _MATRIX_TOPOLOGIES = {
 }
 
 
+#: The matrix's cases: width, neighbour strength, ``#`` share of the
+#: initial weights, and whether every row starts as the one pattern
+#: trained on.
+_MATRIX_CASES = {
+    "768": (768, 0.3, 0.2, False),
+    "64": (64, 0.3, 0.2, False),
+    "100": (100, 0.3, 0.2, False),
+    "130": (130, 0.3, 0.2, False),
+    "1": (1, 0.3, 0.2, False),
+    "63": (63, 0.3, 0.2, False),
+    "65": (65, 0.3, 0.2, False),
+    # Threshold 2**53: every live draw selects.
+    "strength-1": (100, 1.0, 0.2, False),
+    # Threshold 1 at every distance: only a zero draw would select.
+    "strength-2**-60": (100, 2**-60, 0.2, False),
+    # Probability 0 past distance 1: threshold 0, nothing selects.
+    "strength-1e-200": (100, 1e-200, 0.2, False),
+    # Every bit live at first.
+    "all-#": (100, 0.3, 1.0, False),
+    # No bit ever live, yet the stream moves each row's full draw count.
+    "rows-equal-pattern": (100, 0.3, 0.0, True),
+}
+
+
 @pytest.mark.parametrize("kind", sorted(_MATRIX_TOPOLOGIES))
-@pytest.mark.parametrize("n_bits", [768, 64, 100, 130])
-def test_plane_training_matrix_matches_int8_oracle(training_pass, n_bits, kind):
-    """The oracle property on a fixed matrix: each width and topology under
-    every rule pair, at ``neighbour_strength=0.3`` with ``#`` bits in the
-    initial weights."""
+@pytest.mark.parametrize("case", list(_MATRIX_CASES))
+def test_plane_training_matrix_matches_int8_oracle(training_pass, case, kind):
+    """The oracle property on a fixed matrix: each case and topology under
+    every rule pair.  Beside four widths at ``neighbour_strength=0.3`` with
+    ``#`` bits in the initial weights, the cases hold the edges of the
+    compiled pass's skipping of draws that cannot flip a bit."""
+    n_bits, strength, dont_care, rows_equal_pattern = _MATRIX_CASES[case]
     rng = np.random.default_rng(n_bits)
     X = rng.integers(0, 2, size=(15, n_bits), dtype=np.int8)
+    if rows_equal_pattern:
+        X[:] = X[0]
     for seed, (winner_rule, neighbour_rule) in enumerate(
         (w, n) for w in ("full", "commit") for n in ("stochastic", "full", "commit")
     ):
@@ -337,10 +366,12 @@ def test_plane_training_matrix_matches_int8_oracle(training_pass, n_bits, kind):
             12,
             n_bits,
             topology=_MATRIX_TOPOLOGIES[kind](),
-            update_rule=BsomUpdateRule(winner_rule, neighbour_rule, neighbour_strength=0.3),
-            dont_care_probability=0.2,
+            update_rule=BsomUpdateRule(winner_rule, neighbour_rule, strength),
+            dont_care_probability=dont_care,
             seed=seed,
         )
+        if rows_equal_pattern:
+            som.set_weights(X[:12])
         _assert_trains_as_oracle(
             som, X, epochs=3, shuffle=True, order_seed=seed, total=4, block_start=5,
             block_iteration=1,
@@ -440,3 +471,19 @@ def test_a_failed_build_trains_on_the_numpy_pass(fault, tmp_path, monkeypatch):
     assert native._training_pass is None
     oracle.fit(reference, X, 3, seed=5)
     _assert_same_map(som, reference)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no compiler on PATH")
+def test_a_changed_compile_command_builds_a_new_library(tmp_path, monkeypatch):
+    """The cached library is named by its compile command and its source:
+    under a changed command the first pass builds a new library rather
+    than load the one built the old way."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    libraries = []
+    for command in (native._COMPILE, ("cc", "-O1", "-shared", "-fPIC")):
+        monkeypatch.setattr(native, "_COMPILE", command)
+        monkeypatch.setattr(native, "_training_pass", native._NOT_LOADED)
+        assert native.training_pass() is not None
+        libraries.append(set((tmp_path / "repro").glob("bsom_train-*.so")))
+    assert len(libraries[0]) == 1
+    assert len(libraries[1]) == 2 and libraries[0] < libraries[1]
